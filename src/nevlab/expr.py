@@ -113,6 +113,14 @@ def const(c) -> Const:
     return Const(complex(c))
 
 
+def _folded(value: complex) -> Const:
+    """A folded constant; overflow makes the expression invalid rather than
+    a silent Const(inf)."""
+    if not cmath.isfinite(value):
+        raise InvalidExpressionError("a constant overflows")
+    return Const(value)
+
+
 def add(*terms: Expr) -> Expr:
     flat: list[Expr] = []
     for t in terms:
@@ -145,7 +153,7 @@ def mul(*factors: Expr) -> Expr:
     if coeff == 0:
         return ZERO
     if coeff != 1:
-        kept.insert(0, Const(coeff))
+        kept.insert(0, _folded(coeff))
     if not kept:
         return ONE
     if len(kept) == 1:
@@ -173,7 +181,11 @@ def intpow(base: Expr, power: int) -> Expr:
             if power > 0:
                 return ZERO
             raise InvalidExpressionError("0 raised to a negative power")
-        return Const(base.value ** power)
+        try:
+            return _folded(base.value ** power)
+        except OverflowError:
+            raise InvalidExpressionError(
+                "a constant power overflows") from None
     if isinstance(base, IntPow):
         return intpow(base.base, base.power * power)
     return IntPow(base, power)
@@ -185,7 +197,7 @@ def div(num: Expr, den: Expr) -> Expr:
             raise InvalidExpressionError("denominator is the literal constant 0")
         if den.value == 1:
             return num
-        return mul(Const(1.0 / den.value), num)
+        return mul(_folded(1.0 / den.value), num)
     if isinstance(num, Const) and num.value == 0:
         return ZERO
     return Div(num, den)
@@ -193,7 +205,11 @@ def div(num: Expr, den: Expr) -> Expr:
 
 def exp_e(arg: Expr) -> Expr:
     if isinstance(arg, Const):
-        return Const(cmath.exp(arg.value))
+        try:
+            return _folded(cmath.exp(arg.value))
+        except OverflowError:
+            raise InvalidExpressionError(
+                "a constant exponential overflows") from None
     return Exp(arg)
 
 
@@ -327,7 +343,7 @@ class _Parser:
         lit = self.text[start:self.pos]
         if lit in ("", "."):
             self.error("malformed number")
-        return Const(float(lit))
+        return _folded(float(lit))
 
     def ident(self) -> Expr:
         self.skip_ws()
@@ -385,9 +401,186 @@ def differentiate(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
+# lowered evaluation
+#
+# Derivative trees repeat their subtrees many times over: the Newton second
+# derivative in lem_35 on tan(z) has 3819 nodes but only 84 distinct
+# subtrees.  _lower turns a tree into a straight-line program that computes
+# each structurally distinct subtree once, in topological order (sums and
+# products as chains of binary steps); the frozen-dataclass equality and
+# hash do the deduplication.  Operands keep their order in the tree, so
+# every value comes from the same float operations that a walk of the tree
+# would make.  compile_expr, evaluate and nevanlinna.compile_log_abs all run
+# these programs through _run.  Constants stay scalars, and a wholly
+# constant result is broadcast to the shape of z at the end.  Each
+# intermediate is released after its last use, and on complex arrays a dying
+# intermediate takes the result of the elementwise step that reads it, so
+# peak memory follows the number of values live at once, not the length of
+# the program.
 
-_HUGE = 1e300
+_Z, _CONST, _ADD, _SUB, _MUL, _NEG, _DIV, _POW, _EXP = range(9)
+_SCALE, _REAL, _LOG_ABS = range(9, 12)     # log-magnitude steps only
+_UFUNCS = {_ADD: np.add, _SUB: np.subtract, _MUL: np.multiply,
+           _DIV: np.divide, _NEG: np.negative, _EXP: np.exp}
+
+
+@dataclass(frozen=True)
+class _Program:
+    # Instruction i is (op, a, b, arg, reuse, last_a, last_b): a and b are
+    # operand slots (b is None for one operand), reuse is an operand slot
+    # whose array may hold the result, and last_a, last_b flag the operands
+    # that i reads for the last time.  Slot i holds the result of i.
+    code: tuple[tuple, ...]
+    constant: bool                         # no instruction reads z
+
+
+@functools.cache
+def _lower(e: Expr, log_abs: bool = False) -> _Program:
+    """Straight-line program computing e, or ln|e| when log_abs is set.
+
+    The log-magnitude form is structural, which keeps it inside floating
+    point range where the value itself overflows: products, quotients and
+    integer powers become sums, differences and multiples of logs, an
+    exponential contributes Re(arg) exactly, and only sums and z itself fall
+    back to log|value|."""
+    code: list = []
+    slots: dict = {}
+
+    def emit(key, op: int, a=None, b=None, arg=None) -> int:
+        if key is not None:
+            slots[key] = len(code)
+        code.append((op, a, b, arg))
+        return len(code) - 1
+
+    def fold(key, op: int, items, lower) -> int:
+        # A left fold of binary steps, each operand lowered just before its
+        # step, so a long sum holds two values live instead of all its terms.
+        acc = lower(items[0])
+        for k in range(1, len(items)):
+            acc = emit(key if k == len(items) - 1 else None, op,
+                       acc, lower(items[k]))
+        return acc
+
+    def value(x: Expr) -> int:
+        i = slots.get(x)
+        if i is not None:
+            return i
+        if isinstance(x, Const):
+            return emit(x, _CONST, arg=x.value)
+        if isinstance(x, Var):
+            return emit(x, _Z)
+        if isinstance(x, Add):
+            return fold(x, _ADD, x.terms, value)
+        if isinstance(x, Mul):
+            return fold(x, _MUL, x.factors, value)
+        if isinstance(x, Neg):
+            return emit(x, _NEG, value(x.child))
+        if isinstance(x, Div):
+            return emit(x, _DIV, value(x.num), value(x.den))
+        if isinstance(x, IntPow):
+            return emit(x, _POW, value(x.base), arg=x.power)
+        if isinstance(x, Exp):
+            return emit(x, _EXP, value(x.arg))
+        raise TypeError(f"cannot evaluate {type(x).__name__}")
+
+    def log(x: Expr) -> int:
+        if isinstance(x, Neg):
+            return log(x.child)
+        key = ("log", x)
+        i = slots.get(key)
+        if i is not None:
+            return i
+        if isinstance(x, Const):
+            v = abs(x.value)
+            return emit(key, _CONST, arg=math.log(v) if v else -math.inf)
+        if isinstance(x, Mul):
+            return fold(key, _ADD, x.factors, log)
+        if isinstance(x, Div):
+            return emit(key, _SUB, log(x.num), log(x.den))
+        if isinstance(x, IntPow):
+            return emit(key, _SCALE, log(x.base), arg=x.power)
+        if isinstance(x, Exp):
+            return emit(key, _REAL, value(x.arg))
+        if isinstance(x, (Var, Add)):
+            return emit(key, _LOG_ABS, value(x))
+        raise TypeError(f"cannot evaluate {type(x).__name__}")
+
+    (log if log_abs else value)(e)
+    last = {s: i for i, (_, a, b, _) in enumerate(code) for s in (a, b)}
+    # At its last read, an array this program made may take the result of
+    # an elementwise step, unless it is z or a real-part view shares it.
+    varies: list[bool] = []
+    for op, a, b, _ in code:
+        varies.append(op == _Z or any(varies[s] for s in (a, b)
+                                      if s is not None))
+    pinned = {a for op, a, _, _ in code if op == _REAL}
+    lowered = []
+    for i, (op, a, b, arg) in enumerate(code):
+        reuse = None
+        if op in _UFUNCS:
+            reuse = next((s for s in (a, b) if s is not None and last[s] == i
+                          and varies[s] and s not in pinned
+                          and code[s][0] not in (_Z, _REAL)), None)
+        lowered.append((op, a, b, arg, reuse, a is not None and last[a] == i,
+                        b is not None and last[b] == i))
+    return _Program(tuple(lowered), Z not in slots)
+
+
+def _run(prog: _Program, z, exp):
+    # Overwriting is safe only when every array is complex and of z's shape.
+    inplace = isinstance(z, np.ndarray) and z.ndim and z.dtype == complex
+    vals: list = [None] * len(prog.code)
+    for i, (op, a, b, arg, reuse, last_a, last_b) in enumerate(prog.code):
+        if inplace and reuse is not None:
+            if b is None:
+                v = _UFUNCS[op](vals[a], out=vals[reuse])
+            else:
+                v = _UFUNCS[op](vals[a], vals[b], out=vals[reuse])
+        elif op == _MUL:
+            v = vals[a] * vals[b]
+        elif op == _ADD:
+            v = vals[a] + vals[b]
+        elif op == _POW:
+            v = vals[a] ** arg
+        elif op == _NEG:
+            v = -vals[a]
+        elif op == _DIV:
+            v = vals[a] / vals[b]
+        elif op == _EXP:
+            v = exp(vals[a])
+        elif op == _CONST:
+            v = arg
+        elif op == _Z:
+            v = z
+        elif op == _SUB:
+            v = vals[a] - vals[b]
+        elif op == _SCALE:
+            v = arg * vals[a]
+        elif op == _REAL:
+            v = np.real(vals[a])
+        else:
+            v = np.log(np.abs(vals[a]))
+        vals[i] = v
+        if last_a:
+            vals[a] = None
+        if last_b:
+            vals[b] = None
+    if prog.constant and np.ndim(z):
+        return np.full(np.shape(z), vals[-1])
+    return vals[-1]
+
+
+def _vectorised(prog: _Program):
+    def run(z):
+        with np.errstate(all="ignore"):
+            return _run(prog, z, np.exp)
+    return run
+
+
+@functools.cache
+def compile_expr(e: Expr):
+    """Vectorised evaluator; overflow and division produce inf/nan silently."""
+    return _vectorised(_lower(e))
 
 
 def evaluate(e: Expr, z: complex):
@@ -395,123 +588,14 @@ def evaluate(e: Expr, z: complex):
     denominator vanishes (overflow is reported as a PoleSignal with the
     magnitude flag set)."""
     try:
-        v = _eval(e, complex(z))
-    except (ZeroDivisionError, OverflowError):
+        v = _run(_lower(e), complex(z), cmath.exp)
+    except ZeroDivisionError:
+        return PoleSignal()
+    except OverflowError:
         return PoleSignal(overflow=True)
-    if isinstance(v, PoleSignal):
-        return v
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+    if not cmath.isfinite(v):
         return PoleSignal(overflow=True)
     return v
-
-
-def _eval(e: Expr, z: complex):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Add):
-        acc = complex(0)
-        for t in e.terms:
-            v = _eval(t, z)
-            if isinstance(v, PoleSignal):
-                return v
-            acc += v
-        return acc
-    if isinstance(e, Neg):
-        v = _eval(e.child, z)
-        return v if isinstance(v, PoleSignal) else -v
-    if isinstance(e, Mul):
-        acc = complex(1)
-        for f in e.factors:
-            v = _eval(f, z)
-            if isinstance(v, PoleSignal):
-                return v
-            acc *= v
-        return acc
-    if isinstance(e, Div):
-        n = _eval(e.num, z)
-        if isinstance(n, PoleSignal):
-            return n
-        d = _eval(e.den, z)
-        if isinstance(d, PoleSignal):
-            return d
-        if d == 0:
-            return PoleSignal()
-        return n / d
-    if isinstance(e, IntPow):
-        b = _eval(e.base, z)
-        if isinstance(b, PoleSignal):
-            return b
-        if b == 0 and e.power < 0:
-            return PoleSignal()
-        return b ** e.power
-    if isinstance(e, Exp):
-        a = _eval(e.arg, z)
-        if isinstance(a, PoleSignal):
-            return a
-        if a.real > 709.0:
-            return PoleSignal(overflow=True)
-        return cmath.exp(a)
-    raise TypeError(f"cannot evaluate {type(e).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# vectorised evaluation
-#
-# The locator and the quadratures evaluate expressions on thousands of grid
-# points, which is far too slow through the tree walker above.  compile_expr
-# builds a closure over numpy operations once per (structurally distinct)
-# tree; poles and overflow surface as inf/nan in the output array and are
-# handled by the callers.
-
-@functools.cache
-def compile_expr(e: Expr):
-    """Vectorised evaluator; overflow and division produce inf/nan silently."""
-    fn = _compile(e)
-
-    def run(z, fn=fn):
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return fn(z)
-    return run
-
-
-@functools.cache
-def _compile(e: Expr):
-    if isinstance(e, Const):
-        v = e.value
-        return lambda z: np.broadcast_to(v, np.shape(z)).copy() if np.ndim(z) else v
-    if isinstance(e, Var):
-        return lambda z: z
-    if isinstance(e, Add):
-        fns = tuple(_compile(t) for t in e.terms)
-        def _add(z, fns=fns):
-            acc = fns[0](z)
-            for fn in fns[1:]:
-                acc = acc + fn(z)
-            return acc
-        return _add
-    if isinstance(e, Neg):
-        fn = _compile(e.child)
-        return lambda z: -fn(z)
-    if isinstance(e, Mul):
-        fns = tuple(_compile(f) for f in e.factors)
-        def _mul(z, fns=fns):
-            acc = fns[0](z)
-            for fn in fns[1:]:
-                acc = acc * fn(z)
-            return acc
-        return _mul
-    if isinstance(e, Div):
-        fn, fd = _compile(e.num), _compile(e.den)
-        return lambda z: fn(z) / fd(z)
-    if isinstance(e, IntPow):
-        fb, p = _compile(e.base), e.power
-        return lambda z: fb(z) ** p
-    if isinstance(e, Exp):
-        fa = _compile(e.arg)
-        return lambda z: np.exp(fa(z))
-    raise TypeError(f"cannot compile {type(e).__name__}")
 
 
 # ---------------------------------------------------------------------------

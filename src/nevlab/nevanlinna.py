@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exppoly import canonical_quotient
-from .expr import (Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, QuotientForm,
-                   Var, compile_expr)
+from .expr import Expr, QuotientForm, _lower, _vectorised
 from .locator import Divisor, LocatorError, clear_radius, divisor_of
 
 __all__ = [
@@ -149,39 +148,9 @@ def compile_log_abs(e: Expr):
 
     Products, quotients and integer powers turn into sums of logs; an
     exponential factor contributes Re(arg) exactly.  Only irreducible sums
-    fall back to log(abs(value))."""
-    if isinstance(e, Const):
-        v = abs(e.value)
-        lv = math.log(v) if v else -math.inf
-        return lambda z: np.full(np.shape(z), lv) if np.ndim(z) else lv
-    if isinstance(e, Var):
-        return lambda z: np.log(np.abs(z))
-    if isinstance(e, Neg):
-        return compile_log_abs(e.child)
-    if isinstance(e, Mul):
-        fns = tuple(compile_log_abs(f) for f in e.factors)
-        def _mul(z, fns=fns):
-            acc = fns[0](z)
-            for fn in fns[1:]:
-                acc = acc + fn(z)
-            return acc
-        return _mul
-    if isinstance(e, Div):
-        fn, fd = compile_log_abs(e.num), compile_log_abs(e.den)
-        return lambda z: fn(z) - fd(z)
-    if isinstance(e, IntPow):
-        fb, p = compile_log_abs(e.base), e.power
-        return lambda z: p * fb(z)
-    if isinstance(e, Exp):
-        fa = compile_expr(e.arg)
-        return lambda z: np.real(fa(z))
-    if isinstance(e, Add):
-        fn = compile_expr(e)
-        def _leaf(z, fn=fn):
-            with np.errstate(divide="ignore"):
-                return np.log(np.abs(fn(z)))
-        return _leaf
-    raise TypeError(f"cannot compile {type(e).__name__}")
+    fall back to log(abs(value)).  These steps and the values they read are
+    one shared-subexpression program (see expr._lower)."""
+    return _vectorised(_lower(e, log_abs=True))
 
 
 # ---------------------------------------------------------------------------

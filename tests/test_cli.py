@@ -187,6 +187,9 @@ def test_exit_numerical_budget(tmp_path):
 @pytest.mark.parametrize("mutate,reason", [
     (lambda s: s.update(radi=s.pop("radii")), "misspelled top key"),
     (lambda s: s.update(function="exp("), "unparsable function"),
+    (lambda s: s.update(function="exp(1000)"), "overflowing exponential"),
+    (lambda s: s.update(function="10^400"), "overflowing power"),
+    (lambda s: s.update(function="9" * 400), "overflowing literal"),
     (lambda s: s["radii"].update(count=7), "too few radii for checks"),
     (lambda s: s["radii"].update(spacing="cubic"), "unknown spacing"),
     (lambda s: s.update(checks=["thm_99"]), "unknown check id"),

@@ -4,6 +4,7 @@ import cmath
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -49,11 +50,21 @@ def test_evaluation_matches_reference(src, fn):
 def test_pole_is_signalled_not_raised():
     assert isinstance(ev("1/(z - 1)", 1.0), PoleSignal)
     assert isinstance(ev("z/z", 0.0), PoleSignal)
+    assert isinstance(ev("(z - 1)^-2", 1.0), PoleSignal)
+    assert isinstance(ev("exp(z^2)", 40.0), PoleSignal)
 
 
 def test_division_by_literal_zero_rejected():
     with pytest.raises(InvalidExpressionError):
         parse_expr("1/0")
+
+
+@pytest.mark.parametrize("src", ["exp(1000)", "10^400", "9" * 400,
+                                 "10^200*10^200", "1/10^-320"])
+def test_overflowing_constant_rejected(src):
+    """Constant folding never yields an infinite constant."""
+    with pytest.raises(InvalidExpressionError):
+        parse_expr(src)
 
 
 @pytest.mark.parametrize("src", ["", "z +", "exp(", "2z", "w", "z ^ z", "(z"])
@@ -119,12 +130,20 @@ def test_grammar_round_trip(src):
                                                   rel=1e-12, abs=1e-12)
 
 
-def test_compiled_evaluation_matches_interpreter():
-    e = parse_expr("exp(z)*(z^2 - 1)/(z^2 + 4)")
-    fn = compile_expr(e)
+def test_derivatives_of_tan_match_mpmath():
+    """Vector and scalar evaluation of the first four derivatives of tan
+    against mpmath at 50 digits, at points off the poles."""
     zs = np.array(POINTS, dtype=complex)
-    want = np.array([evaluate(e, z) for z in POINTS])
-    assert np.allclose(fn(zs), want, rtol=1e-12, atol=1e-12)
+    e = parse_expr("tan(z)")
+    with mpmath.workdps(50):
+        for k in range(1, 5):
+            e = differentiate(e)
+            want = np.array([complex(mpmath.diff(mpmath.tan, mpmath.mpc(z), k))
+                             for z in POINTS])
+            vector = compile_expr(e)(zs)
+            scalar = np.array([evaluate(e, z) for z in POINTS])
+            assert np.all(np.abs(vector - want) <= 1e-12 * np.abs(want)), k
+            assert np.all(np.abs(scalar - want) <= 1e-12 * np.abs(want)), k
 
 
 def test_compiled_overflow_is_silent_inf():

@@ -3,13 +3,14 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from nevlab.expr import parse_expr
+from nevlab.expr import compile_expr, parse_expr
 from nevlab.locator import Divisor, DivisorPoint
 from nevlab.nevanlinna import (CountingMode, QuadratureError, characteristic,
-                               counting, nevanlinna_rows, proximity,
-                               radial_grid)
+                               compile_log_abs, counting, nevanlinna_rows,
+                               proximity, radial_grid)
 
 E = math.e
 
@@ -38,6 +39,44 @@ def test_proximity_needs_the_positive_part():
 def test_pole_on_the_circle_is_an_explicit_failure():
     with pytest.raises(QuadratureError):
         proximity(parse_expr("1/(z - 2)"), 2.0)
+
+
+@pytest.mark.parametrize("src", [
+    "exp(z)*(z^2 - 1)/(z^2 + 4)",
+    "tan(z)^3*(z - 1)",
+    "-z^2*exp(2*z)/(z - 3)",
+    "(exp(z) - 1 - z)^2*sin(z)",
+    "3*z",
+    "exp(2*z)*(2*z + 1)",
+])
+def test_log_abs_matches_log_of_the_value(src):
+    e = parse_expr(src)
+    rng = np.random.default_rng(11)
+    zs = rng.uniform(-8, 8, 400) + 1j * rng.uniform(-8, 8, 400)
+    with np.errstate(divide="ignore"):
+        want = np.log(np.abs(compile_expr(e)(zs)))
+    got = compile_log_abs(e)(zs)
+    ok = np.isfinite(want)
+    assert ok.sum() > 300
+    assert np.allclose(got[ok], want[ok], rtol=1e-12, atol=1e-11)
+
+
+def test_log_abs_stays_finite_past_overflow():
+    e = parse_expr("exp(z)^40*(z - 1)")
+    zs = np.array([30.0 + 0.0j])
+    assert not np.isfinite(compile_expr(e)(zs)).any()
+    assert compile_log_abs(e)(zs)[0] == pytest.approx(1200 + math.log(29),
+                                                      rel=1e-14)
+
+
+@pytest.mark.parametrize("src", ["3", "1+2"])
+def test_constant_expressions_take_the_shape_of_z(src):
+    e = parse_expr(src)
+    zs = np.zeros((2, 3), dtype=complex)
+    value, log_abs = compile_expr(e)(zs), compile_log_abs(e)(zs)
+    assert value.shape == log_abs.shape == zs.shape
+    assert np.all(value == 3)
+    assert np.allclose(log_abs, math.log(3), rtol=1e-15)
 
 
 def cubic_divisor(r=10.0):
