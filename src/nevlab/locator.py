@@ -8,6 +8,14 @@ polished with a Newton iteration on f/f', and assigned multiplicities from
 small-circle windings.  The counts are cross-checked: the multiplicities found
 inside the disk must add up to the winding of the full circle.
 
+One search completes the measurement of each rectangle edge at most once.
+Edge phases are memoised by their endpoints, and a neighbour walking an edge
+the other way reads back the negated phase.  A split refines all of its new
+edges together, sharing one evaluator call per refinement round.  Child edges
+are never derived from the parent's samples or by subtraction from the
+parent's edges, so the check that the four quadrant windings add up to the
+parent's stays an independent test of every new edge.
+
 The machinery never factors anything numerically; products, integer powers and
 exponential factors are split structurally first, so a squared factor is
 located once and its multiplicity doubled exactly.
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import (Const, Exp, Expr, IntPow, Mul, Neg, QuotientForm,
+from .expr import (Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, QuotientForm,
                    compile_expr, differentiate, sub)
 from .exppoly import canonical_quotient
 
@@ -73,6 +81,8 @@ _PHASE_STEP = 0.5 * math.pi
 _MAG_STEP = 4.0
 _TINY = 1e-280
 _WINDING_SLACK = 0.25
+# Rounds in which all paths of a batch refine together (see _path_phases).
+_LOCKSTEP_ROUNDS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +199,6 @@ def _freq_collect(e: Expr) -> dict:
     if isinstance(e, IntPow):
         return {k: abs(e.power) * p
                 for k, p in _freq_collect(e.base).items()}
-    from .expr import Add, Div
     if isinstance(e, Add):
         out = {}
         for t in e.terms:
@@ -212,31 +221,72 @@ def _rate_of(e: Expr):
     terms = tuple(sorted(_freq_collect(e).items(), key=lambda kv: str(kv[0])))
     fns = tuple((compile_expr(d), p) for d, p in terms)
 
-    def rate(z) -> float:
-        tot = 0.0
+    def rate(z: np.ndarray) -> np.ndarray:
+        """One estimate per row of z, from one evaluator call per term."""
+        tot = np.zeros(z.shape[0])
         for dfn, p in fns:
-            a = np.abs(np.asarray(dfn(z)))
-            a = a[np.isfinite(a)]
-            if a.size:
-                tot += p * float(a.max())
+            a = np.abs(np.asarray(dfn(z.ravel()))).reshape(z.shape)
+            a = np.where(np.isfinite(a), a, -np.inf).max(axis=1)
+            tot += np.where(np.isfinite(a), p * a, 0.0)
         return tot
     return rate
 
 
-def _path_phase(fn, path, n0: int, length: float = 0.0, rate=None) -> float:
-    """Total continuous phase change of fn along path(t), t in [0, 1]."""
-    n = n0
-    if rate is not None and length > 0.0:
-        r_est = rate(path(np.linspace(0.0, 1.0, 33)))
-        if math.isfinite(r_est):
-            n = max(n, min(int(1.25 * length * r_est) + 8, 150000))
-    t = np.linspace(0.0, 1.0, n + 1)
-    v = np.asarray(fn(path(t)), dtype=complex)
-    prev = None
-    for _ in range(64):
-        av = np.abs(v)
-        if not np.all(np.isfinite(v)) or np.any(av < _TINY):
-            raise RingTooCloseError("function vanishes or blows up on path")
+def _path_phases(fn, paths: list, rate=None) -> list:
+    """Total continuous phase change of fn along each path(t), t in [0, 1].
+
+    paths holds (path, n0, length) triples.  Each path keeps its own samples,
+    caps and two-refinement agreement test, so its result does not depend on
+    the other paths.  An entry of the result is the phase as a float, the
+    RingTooCloseError (not raised) of a path that failed, or None for a path
+    left unfinished: the batch stops at its first failure, since every caller
+    then discards the whole batch.
+
+    All paths refine together for the first _LOCKSTEP_ROUNDS rounds, with one
+    evaluator call per round; on the benchmark workloads no converging path
+    needs more than 7.  The paths still open after that are finished one at
+    a time, in order.  They are nearly always split lines through the
+    rounding noise around a multiple zero, which run to the round cap and
+    fail, so finishing them one by one pays for the first failure only."""
+    if not paths:
+        return []
+    ns = [n0 for _, n0, _ in paths]
+    probed = [i for i, (_, _, length) in enumerate(paths)
+              if rate is not None and length > 0.0]
+    if probed:
+        s = np.linspace(0.0, 1.0, 33)
+        r_est = rate(np.stack([paths[i][0](s) for i in probed]))
+        for i, r in zip(probed, r_est.tolist()):
+            if math.isfinite(r):
+                ns[i] = max(ns[i], min(int(1.25 * paths[i][2] * r) + 8, 150000))
+    ts = [np.linspace(0.0, 1.0, n + 1) for n in ns]
+    z = np.concatenate([p(tk) for (p, _, _), tk in zip(paths, ts)])
+    group = (np.concatenate(ts), np.asarray(fn(z), dtype=complex),
+             list(range(len(paths))), np.cumsum([0] + [tk.size for tk in ts]))
+    out: list = [None] * len(paths)
+    prev: list = [None] * len(paths)
+    t, v, ids, bounds = _refine(fn, paths, group, prev, out, _LOCKSTEP_ROUNDS)
+    for k, i in enumerate(ids):
+        lo, hi = bounds[k], bounds[k + 1]
+        alone = (t[lo:hi], v[lo:hi], [i], np.array([0, hi - lo]))
+        if _refine(fn, paths, alone, prev, out, 64 - _LOCKSTEP_ROUNDS)[2]:
+            out[i] = RingTooCloseError("path refinement did not converge")
+        if not isinstance(out[i], float):
+            break
+    return out
+
+
+def _refine(fn, paths: list, group: tuple, prev: list, out: list,
+            rounds: int) -> tuple:
+    """Run up to `rounds` refinement rounds on a group of paths.
+
+    The group's samples lie end to end in t and v; path ids[k] owns
+    t[bounds[k]:bounds[k + 1]], and a step across two paths is never
+    refined.  A path that converges or fails gets its entry in out; the
+    group returned holds the paths still open, and no path once one failed."""
+    t, v, ids, bounds = group
+    for _ in range(rounds):
+        starts, ends = bounds[:-1], bounds[1:]
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             ratio = v[1:] / v[:-1]
             dphi = np.angle(ratio)
@@ -244,40 +294,65 @@ def _path_phase(fn, path, n0: int, length: float = 0.0, rate=None) -> float:
         ok = (np.isfinite(ratio)
               & (np.abs(dphi) <= _PHASE_STEP)
               & (mag <= _MAG_STEP) & (mag >= 1.0 / _MAG_STEP))
-        if ok.all():
-            total = float(dphi.sum())
-            if prev is not None and abs(total - prev) <= 3e-7 * max(1.0, abs(total)):
-                return total
-            prev = total
-            bad = np.arange(t.size - 1)
-        else:
-            prev = None
-            bad = np.nonzero(~ok)[0]
-        if t.size + bad.size > 600000:
-            break
+        ok[ends[:-1] - 1] = True
+        vanishes = np.logical_or.reduceat(~np.isfinite(v) | (np.abs(v) < _TINY),
+                                          starts).tolist()
+        # refine[j]: bisect the step from sample j to sample j + 1
+        refine = np.zeros(v.size, dtype=bool)
+        refine[:-1] = ~ok
+        n_bad = np.add.reduceat(refine, starts, dtype=np.intp).tolist()
+        keep = []
+        for k, i in enumerate(ids):
+            lo, hi = int(starts[k]), int(ends[k]) - 1     # the path's steps
+            if vanishes[k]:
+                out[i] = RingTooCloseError("function vanishes or blows up on path")
+            elif n_bad[k] == 0:
+                total = float(dphi[lo:hi].sum())
+                if prev[i] is not None and abs(total - prev[i]) <= 3e-7 * max(1.0, abs(total)):
+                    out[i] = total
+                else:
+                    prev[i] = total
+                    refine[lo:hi] = True
+                    n_bad[k] = hi - lo
+            else:
+                prev[i] = None
+            if out[i] is None and hi + 1 - lo + n_bad[k] > 600000:
+                out[i] = RingTooCloseError("path refinement did not converge")
+            keep.append(out[i] is None)
+        if not all(keep):
+            if any(isinstance(out[i], RingTooCloseError) for i in ids):
+                return t, v, [], bounds
+            mask = np.repeat(keep, ends - starts)
+            t, v, refine = t[mask], v[mask], refine[mask]
+            ids = [i for i, kp in zip(ids, keep) if kp]
+            bounds = np.cumsum([0] + [int(e - s) for s, e, kp in
+                                      zip(starts, ends, keep) if kp])
+            if not ids:
+                break
+        bad = np.nonzero(refine)[0]
         tm = 0.5 * (t[bad] + t[bad + 1])
-        vm = np.asarray(fn(path(tm)), dtype=complex)
+        cut = np.searchsorted(bad, bounds)
+        vm = np.asarray(fn(np.concatenate([paths[i][0](tm[cut[k]:cut[k + 1]])
+                                           for k, i in enumerate(ids)])),
+                        dtype=complex)
         t = np.insert(t, bad + 1, tm)
         v = np.insert(v, bad + 1, vm)
-    raise RingTooCloseError("path refinement did not converge")
+        bounds = bounds + cut
+    return t, v, ids, bounds
 
 
 def _circle_winding_raw(fn, center: complex, radius: float, rate=None) -> float:
     path = lambda t: center + radius * np.exp(2j * np.pi * t)
-    length = 2.0 * math.pi * radius
-    return _path_phase(fn, path, 64, length, rate) / (2.0 * math.pi)
+    phase, = _path_phases(fn, [(path, 64, 2.0 * math.pi * radius)], rate)
+    if isinstance(phase, RingTooCloseError):
+        raise phase
+    return phase / (2.0 * math.pi)
 
 
-def _segment_phase(fn, a: complex, b: complex, rate=None) -> float:
-    return _path_phase(fn, lambda t: a + t * (b - a), 16, abs(b - a), rate)
-
-
-def _rect_winding_raw(fn, x0, x1, y0, y1, rate=None) -> float:
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1),
-               complex(x0, y1), complex(x0, y0)]
-    total = sum(_segment_phase(fn, corners[i], corners[i + 1], rate)
-                for i in range(4))
-    return total / (2.0 * math.pi)
+def _rect_edges(x0, x1, y0, y1) -> list[tuple[complex, complex]]:
+    """The four directed edges of a rectangle, counter-clockwise."""
+    c = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    return [(c[i], c[(i + 1) % 4]) for i in range(4)]
 
 
 def _as_int(w_raw: float, what: str) -> int:
@@ -358,6 +433,36 @@ class _Search:
     seeds: list[tuple[complex, int]]
     found: list[tuple[complex, int | None]] = field(default_factory=list)
     cells: int = 0
+    # Phase along each measured edge (a, b), keyed in the direction measured.
+    # Floats only: a failed measurement is not stored, since its exception
+    # would keep the path's sample arrays alive through its traceback.
+    phases: dict[tuple[complex, complex], float] = field(default_factory=dict)
+
+    def rect_windings(self, rects: list[tuple]) -> list[float]:
+        """Raw boundary winding of each (x0, x1, y0, y1) rectangle.
+
+        Every edge not yet in the memo is measured in one batch, including
+        those of the rectangles after a failing one.  An edge met again in
+        reverse takes the negated phase.  Raises the first failing edge's
+        RingTooCloseError once the others are stored."""
+        edges = [e for q in rects for e in _rect_edges(*q)]
+        todo: dict = {}
+        for a, b in edges:
+            if not ((a, b) in self.phases or (b, a) in self.phases
+                    or (b, a) in todo):
+                todo[(a, b)] = (lambda t, a=a, b=b: a + t * (b - a), 16, abs(b - a))
+        failed = None
+        for key, phase in zip(todo, _path_phases(self.fn, list(todo.values()),
+                                                 self.rate)):
+            if isinstance(phase, float):
+                self.phases[key] = phase
+            elif failed is None:
+                failed = phase
+        if failed is not None:
+            raise failed
+        ph = [self.phases[(a, b)] if (a, b) in self.phases else -self.phases[(b, a)]
+              for a, b in edges]
+        return [sum(ph[k:k + 4]) / (2.0 * math.pi) for k in range(0, len(ph), 4)]
 
     def seed_mult_in(self, x0, x1, y0, y1) -> int:
         return sum(m for z, m in self.seeds
@@ -418,8 +523,7 @@ def _descend(s: _Search, x0, x1, y0, y1, w: int, depth: int):
             quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
                      (x0, xm, ym, y1), (xm, x1, ym, y1)]
             try:
-                ws = [_as_int(_rect_winding_raw(s.fn, *q, s.rate), "cell")
-                      for q in quads]
+                ws = [_as_int(wq, "cell") for wq in s.rect_windings(quads)]
             except (RingTooCloseError, NonIntegerResidualError):
                 continue
             if sum(ws) != w:
@@ -469,7 +573,7 @@ def _locate_entire(e: Expr, r: float,
         s = _Search(fn, dfn, d2fn, rate, r, seed_list)
         half = r * (1 + 3 * RING_CLEARANCE)
         try:
-            w_sq = _as_int(_rect_winding_raw(fn, -half, half, -half, half, rate),
+            w_sq = _as_int(s.rect_windings([(-half, half, -half, half)])[0],
                            "bounding square")
             _descend(s, -half, half, -half, half, w_sq, 0)
         except MaxDepthExceededError:

@@ -7,7 +7,8 @@ import random
 import numpy as np
 import pytest
 
-from nevlab.expr import parse_expr
+import nevlab.locator as locator
+from nevlab.expr import compile_expr, parse_expr
 from nevlab.locator import (Divisor, DivisorPoint, RadiusMismatchError,
                             RingTooCloseError, clear_radius, divisor_of,
                             divisor_pair_at, find_zeros, winding_number)
@@ -26,6 +27,17 @@ def poly_expr(coeffs):
         else:
             terms.append(f"({c})*z^{j}")
     return parse_expr(" + ".join(terms))
+
+
+def _random_poly(rng, deg):
+    """Integer coefficients whose companion roots are pairwise >= 1e-3 apart."""
+    while True:
+        coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
+        if coeffs[0] != 0 and coeffs[-1] != 0:
+            roots = np.roots(coeffs[::-1])
+            if np.min(np.abs(roots[:, None] - roots[None, :])
+                      + np.eye(deg) * 1e9) > 1e-3:
+                return coeffs, roots
 
 
 def locations(divisor):
@@ -134,13 +146,7 @@ def test_random_polynomials_match_companion_roots():
     rng = random.Random(1404)
     for _ in range(10):
         deg = rng.randint(2, 6)
-        while True:
-            coeffs = [rng.randint(-9, 9) for _ in range(deg + 1)]
-            if coeffs[0] != 0 and coeffs[-1] != 0:
-                roots = np.roots(coeffs[::-1])
-                if np.min(np.abs(roots[:, None] - roots[None, :])
-                          + np.eye(deg) * 1e9) > 1e-3:
-                    break
+        coeffs, roots = _random_poly(rng, deg)
         r = float(np.max(np.abs(roots))) * 1.3 + 0.5
         d = find_zeros(poly_expr(coeffs), r)
         assert d.degree == deg
@@ -165,3 +171,147 @@ def test_divisors_of_tangent_shifted_by_i():
     assert zeros.degree == 0
     assert poles.degree == 26
     assert all(abs(w.imag) < 1e-6 for w in poles.locations)
+
+
+def _search(e, r):
+    return locator._Search(compile_expr(e), None, None, locator._rate_of(e),
+                           r, [])
+
+
+def test_memoised_grid_windings_count_companion_roots():
+    """Cells of a grid share their edges through one search's memo; every
+    cell's winding is still the number of roots inside it."""
+    rng = random.Random(2718)
+    for _ in range(6):
+        deg = rng.randint(3, 7)
+        coeffs, roots = _random_poly(rng, deg)
+        k = 4
+        half = float(np.max(np.abs(roots))) * 1.2 + 0.5
+        step = 2 * half / k
+        while True:   # grid lines clear of every root
+            shift = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3)) * step
+            xs = [-half + shift.real + j * step for j in range(k + 1)]
+            ys = [-half + shift.imag + j * step for j in range(k + 1)]
+            if all(min(abs(w.real - x) for x in xs) > 1e-3 * step
+                   and min(abs(w.imag - y) for y in ys) > 1e-3 * step
+                   for w in roots):
+                break
+        cells = [(xs[i], xs[i + 1], ys[j], ys[j + 1])
+                 for i in range(k) for j in range(k)]
+        s = _search(poly_expr(coeffs), half)
+        # Two batches, so the second meets the first's edges reversed.
+        got = (s.rect_windings(cells[::2]) + s.rect_windings(cells[1::2]))
+        assert len(s.phases) == 2 * k * (k + 1)
+        for (x0, x1, y0, y1), w in zip(cells[::2] + cells[1::2], got):
+            inside = sum(x0 < z.real < x1 and y0 < z.imag < y1 for z in roots)
+            assert abs(w - inside) < 1e-6
+
+
+@pytest.mark.parametrize("src,a,b", [
+    ("tan(z)", 0.3 + 0.2j, 2.1 - 0.7j),
+    ("tan(z)", -1.2 - 2.0j, 4.0 + 1.5j),
+    ("exp(3*z) - 1", -0.5 - 1.0j, 0.7 + 3.0j),
+    ("exp(3*z) - 1", 1.0 + 4.0j, -2.0 - 6.0j),
+])
+def test_reversed_edge_phase_is_negated(src, a, b):
+    """The memo answers b->a with minus the phase of a->b; measured
+    directly, the two agree to rounding."""
+    e = parse_expr(src)
+    fn, rate = compile_expr(e), locator._rate_of(e)
+
+    def phase(p, q):
+        out, = locator._path_phases(
+            fn, [(lambda t: p + t * (q - p), 16, abs(q - p))], rate)
+        assert isinstance(out, float)
+        return out
+
+    forward = phase(a, b)
+    assert abs(forward) > 0.5
+    assert phase(b, a) == pytest.approx(-forward, rel=1e-12, abs=0)
+
+
+def test_batch_matches_paths_measured_alone():
+    """Paths measured together give bit-identical phases to each measured
+    alone: a batch shares evaluator calls, never samples."""
+    rng = random.Random(31)
+    e = parse_expr("tan(z)*(z - 0.3*i)^2 + exp(2*i*z)")
+    fn, rate = compile_expr(e), locator._rate_of(e)
+    paths = []
+    for _ in range(12):
+        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        paths.append((lambda t, a=a, b=b: a + t * (b - a), 16, abs(b - a)))
+    paths.append((lambda t: 0.2 + 2.5 * np.exp(2j * np.pi * t), 64,
+                  2 * math.pi * 2.5))
+    alone = [locator._path_phases(fn, [p], rate)[0] for p in paths]
+    assert all(isinstance(x, float) for x in alone)
+    assert locator._path_phases(fn, paths, rate) == alone
+
+
+def _record_segments(monkeypatch):
+    """Log (evaluator id, undirected endpoints, result) for every segment
+    that _path_phases measures; circles are skipped."""
+    log = []
+    real = locator._path_phases
+
+    def recording(fn, paths, rate=None):
+        out = real(fn, paths, rate)
+        for (path, _, _), phase in zip(paths, out):
+            a, b = path(np.array([0.0, 1.0]))
+            if abs(a - b) > 1e-9:
+                ends = frozenset((round(z.real, 12), round(z.imag, 12))
+                                 for z in (a, b))
+                log.append((id(fn), ends, phase))
+        return out
+
+    monkeypatch.setattr(locator, "_path_phases", recording)
+    return log
+
+
+def test_search_measures_each_edge_once(monkeypatch):
+    log = _record_segments(monkeypatch)
+    e = parse_expr("(z - 1)*(z + 2)*(z - 3*i)")
+    assert find_zeros(e, 4.0).degree == 3
+    edges = [(fn, ends) for fn, ends, _ in log]
+    assert edges and len(set(edges)) == len(edges)
+
+
+@pytest.mark.parametrize("src,r", [
+    # the same cubic multiplied out: the split line x = 0 hits 3i
+    ("z^3 + (1 - 3*i)*z^2 + (-2 - 3*i)*z + 6*i", 4.0),
+    ("sin(z)", 10.0),                     # x = 0 and y = 0 hit the zero at 0
+    ("z^2 - 2*z + 1", 2.0),               # a double zero: noisy split lines
+])
+def test_failing_splits_measure_no_edge_twice(monkeypatch, src, r):
+    """Splits fail here, and a batch stops at its first failure, so an edge
+    it left unfinished may be measured again; no edge is completed twice,
+    and the memo holds plain floats only."""
+    log = _record_segments(monkeypatch)
+    searches = []
+    real_descend = locator._descend
+
+    def descend(s, *args):
+        searches.append(s)
+        return real_descend(s, *args)
+
+    monkeypatch.setattr(locator, "_descend", descend)
+    e = parse_expr(src)
+    assert find_zeros(e, r).degree == winding_number(e, r)
+    done = [(fn, ends) for fn, ends, phase in log if isinstance(phase, float)]
+    assert len(set(done)) == len(done)
+    assert any(not isinstance(phase, float) for _, _, phase in log)
+    assert all(type(v) is float for s in searches for v in s.phases.values())
+
+
+def test_failed_edge_leaves_no_memo_entry():
+    """A failed measurement is not memoised (its exception would pin the
+    sample arrays through the traceback); finished edges stay."""
+    s = _search(parse_expr("z - 1"), 2.0)
+    assert s.rect_windings([(0.0, 2.0, 0.5, 1.0)]) == [pytest.approx(0.0)]
+    assert len(s.phases) == 4
+    with pytest.raises(RingTooCloseError):
+        s.rect_windings([(0.0, 2.0, 0.0, 0.5)])   # bottom edge hits z = 1
+    bottom = (complex(0.0, 0.0), complex(2.0, 0.0))
+    assert bottom not in s.phases and bottom[::-1] not in s.phases
+    assert len(s.phases) >= 4
+    assert all(type(v) is float for v in s.phases.values())
