@@ -327,8 +327,7 @@ def _cmd_zeros(spec: RunSpec, out: str, fmt: str, args) -> int:
 
 
 def _cmd_nev(spec: RunSpec, out: str, fmt: str, args) -> int:
-    rows = nevanlinna_rows(spec.function, spec.radii, spec.quad_tol,
-                           threads=args.threads)
+    rows = nevanlinna_rows(spec.function, spec.radii, spec.quad_tol)
     table = [{"r": w.r, "m": w.m, "N": w.N, "T": w.T,
               "perturbed_r": w.perturbed_r, "error": w.error} for w in rows]
     if fmt == "json":
@@ -442,7 +441,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="report output file")
         p.add_argument("--format", choices=("csv", "json"),
                        default=defaults[name])
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+                       help="worker threads for the rows of a check run; "
+                            "other commands accept and ignore it, and it "
+                            "never changes a byte of output")
         p.add_argument("--reproducible", action="store_true",
                        help="omit the timestamp so reruns are byte-identical")
     return ap

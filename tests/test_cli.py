@@ -137,6 +137,19 @@ def test_reproducible_runs_are_byte_identical(tmp_path):
         (tmp_path / "b.00_thm_1.dat").read_bytes()
 
 
+def test_reproducible_nev_is_the_same_at_any_thread_count(tmp_path):
+    spec = write_spec(tmp_path, {"function": "tan(z)",
+                                 "radii": {"start": 2, "stop": 20,
+                                           "count": 12}})
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run(["nev", "--spec", spec, "--out", a, "--reproducible",
+                "--threads", 1]) == 0
+    assert run(["nev", "--spec", spec, "--out", b, "--reproducible",
+                "--threads", 2]) == 0
+    assert len(data_lines(a)) == 13
+    assert a.read_bytes() == b.read_bytes()
+
+
 def test_seed_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("NEVLAB_SEED", "12345")
     out = tmp_path / "seeded.json"
