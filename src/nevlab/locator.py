@@ -16,6 +16,13 @@ are never derived from the parent's samples or by subtraction from the
 parent's edges, so the check that the four quadrant windings add up to the
 parent's stays an independent test of every new edge.
 
+Split lines avoid the coordinate axes as they avoid seed points, since
+real-coefficient and odd functions have zeros there.  Around a multiple zero
+every split line of a small enough cell is rounding noise; such a cell that
+fails its first split closes at the centroid of its zeros, the moment ratio
+s1/s0 on a circle whose winding certifies that it holds the cell's zeros
+and no other.
+
 The machinery never factors anything numerically; products, integer powers and
 exponential factors are split structurally first, so a squared factor is
 located once and its multiplicity doubled exactly.
@@ -74,6 +81,9 @@ MERGE_TOL = 1e-7
 ORIGIN_TOL = 1e-12
 # A cell this small (relative) is accepted as one multiple zero.
 CLUSTER_TOL = 1e-10
+# Below this size (relative) a cell's split lines may all lie in the rounding
+# noise around a multiple zero; such a cell can close at its centroid.
+CLUSTER_SIZE = 1e-6
 MAX_DEPTH = 40
 MAX_CELLS = 60000
 # Phase / magnitude continuity thresholds for path refinement.
@@ -499,8 +509,8 @@ def _descend(s: _Search, x0, x1, y0, y1, w: int, depth: int):
         raise MaxDepthExceededError("subdivision cell budget exhausted")
     diam = math.hypot(x1 - x0, y1 - y0)
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    if unknown == 1 and not any(x0 < z.real <= x1 and y0 < z.imag <= y1
-                                for z, _ in s.seeds):
+    seeded = any(x0 < z.real <= x1 and y0 < z.imag <= y1 for z, _ in s.seeds)
+    if unknown == 1 and not seeded:
         z = _polish(s.fn, s.dfn, s.d2fn, complex(cx, cy), s.disk_radius)
         if z is not None:
             # Accept only if the iteration stayed in this cell; its winding
@@ -516,8 +526,12 @@ def _descend(s: _Search, x0, x1, y0, y1, w: int, depth: int):
     if depth >= MAX_DEPTH:
         raise MaxDepthExceededError(
             f"cluster near {complex(cx, cy):.6g} not separated at depth {depth}")
-    seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1]
-    seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1]
+    small = diam < CLUSTER_SIZE * max(s.disk_radius, 1.0)
+    closable = small and unknown >= 2 and not seeded
+    # The axes are avoided like seeds: real-coefficient functions have zeros
+    # on y = 0, odd functions at 0, and the bounding square is centred there.
+    seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1] + [0.0]
+    seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1] + [0.0]
     for xm in _pick_fraction(x0, x1, seed_x):
         for ym in _pick_fraction(y0, y1, seed_y):
             quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
@@ -525,19 +539,53 @@ def _descend(s: _Search, x0, x1, y0, y1, w: int, depth: int):
             try:
                 ws = [_as_int(wq, "cell") for wq in s.rect_windings(quads)]
             except (RingTooCloseError, NonIntegerResidualError):
-                continue
-            if sum(ws) != w:
-                continue
-            for q, wq in zip(quads, ws):
-                _descend(s, *q, wq, depth + 1)
-            return
+                ws = None
+            if ws is not None and sum(ws) == w:
+                for q, wq in zip(quads, ws):
+                    _descend(s, *q, wq, depth + 1)
+                return
+            # A small cell around a multiple zero whose first split failed:
+            # its other split lines are most likely rounding noise too.
+            if closable:
+                closable = False
+                z = _cluster_centroid(s, complex(cx, cy), unknown)
+                if z is not None:
+                    s.found.append((z, unknown))
+                    return
     # Every split line is contaminated.  For a tight multiple zero the
     # boundary signal drowns in rounding noise below ~1e-8; accept the cell
     # as a single point once it is already small, otherwise give up.
-    if diam < 1e-6 * max(s.disk_radius, 1.0):
+    if small:
         s.found.append((complex(cx, cy), unknown))
         return
     raise RingTooCloseError("no clean split line found for cell")
+
+
+def _cluster_centroid(s: _Search, c: complex, unknown: int) -> complex | None:
+    """Mean of the `unknown` zeros near c, or None if not certified.
+
+    The circle of radius rho = CLUSTER_SIZE * max(r, 1) about c contains the
+    cell; its winding must equal `unknown`, so it holds no other zero.  The
+    centroid is then the moment ratio s1/s0 of Delves and Lyness, with s_k
+    the integral of z^k f'/f over the circle divided by 2 pi i, taken by the
+    trapezoid rule on N = 32, 64, ... points until two successive estimates
+    agree within 1e-3 rho."""
+    rho = CLUSTER_SIZE * max(s.disk_radius, 1.0)
+    try:
+        if _circle_winding(s.fn, c, rho, s.rate) != unknown:
+            return None
+    except (RingTooCloseError, NonIntegerResidualError):
+        return None
+    prev = None
+    with np.errstate(all="ignore"):
+        for n in (32, 64, 128, 256, 512, 1024):
+            u = rho * np.exp(2j * np.pi * np.arange(n) / n)
+            z = c + u
+            est = c + complex(np.mean(u * u * s.dfn(z) / s.fn(z))) / unknown
+            if prev is not None and abs(est - prev) <= 1e-3 * rho:
+                return est
+            prev = est
+    return None
 
 
 def _locate_entire(e: Expr, r: float,

@@ -9,9 +9,10 @@ import pytest
 
 import nevlab.locator as locator
 from nevlab.expr import compile_expr, parse_expr
-from nevlab.locator import (Divisor, DivisorPoint, RadiusMismatchError,
-                            RingTooCloseError, clear_radius, divisor_of,
-                            divisor_pair_at, find_zeros, winding_number)
+from nevlab.locator import (Divisor, DivisorPoint, NonIntegerResidualError,
+                            RadiusMismatchError, RingTooCloseError,
+                            clear_radius, divisor_of, divisor_pair_at,
+                            find_zeros, winding_number)
 
 
 def poly_expr(coeffs):
@@ -276,10 +277,24 @@ def test_search_measures_each_edge_once(monkeypatch):
     assert edges and len(set(edges)) == len(edges)
 
 
+def _first_split_line(r):
+    """The bounding square's first split coordinate off the axes at radius r,
+    by the locator's own arithmetic; its repr round-trips exactly."""
+    half = r * (1 + 3 * locator.RING_CLEARANCE)
+    return repr(locator._pick_fraction(-half, half, [0.0])[0])
+
+
+_X4, _X10 = _first_split_line(4.0), _first_split_line(10.0)
+
+
 @pytest.mark.parametrize("src,r", [
-    # the same cubic multiplied out: the split line x = 0 hits 3i
-    ("z^3 + (1 - 3*i)*z^2 + (-2 - 3*i)*z + 6*i", 4.0),
-    ("sin(z)", 10.0),                     # x = 0 and y = 0 hit the zero at 0
+    # the cubic (z - 1)*(z + 2)*(z - 3*i) moved so that its zero at 3*i lies
+    # on the first split line; a sum, so it is not factored structurally
+    pytest.param(f"(z - ({_X4}))^3 + (1 - 3*i)*(z - ({_X4}))^2"
+                 f" + (-2 - 3*i)*(z - ({_X4})) + 6*i", 4.0,
+                 id="cubic_zero_on_split_line-4.0"),
+    pytest.param(f"sin(z - ({_X10}))", 10.0,
+                 id="sin_zero_on_split_line-10.0"),
     ("z^2 - 2*z + 1", 2.0),               # a double zero: noisy split lines
 ])
 def test_failing_splits_measure_no_edge_twice(monkeypatch, src, r):
@@ -315,3 +330,93 @@ def test_failed_edge_leaves_no_memo_entry():
     assert bottom not in s.phases and bottom[::-1] not in s.phases
     assert len(s.phases) >= 4
     assert all(type(v) is float for v in s.phases.values())
+
+
+def _log_splits(monkeypatch):
+    """Wrap _Search.rect_windings to log (search, parent cell, failed) for
+    every split.  A split fails when an edge raises, or when the quadrant
+    windings are not integers adding up to the parent's."""
+    log = []
+    real = locator._Search.rect_windings
+
+    def windings(self, rects):
+        if len(rects) != 4:
+            return real(self, rects)
+        (x0, _, y0, _), (_, x1, _, _), _, (_, _, _, y1) = rects
+        parent = (x0, x1, y0, y1)
+        try:
+            ws = real(self, rects)
+        except RingTooCloseError:
+            log.append((self, parent, True))
+            raise
+        w = real(self, [parent])[0]     # the parent's edges are in the memo
+        bad = (any(abs(q - round(q)) > 0.25 for q in ws)
+               or round(sum(ws)) != round(w))
+        log.append((self, parent, bad))
+        return ws
+
+    monkeypatch.setattr(locator._Search, "rect_windings", windings)
+    return log
+
+
+@pytest.mark.parametrize("src,r", [
+    ("tan(z)", 10.0),                     # zeros at 0 and on y = 0, poles too
+    ("sin(z)", 10.0),
+    ("z^3 + z^2 - 2*z", 3.0),             # real roots 0, 1 and -2
+])
+def test_split_lines_avoid_the_axes(monkeypatch, src, r):
+    """Zeros on the axes never meet a split line, so no split fails."""
+    log = _log_splits(monkeypatch)
+    e = parse_expr(src)
+    zeros, poles = divisor_pair_at(e, r, 0)
+    assert zeros.degree - poles.degree == winding_number(e, r)
+    assert log and not any(bad for _, _, bad in log)
+    for s in {id(s): s for s, _, _ in log}.values():
+        for a, b in s.phases:
+            assert not a.real == b.real == 0.0
+            assert not a.imag == b.imag == 0.0
+
+
+@pytest.mark.parametrize("src,r,zero,find", [
+    ("exp(z) - 1 - z", 3.0, 0.0, True),
+    ("exp(z) - 1 - z", 20.0, 0.0, False),
+    ("exp(z^2) - 1", 6.0, 0.0, True),
+    ("z^2 - 2*z + 1", 2.0, 1.0, True),
+])
+def test_double_zero_closes_at_its_centroid(monkeypatch, src, r, zero, find):
+    """Split lines near a double zero are rounding noise.  The small cell
+    around it fails one split, then closes at its certified centroid."""
+    log = _log_splits(monkeypatch)
+    e = parse_expr(src)
+    d = find_zeros(e, r) if find else divisor_of(e, r, 0)[0]
+    assert d.valid and d.degree == winding_number(e, d.radius)
+    near = [p for p in d.points if abs(p.location - zero) < 1e-6]
+    assert [p.multiplicity for p in near] == [2]
+    assert abs(near[0].location - zero) < 1e-10
+    failed = [(x0, x1, y0, y1) for _, (x0, x1, y0, y1), bad in log
+              if bad and x0 <= zero <= x1 and y0 <= 0.0 <= y1]
+    assert len(failed) <= 1
+
+
+@pytest.mark.parametrize("error", [RingTooCloseError, NonIntegerResidualError])
+def test_uncertified_cluster_falls_back_to_splitting(monkeypatch, error):
+    """A cluster cell whose certificate circle fails is split as before."""
+    e = parse_expr("z^2 - 2*z + 1")
+    want = find_zeros(e, 2.0)
+    refused = []
+    real = locator._circle_winding
+
+    def winding(fn, center, radius, rate=None):
+        if radius == locator.CLUSTER_SIZE * 2.0:
+            refused.append(center)
+            raise error("certificate refused")
+        return real(fn, center, radius, rate)
+
+    monkeypatch.setattr(locator, "_circle_winding", winding)
+    log = _log_splits(monkeypatch)
+    got = find_zeros(e, 2.0)
+    assert refused and len(set(refused)) == len(refused)   # once per cell
+    assert sum(bad for _, _, bad in log) > 1
+    assert (got.degree, got.valid) == (want.degree, want.valid) == (2, True)
+    p, = got.points
+    assert p.multiplicity == 2 and abs(p.location - 1.0) < 1e-7
