@@ -365,7 +365,7 @@ def _cmd_check(spec: RunSpec, out: str, fmt: str, args) -> int:
             rep = run_check(cid, spec.function, poly, params,
                             epsilon=spec.epsilon,
                             eq_tolerance=spec.eq_tolerance,
-                            context=ctx, threads=args.threads)
+                            context=ctx)
         except ValueError as exc:
             raise SpecError(f"check '{cid}': {exc}") from None
         reports.append((cid, params, rep))
@@ -441,10 +441,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="report output file")
         p.add_argument("--format", choices=("csv", "json"),
                        default=defaults[name])
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for the rows of a check run; "
-                            "other commands accept and ignore it, and it "
-                            "never changes a byte of output")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted and ignored: every command runs on "
+                            "one thread, so it never changes a byte of "
+                            "output")
         p.add_argument("--reproducible", action="store_true",
                        help="omit the timestamp so reruns are byte-identical")
     return ap

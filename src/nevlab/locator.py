@@ -3,10 +3,13 @@
 Winding numbers are measured by phase continuation along boundary paths:
 sample the function, and wherever the phase (or the magnitude) jumps too much
 between neighbours, insert midpoints until every step is tame.  Zeros are then
-isolated by recursive rectangle subdivision driven by boundary windings,
-polished with a Newton iteration on f/f', and assigned multiplicities from
-small-circle windings.  The counts are cross-checked: the multiplicities found
-inside the disk must add up to the winding of the full circle.
+isolated by recursive rectangle subdivision driven by boundary windings and
+polished with a Newton iteration on f/f'.  A Newton point is accepted only
+inside a seed-free cell of winding 1, so it is that cell's one simple zero and
+takes multiplicity 1 from the cell accounting; seeds (points known in advance)
+still get theirs from small-circle windings.  The counts are cross-checked:
+the multiplicities found inside the disk must add up to the winding of the
+full circle, which also catches two cells whose Newton points coincide.
 
 One search completes the measurement of each rectangle edge at most once.
 Edge phases are memoised by their endpoints, and a neighbour walking an edge
@@ -79,8 +82,6 @@ RING_CLEARANCE = 1e-4
 MERGE_TOL = 1e-7
 # |p| below this times the radius is treated as the origin.
 ORIGIN_TOL = 1e-12
-# A cell this small (relative) is accepted as one multiple zero.
-CLUSTER_TOL = 1e-10
 # Below this size (relative) a cell's split lines may all lie in the rounding
 # noise around a multiple zero; such a cell can close at its centroid.
 CLUSTER_SIZE = 1e-6
@@ -441,6 +442,7 @@ class _Search:
     rate: object
     disk_radius: float
     seeds: list[tuple[complex, int]]
+    # (location, multiplicity); None marks a Newton point, multiplicity 1.
     found: list[tuple[complex, int | None]] = field(default_factory=list)
     cells: int = 0
     # Phase along each measured edge (a, b), keyed in the direction measured.
@@ -514,15 +516,13 @@ def _descend(s: _Search, x0, x1, y0, y1, w: int, depth: int):
         z = _polish(s.fn, s.dfn, s.d2fn, complex(cx, cy), s.disk_radius)
         if z is not None:
             # Accept only if the iteration stayed in this cell; its winding
-            # is 1, so anything outside is some other cell's zero.
+            # is 1, so the point is the cell's one simple zero, and anything
+            # outside is some other cell's zero.
             pad_x, pad_y = 1e-9 * (x1 - x0), 1e-9 * (y1 - y0)
             if (x0 - pad_x <= z.real <= x1 + pad_x
                     and y0 - pad_y <= z.imag <= y1 + pad_y):
                 s.found.append((z, None))
                 return
-    if diam < CLUSTER_TOL * max(s.disk_radius, 1.0):
-        s.found.append((complex(cx, cy), unknown))
-        return
     if depth >= MAX_DEPTH:
         raise MaxDepthExceededError(
             f"cluster near {complex(cx, cy):.6g} not separated at depth {depth}")
@@ -626,12 +626,10 @@ def _locate_entire(e: Expr, r: float,
             _descend(s, -half, half, -half, half, w_sq, 0)
         except MaxDepthExceededError:
             ok = False
-        new_pts = _merge_raw(s.found, MERGE_TOL * max(r, 1.0))
-        for z, m in new_pts:
-            if m is None:
-                m = _measure_mult(fn, rate, z,
-                                  [w for w, _ in new_pts] + inside, r)
-            points.append((z, m))
+        # Newton points found twice merge into one of multiplicity 1, and
+        # the shortfall then fails find_zeros' conservation check.
+        points += [(z, 1 if m is None else m)
+                   for z, m in _merge_raw(s.found, MERGE_TOL * max(r, 1.0))]
     return points, w_disk, ok
 
 
@@ -650,24 +648,21 @@ def _merge_raw(found: list[tuple[complex, int | None]], tol: float):
     return [(z, m) for z, m in out]
 
 
-def _measure_mult(fn, rate, z: complex, neighbours: list[complex],
-                  r: float) -> int:
-    dists = [abs(z - w) for w in neighbours if abs(z - w) > 0] or [r]
-    rho = max(1e-3 * min(dists), 1e-9)
-    m = _circle_winding(fn, z, rho, rate)
-    if m <= 0:
-        raise ConservationError(
-            f"point {z:.6g} measured with non-positive multiplicity {m}")
-    return m
+def find_zeros(e: Expr, r: float, seeds: tuple[complex, ...] = (),
+               memo: dict | None = None) -> Divisor:
+    """Divisor of zeros of an entire expression in the closed disk |z| <= r.
 
-
-def find_zeros(e: Expr, r: float, seeds: tuple[complex, ...] = ()) -> Divisor:
-    """Divisor of zeros of an entire expression in the closed disk |z| <= r."""
+    memo maps (atom, r, seeds) to the located zeros of that entire factor;
+    pass one dict to several calls to locate a shared factor once."""
     total_pts: list[DivisorPoint] = []
     valid = True
     w_expected = 0
+    memo = {} if memo is None else memo
     for atom, power in _vanishing_factors(e):
-        pts, w_disk, ok = _locate_entire(atom, r, seeds)
+        key = (atom, r, seeds)
+        if key not in memo:
+            memo[key] = _locate_entire(atom, r, seeds)
+        pts, w_disk, ok = memo[key]
         valid = valid and ok
         w_expected += w_disk * power
         for z, m in pts:
@@ -743,15 +738,16 @@ def _as_target_expr(f: Expr, target) -> tuple[Expr, bool]:
     return (f if tc == 0 else sub(f, Const(tc))), False
 
 
-def divisor_pair_at(f: Expr, r: float, target) -> tuple[Divisor, Divisor]:
+def divisor_pair_at(f: Expr, r: float, target,
+                    memo: dict | None = None) -> tuple[Divisor, Divisor]:
     """(zeros of f - target, poles of f) at exactly radius r, no retries."""
     h, is_inf = _as_target_expr(f, target)
     q = canonical_quotient(h)
     if isinstance(q.den, Const):
         dden = Divisor(r, ())
     else:
-        dden = find_zeros(q.den, r)
-    dnum = find_zeros(q.num, r, seeds=dden.locations)
+        dden = find_zeros(q.den, r, memo=memo)
+    dnum = find_zeros(q.num, r, seeds=dden.locations, memo=memo)
     zeros = dnum.subtract(dden)
     poles = dden.subtract(dnum)
     if is_inf:

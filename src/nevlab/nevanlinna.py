@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,7 @@ from .locator import Divisor, LocatorError, clear_radius, divisor_of
 __all__ = [
     "CountingMode", "QuadratureError", "counting", "proximity",
     "characteristic", "RadialSample", "radial_grid", "nevanlinna_rows",
-    "compile_log_abs", "map_radii",
+    "compile_log_abs",
 ]
 
 
@@ -342,17 +341,6 @@ class RadialSample:
     T: float
     perturbed_r: bool
     error: str | None = None
-
-
-def map_radii(work, radii: list[float], threads: int = 1) -> list:
-    """Apply ``work`` to each radius, optionally on a thread pool.
-
-    Results come back in input order either way, so callers get identical
-    output whether or not they parallelise."""
-    if threads <= 1 or len(radii) <= 1:
-        return [work(r) for r in radii]
-    with ThreadPoolExecutor(max_workers=min(threads, len(radii))) as pool:
-        return list(pool.map(work, radii))
 
 
 def nevanlinna_rows(f: Expr, radii: list[float],

@@ -29,8 +29,8 @@ from .exppoly import (Constancy, ZeroVerdict, derivative_chain, is_constant,
 from .expr import Const, Expr, ONE, differentiate, div, mul, parse_expr, sub
 from .locator import (Divisor, LocatorError, clear_radius, divisor_pair_at,
                       negotiate)
-from .nevanlinna import (CountingMode, QuadratureError, counting, map_radii,
-                         proximity, radial_grid)
+from .nevanlinna import (CountingMode, QuadratureError, counting, proximity,
+                         radial_grid)
 
 __all__ = [
     "CheckRow", "CheckReport", "EvalContext", "TooFewRowsError",
@@ -93,7 +93,9 @@ class CheckReport:
 # shared evaluation context
 
 class EvalContext:
-    """Caches divisor pairs and proximity values across rows and checks."""
+    """Caches divisor pairs and proximity values across rows and checks,
+    and the entire factors located for them, so a factor shared by several
+    requests (cos(z) for tan(z)) is located once per radius and context."""
 
     def __init__(self, f: Expr, radii: list[float] | None = None,
                  quad_tol: float = 1e-10):
@@ -106,11 +108,12 @@ class EvalContext:
         self.div_radius = max(self.radii) * (1 + 4e-3)
         self._pairs: dict = {}
         self._prox: dict = {}
+        self._atoms: dict = {}
 
     def pair_at(self, expr: Expr, rt: float) -> tuple[Divisor, Divisor]:
         key = (expr, rt)
         if key not in self._pairs:
-            self._pairs[key] = divisor_pair_at(expr, rt, 0)
+            self._pairs[key] = divisor_pair_at(expr, rt, 0, self._atoms)
         return self._pairs[key]
 
     def resolve(self, requests: dict) -> tuple[float, dict]:
@@ -462,8 +465,12 @@ def verdict(rows: list[CheckRow], epsilon: float = DEFAULT_EPSILON,
     return "pass" if med <= epsilon else "fail"
 
 
-def _run_rows(ctx: EvalContext, plan: _Plan,
-              threads: int = 1) -> list[CheckRow]:
+def map_radii(work, radii: list[float]) -> list:
+    """The row phase of a check; bench/tracer.py times it by this name."""
+    return [work(r) for r in radii]
+
+
+def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
     try:
         rt_div, divs = ctx.resolve(plan.requests)
     except (LocatorError, QuadratureError) as exc:
@@ -490,7 +497,7 @@ def _run_rows(ctx: EvalContext, plan: _Plan,
             return CheckRow(r, math.nan, math.nan, math.nan,
                             f"{type(exc).__name__}: {exc}")
 
-    return map_radii(one, ctx.radii, threads)
+    return map_radii(one, ctx.radii)
 
 
 def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
@@ -498,8 +505,7 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
               epsilon: float = DEFAULT_EPSILON,
               eq_tolerance: float = DEFAULT_EQ_TOLERANCE,
               quad_tol: float = 1e-10,
-              context: EvalContext | None = None,
-              threads: int = 1) -> CheckReport:
+              context: EvalContext | None = None) -> CheckReport:
     """Run one named check and return its report.
 
     Unknown ids and malformed parameters raise ValueError; failed hypotheses
@@ -532,7 +538,7 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
             and is_identically_zero(plan.vacuity) is ZeroVerdict.ZERO:
         return CheckReport(check_id, "vacuous", (), (), None, plan.stats)
 
-    rows = _run_rows(ctx, plan, threads)
+    rows = _run_rows(ctx, plan)
     v = verdict(rows, epsilon, plan.equality, eq_tolerance)
     good = [w for w in rows if w.error is None]
     if plan.equality:

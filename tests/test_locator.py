@@ -420,3 +420,43 @@ def test_uncertified_cluster_falls_back_to_splitting(monkeypatch, error):
     assert (got.degree, got.valid) == (want.degree, want.valid) == (2, True)
     p, = got.points
     assert p.multiplicity == 2 and abs(p.location - 1.0) < 1e-7
+
+
+def _companion_cases():
+    """(expression, numpy.roots, multiplicities expected in the disk):
+    seeded random integer polynomials with simple roots, and
+    (z - 1)^2*(z + 2)*(z - 3*i) expanded, with 3*i outside the disk."""
+    rng = random.Random(6021)
+    cases = []
+    for _ in range(8):
+        coeffs, roots = _random_poly(rng, rng.randint(3, 8))
+        cases.append((poly_expr(coeffs), roots, None))
+    double = parse_expr("z^4 - 3*i*z^3 - 3*z^2 + (2 + 9*i)*z - 6*i")
+    cases.append((double, np.roots([1, -3j, -3, 2 + 9j, -6j]), [1, 2]))
+    return cases
+
+
+@pytest.mark.parametrize("e,roots,mults", _companion_cases())
+def test_every_zero_found_with_its_multiplicity(e, roots, mults):
+    """Newton points take multiplicity 1 from the cell accounting.  Every
+    located point must account for exactly its multiplicity of companion
+    roots, and no root inside the disk may be left over.  The disk leaves
+    the root of largest modulus outside."""
+    moduli = np.sort(np.abs(roots))
+    r = 0.5 * (moduli[-2] + moduli[-1])
+    if moduli[-1] - moduli[-2] < 2e-2 * r:          # keep the ring clear
+        r = moduli[-1] * 1.1 + 0.1
+    d = find_zeros(e, r)
+    assert d.valid
+    inside = [complex(w) for w in roots if abs(w) < r]
+    assert d.degree == len(inside) == winding_number(e, r)
+    for p in d.points:
+        for _ in range(p.multiplicity):
+            best = min(inside, key=lambda w: abs(p.location - w))
+            # numpy.roots splits a double root by about sqrt(eps)
+            assert abs(p.location - best) < (1e-8 if p.multiplicity == 1
+                                             else 1e-6)
+            inside.remove(best)
+    assert not inside
+    got = sorted(p.multiplicity for p in d.points)
+    assert got == (mults or [1] * d.degree)

@@ -4,8 +4,11 @@ import math
 
 import pytest
 
+import nevlab.locator as locator
 from nevlab.diffpoly import DiffPolynomial
+from nevlab.exppoly import canonical_quotient
 from nevlab.expr import parse_expr
+from nevlab.locator import divisor_pair_at
 from nevlab.nevanlinna import radial_grid
 from nevlab.theorems import (CheckRow, EvalContext, TooFewRowsError,
                              default_radii, run_check, verdict)
@@ -160,3 +163,39 @@ def test_reports_summarise():
     rep = run_check("thm_a", EZ, radii=GRID)
     s = rep.summary()
     assert s["check_id"] == "thm_a" and s["verdict"] == "pass"
+
+
+def test_context_locates_each_entire_atom_once(monkeypatch):
+    """lem_35 and lem_36 on tan(z) with P = f*f'' share the atom cos(z)
+    across their requests.  One context locates each (atom, radius, seeds)
+    once, the divisors are those located without a memo, and a second
+    context locates again: the memo is not process-wide."""
+    calls = []
+    real = locator._locate_entire
+
+    def locate(e, r, seeds=()):
+        calls.append((e, r, tuple(seeds)))
+        return real(e, r, seeds)
+
+    monkeypatch.setattr(locator, "_locate_entire", locate)
+    tan = parse_expr("tan(z)")
+    poly = DiffPolynomial.from_exponents((1, (1, 0, 1)))
+    ctx = EvalContext(tan)
+    for cid in ("lem_35", "lem_36"):
+        assert run_check(cid, tan, poly, context=ctx).verdict == "pass"
+    assert calls and len(set(calls)) == len(calls)
+    (cos, _), = locator._vanishing_factors(canonical_quotient(tan).den)
+    assert [e for e, _, _ in calls].count(cos) == 1
+
+    memoised = len(calls)
+    pairs = dict(ctx._pairs)
+    assert len(pairs) == 3            # f, P(f) - 1 and P(f)'
+    for (expr, rt), pair in pairs.items():
+        assert divisor_pair_at(expr, rt, 0) == pair
+    # without the memo, each request locates the shared atom again
+    assert len(calls) - memoised > memoised
+
+    (expr, rt), pair = next(iter(pairs.items()))
+    del calls[:]
+    assert EvalContext(tan).pair_at(expr, rt) == pair
+    assert calls
