@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -405,23 +406,42 @@ def differentiate(e: Expr) -> Expr:
 #
 # Derivative trees repeat their subtrees many times over: the Newton second
 # derivative in lem_35 on tan(z) has 3819 nodes but only 84 distinct
-# subtrees.  _lower turns a tree into a straight-line program that computes
-# each structurally distinct subtree once, in topological order (sums and
-# products as chains of binary steps); the frozen-dataclass equality and
-# hash do the deduplication.  Operands keep their order in the tree, so
-# every value comes from the same float operations that a walk of the tree
-# would make.  compile_expr, evaluate and nevanlinna.compile_log_abs all run
-# these programs through _run.  Constants stay scalars, and a wholly
-# constant result is broadcast to the shape of z at the end.  Each
-# intermediate is released after its last use, and on complex arrays a dying
-# intermediate takes the result of the elementwise step that reads it, so
-# peak memory follows the number of values live at once, not the length of
-# the program.
+# subtrees.  _lower turns a tuple of trees into one straight-line program
+# that computes each structurally distinct subtree once, in topological
+# order (sums and products as chains of binary steps), with one output slot
+# per tree; the frozen-dataclass equality and hash do the deduplication, so
+# f, f' and f'' lowered together share their common subtrees.  Operands keep
+# their order in the tree, so every value comes from the same float
+# operations that a walk of the tree would make, whichever program it is
+# lowered into.
+#
+# A program runs two ways.  On arrays, _run steps through it.  Constants
+# stay scalars, and a wholly constant output is broadcast to the shape of z
+# at the end.  Each intermediate is released after its last use, and on
+# complex arrays a dying intermediate takes the result of the elementwise
+# step that reads it, so peak memory follows the number of values live at
+# once, not the length of the program; an output slot is never released and
+# never taken.  On one point, where _run's per-step dispatch would cost more
+# than the arithmetic, the program runs as generated straight-line Python
+# (_Program.straight) with the same operators in the same order.  Its
+# source holds only slot numbers and operators; constants and powers are
+# bound as parameter defaults, so every value reaches it bit for bit.  A
+# generated function keeps no namespace of its own: one per program raised
+# the peak memory of the locate benchmark (103 programs) by about 0.2 MB.
 
 _Z, _CONST, _ADD, _SUB, _MUL, _NEG, _DIV, _POW, _EXP = range(9)
 _SCALE, _REAL, _LOG_ABS = range(9, 12)     # log-magnitude steps only
 _UFUNCS = {_ADD: np.add, _SUB: np.subtract, _MUL: np.multiply,
            _DIV: np.divide, _NEG: np.negative, _EXP: np.exp}
+
+
+# The right-hand side of instruction i in generated code, by op, and the
+# one globals dict that all generated functions share.
+_SOURCE = {_Z: "z", _CONST: "k{i}", _ADD: "v{a} + v{b}", _SUB: "v{a} - v{b}",
+           _MUL: "v{a} * v{b}", _NEG: "-v{a}", _DIV: "v{a} / v{b}",
+           _POW: "v{a} ** k{i}", _EXP: "exp(v{a})", _SCALE: "k{i} * v{a}",
+           _REAL: "real(v{a})", _LOG_ABS: "log(absolute(v{a}))"}
+_GENERATED_GLOBALS = {"real": np.real, "log": np.log, "absolute": np.abs}
 
 
 @dataclass(frozen=True)
@@ -431,12 +451,32 @@ class _Program:
     # whose array may hold the result, and last_a, last_b flag the operands
     # that i reads for the last time.  Slot i holds the result of i.
     code: tuple[tuple, ...]
-    constant: bool                         # no instruction reads z
+    outputs: tuple[int, ...]               # the slot of each root
+    constant: tuple[bool, ...]             # per output: it never reads z
+
+    @functools.cached_property
+    def straight(self):
+        """run(z, exp) -> tuple of the outputs, as generated Python.
+
+        The constant or power of instruction i is the default value of a
+        parameter k<i>."""
+        args = {f"k{i}": arg for i, (op, _, _, arg, *_) in enumerate(self.code)
+                if op in (_CONST, _POW, _SCALE)}
+        lines = ["def run(z, exp, " + "".join(f"{k}=None, " for k in args)
+                 + "):"]
+        lines += [f"    v{i} = " + _SOURCE[op].format(i=i, a=a, b=b)
+                  for i, (op, a, b, *_) in enumerate(self.code)]
+        lines.append("    return " + "".join(f"v{s}, " for s in self.outputs))
+        module = compile("\n".join(lines), "<lowered program>", "exec")
+        code, = (c for c in module.co_consts if isinstance(c, types.CodeType))
+        return types.FunctionType(code, _GENERATED_GLOBALS, "run",
+                                  tuple(args.values()))
 
 
 @functools.cache
-def _lower(e: Expr, log_abs: bool = False) -> _Program:
-    """Straight-line program computing e, or ln|e| when log_abs is set.
+def _lower(roots: tuple[Expr, ...], log_abs: bool = False) -> _Program:
+    """Straight-line program computing each root, or ln|root| when log_abs
+    is set, in one output slot per root.
 
     The log-magnitude form is structural, which keeps it inside floating
     point range where the value itself overflows: products, quotients and
@@ -505,8 +545,9 @@ def _lower(e: Expr, log_abs: bool = False) -> _Program:
             return emit(key, _LOG_ABS, value(x))
         raise TypeError(f"cannot evaluate {type(x).__name__}")
 
-    (log if log_abs else value)(e)
+    outputs = tuple((log if log_abs else value)(e) for e in roots)
     last = {s: i for i, (_, a, b, _) in enumerate(code) for s in (a, b)}
+    last.update(dict.fromkeys(outputs, len(code)))   # outputs live to the end
     # At its last read, an array this program made may take the result of
     # an elementwise step, unless it is z or a real-part view shares it.
     varies: list[bool] = []
@@ -523,12 +564,13 @@ def _lower(e: Expr, log_abs: bool = False) -> _Program:
                           and code[s][0] not in (_Z, _REAL)), None)
         lowered.append((op, a, b, arg, reuse, a is not None and last[a] == i,
                         b is not None and last[b] == i))
-    return _Program(tuple(lowered), Z not in slots)
+    return _Program(tuple(lowered), outputs,
+                    tuple(not varies[s] for s in outputs))
 
 
-def _run(prog: _Program, z, exp):
+def _run(prog: _Program, z: np.ndarray) -> tuple:
     # Overwriting is safe only when every array is complex and of z's shape.
-    inplace = isinstance(z, np.ndarray) and z.ndim and z.dtype == complex
+    inplace = isinstance(z, np.ndarray) and z.dtype == complex
     vals: list = [None] * len(prog.code)
     for i, (op, a, b, arg, reuse, last_a, last_b) in enumerate(prog.code):
         if inplace and reuse is not None:
@@ -547,7 +589,7 @@ def _run(prog: _Program, z, exp):
         elif op == _DIV:
             v = vals[a] / vals[b]
         elif op == _EXP:
-            v = exp(vals[a])
+            v = np.exp(vals[a])
         elif op == _CONST:
             v = arg
         elif op == _Z:
@@ -565,22 +607,35 @@ def _run(prog: _Program, z, exp):
             vals[a] = None
         if last_b:
             vals[b] = None
-    if prog.constant and np.ndim(z):
-        return np.full(np.shape(z), vals[-1])
-    return vals[-1]
+    return tuple(np.full(np.shape(z), vals[s]) if const else vals[s]
+                 for s, const in zip(prog.outputs, prog.constant))
 
 
-def _vectorised(prog: _Program):
+def _evaluator(prog: _Program, joint: bool):
+    """Evaluator of prog: _run on arrays, generated code on one point, as
+    np.complex128 with np.exp.  Returns the tuple of outputs when joint,
+    otherwise the one output."""
     def run(z):
         with np.errstate(all="ignore"):
-            return _run(prog, z, np.exp)
+            if np.ndim(z):
+                out = _run(prog, z)
+            else:
+                out = prog.straight(np.complex128(z), np.exp)
+        return out if joint else out[0]
     return run
 
 
 @functools.cache
-def compile_expr(e: Expr):
-    """Vectorised evaluator; overflow and division produce inf/nan silently."""
-    return _vectorised(_lower(e))
+def compile_expr(e: Expr | tuple[Expr, ...]):
+    """Vectorised evaluator; overflow and division produce inf/nan silently.
+
+    Given a tuple of expressions, the evaluator returns the tuple of their
+    values from one program that computes each shared subtree once, bit for
+    bit as the separate evaluators would.  Arrays run through _run; a single
+    point (a 0-d input) runs the program's generated straight-line code on
+    np.complex128."""
+    joint = isinstance(e, tuple)
+    return _evaluator(_lower(e if joint else (e,)), joint)
 
 
 def evaluate(e: Expr, z: complex):
@@ -588,7 +643,7 @@ def evaluate(e: Expr, z: complex):
     denominator vanishes (overflow is reported as a PoleSignal with the
     magnitude flag set)."""
     try:
-        v = _run(_lower(e), complex(z), cmath.exp)
+        v, = _lower((e,)).straight(complex(z), cmath.exp)
     except ZeroDivisionError:
         return PoleSignal()
     except OverflowError:

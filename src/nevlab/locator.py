@@ -4,10 +4,13 @@ Winding numbers are measured by phase continuation along boundary paths:
 sample the function, and wherever the phase (or the magnitude) jumps too much
 between neighbours, insert midpoints until every step is tame.  Zeros are then
 isolated by recursive rectangle subdivision driven by boundary windings and
-polished with a Newton iteration on f/f'.  A Newton point is accepted only
-inside a seed-free cell of winding 1, so it is that cell's one simple zero and
-takes multiplicity 1 from the cell accounting; seeds (points known in advance)
-still get theirs from small-circle windings.  The counts are cross-checked:
+polished with a Newton iteration on f/f'.  Each iteration makes one call to
+a joint program for f, f' and f'' (compile_expr of the tuple), which shares
+their common subtrees and runs on the point as generated straight-line code.
+A Newton point is accepted only inside a seed-free cell of winding 1, so it
+is that cell's one simple zero and takes multiplicity 1 from the cell
+accounting; seeds (points known in advance) still get theirs from
+small-circle windings.  The counts are cross-checked:
 the multiplicities found inside the disk must add up to the winding of the
 full circle, which also catches two cells whose Newton points coincide.
 
@@ -141,14 +144,15 @@ class Divisor:
         """Pointwise multiplicity difference, clamped at zero."""
         self._check_radius(other)
         tol = MERGE_TOL * max(self.radius, 1.0)
+        theirs = [(q.location, q.multiplicity) for q in other.points]
         out = []
         for p in self.points:
-            m = p.multiplicity
-            for q in other.points:
-                if abs(p.location - q.location) <= tol:
-                    m -= q.multiplicity
+            z, m = p.location, p.multiplicity
+            for w, k in theirs:
+                if abs(z - w) <= tol:
+                    m -= k
             if m > 0:
-                out.append(_point(p.location, m))
+                out.append(_point(z, m))
         return Divisor(self.radius, tuple(sorted(out)),
                        self.valid and other.valid)
 
@@ -408,11 +412,11 @@ def _vanishing_factors(e: Expr) -> list[tuple[Expr, int]]:
 # ---------------------------------------------------------------------------
 # Newton polishing on f / f'  (quadratic near zeros of any multiplicity)
 
-def _polish(fn, dfn, d2fn, z0: complex, scale: float) -> complex | None:
+def _polish(jet, z0: complex, scale: float) -> complex | None:
     z = np.complex128(z0)
     with np.errstate(all="ignore"):
         for _ in range(60):
-            f0, f1, f2 = fn(z), dfn(z), d2fn(z)
+            f0, f1, f2 = jet(z)
             if not (cmath.isfinite(f0) and cmath.isfinite(f1)
                     and cmath.isfinite(f2)):
                 return None
@@ -437,8 +441,7 @@ _SPLIT_FRACTIONS = (0.5, 0.46, 0.54, 0.42, 0.58, 0.37, 0.63, 0.31, 0.69)
 @dataclass
 class _Search:
     fn: object
-    dfn: object
-    d2fn: object
+    jet: object                 # z -> (f, f', f'') from one program
     rate: object
     disk_radius: float
     seeds: list[tuple[complex, int]]
@@ -513,7 +516,7 @@ def _descend(s: _Search, x0, x1, y0, y1, w: int, depth: int):
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     seeded = any(x0 < z.real <= x1 and y0 < z.imag <= y1 for z, _ in s.seeds)
     if unknown == 1 and not seeded:
-        z = _polish(s.fn, s.dfn, s.d2fn, complex(cx, cy), s.disk_radius)
+        z = _polish(s.jet, complex(cx, cy), s.disk_radius)
         if z is not None:
             # Accept only if the iteration stayed in this cell; its winding
             # is 1, so the point is the cell's one simple zero, and anything
@@ -580,8 +583,8 @@ def _cluster_centroid(s: _Search, c: complex, unknown: int) -> complex | None:
     with np.errstate(all="ignore"):
         for n in (32, 64, 128, 256, 512, 1024):
             u = rho * np.exp(2j * np.pi * np.arange(n) / n)
-            z = c + u
-            est = c + complex(np.mean(u * u * s.dfn(z) / s.fn(z))) / unknown
+            f, df, _ = s.jet(c + u)
+            est = c + complex(np.mean(u * u * df / f)) / unknown
             if prev is not None and abs(est - prev) <= 1e-3 * rho:
                 return est
             prev = est
@@ -598,8 +601,7 @@ def _locate_entire(e: Expr, r: float,
     small-circle windings and only the remainder is searched for."""
     fn = compile_expr(e)
     de = differentiate(e)
-    dfn = compile_expr(de)
-    d2fn = compile_expr(differentiate(de))
+    jet = compile_expr((e, de, differentiate(de)))
     rate = _rate_of(e)
     w_disk = _circle_winding(fn, 0j, r, rate)
 
@@ -618,7 +620,7 @@ def _locate_entire(e: Expr, r: float,
     points = [(z, m) for z, m in seed_list]
     ok = True
     if w_disk != known:
-        s = _Search(fn, dfn, d2fn, rate, r, seed_list)
+        s = _Search(fn, jet, rate, r, seed_list)
         half = r * (1 + 3 * RING_CLEARANCE)
         try:
             w_sq = _as_int(s.rect_windings([(-half, half, -half, half)])[0],

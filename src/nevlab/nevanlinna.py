@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exppoly import canonical_quotient
-from .expr import Expr, QuotientForm, _lower, _vectorised
+from .expr import Expr, QuotientForm, _evaluator, _lower
 from .locator import Divisor, LocatorError, clear_radius, divisor_of
 
 __all__ = [
@@ -149,7 +149,7 @@ def compile_log_abs(e: Expr):
     exponential factor contributes Re(arg) exactly.  Only irreducible sums
     fall back to log(abs(value)).  These steps and the values they read are
     one shared-subexpression program (see expr._lower)."""
-    return _vectorised(_lower(e, log_abs=True))
+    return _evaluator(_lower((e,), log_abs=True), False)
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 import cmath
 import math
+import random
 import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from nevlab.expr import (InvalidExpressionError, ParseError, PoleSignal,
-                         compile_expr, differentiate, evaluate, parse_expr,
-                         to_grammar, to_quotient)
+from nevlab.diffpoly import DiffPolynomial
+from nevlab.exppoly import canonical_quotient
+from nevlab.expr import (ONE, Z, Const, InvalidExpressionError, ParseError,
+                         PoleSignal, _lower, add, compile_expr, differentiate,
+                         div, evaluate, exp_e, intpow, mul, neg, parse_expr,
+                         sub, to_grammar, to_quotient)
 
 POINTS = [0.3 + 0.4j, -1.2 + 0.9j, 2.0 - 0.5j, 0.9j, -0.7 - 2.1j]
 
@@ -52,6 +56,8 @@ def test_pole_is_signalled_not_raised():
     assert isinstance(ev("z/z", 0.0), PoleSignal)
     assert isinstance(ev("(z - 1)^-2", 1.0), PoleSignal)
     assert isinstance(ev("exp(z^2)", 40.0), PoleSignal)
+    assert ev("exp(z^2)", 40.0).overflow
+    assert not ev("1/(z - 1)", 1.0).overflow
 
 
 def test_division_by_literal_zero_rejected():
@@ -153,3 +159,85 @@ def test_compiled_overflow_is_silent_inf():
         warnings.simplefilter("error")
         out = fn(np.array([60.0 + 0.0j]))
     assert np.isinf(np.abs(out)).all()
+
+
+def _bits(values) -> list[bytes]:
+    return [np.asarray(v, dtype=complex).tobytes() for v in values]
+
+
+def _random_tree(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.5:
+            return Z
+        return Const(complex(rng.uniform(-2, 2), rng.choice([0.0, -0.0, 1.5])))
+    kids = [_random_tree(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+    op = rng.randrange(6)
+    if op == 0:
+        return add(*kids)
+    if op == 1:
+        return mul(*kids)
+    if op == 2:
+        return neg(kids[0])
+    if op == 3 and len(kids) > 1 and not isinstance(kids[1], Const):
+        return div(kids[0], kids[1])
+    if op == 4:
+        return intpow(kids[0], rng.choice([-3, -2, 2, 3, 4]))
+    return exp_e(mul(Const(0.3), kids[0]))
+
+
+def _lem_35_numerators():
+    """Numerators of P(f) - 1 and P(f)' for P = f*f'' on tan(z)."""
+    applied = DiffPolynomial.from_exponents((1, (1, 0, 1))).apply(
+        parse_expr("tan(z)"))
+    return [canonical_quotient(sub(applied, ONE)).num,
+            canonical_quotient(differentiate(applied)).num]
+
+
+def _jets():
+    rng = random.Random(7304)
+    trees = _lem_35_numerators() + [_random_tree(rng, 4) for _ in range(40)]
+    for e in trees:
+        de = differentiate(e)
+        yield e, de, differentiate(de)
+
+
+def test_joint_program_is_bitwise_the_separate_programs():
+    """f, f' and f'' lowered together give the bits of their separate
+    programs, on single points and on arrays."""
+    zs = np.array(POINTS + [0.0, 1.5, -2.5j, 3.0 + 3.0j])
+    for jet in _jets():
+        joint = compile_expr(jet)
+        separate = [compile_expr(e) for e in jet]
+        got = joint(zs)
+        assert isinstance(got, tuple) and len(got) == 3
+        assert _bits(got) == _bits(fn(zs) for fn in separate)
+        for z in zs:
+            point = np.complex128(z)
+            assert _bits(joint(point)) == _bits(fn(point) for fn in separate)
+
+
+def test_outputs_are_not_clobbered_on_arrays():
+    """An output read by a later root, and a root given twice, come back
+    with their own values."""
+    zs = np.linspace(-2, 2, 9) + 0.5j
+    shifted = add(Z, ONE)
+    product = mul(shifted, exp_e(Z))
+    first, second = compile_expr((shifted, product))(zs)
+    assert _bits([first, second]) == _bits(
+        [compile_expr(shifted)(zs), compile_expr(product)(zs)])
+    assert _bits([first]) == _bits([zs + 1])
+    e = _lem_35_numerators()[0]
+    assert _bits(compile_expr((e, e))(zs)) == _bits([compile_expr(e)(zs)] * 2)
+
+
+@pytest.mark.parametrize("c", [complex(-0.0, -1.0), complex(1 / 3, -2 / 7),
+                               complex(5e-324, -0.0)])
+def test_constants_reach_the_generated_code_bit_for_bit(c):
+    """A constant enters as a parameter default, not as program text, so
+    its sign bits and last digits survive.  The program is lowered afresh:
+    the caches key constants by equality, and 0.0 == -0.0."""
+    run = _lower.__wrapped__((Const(c), mul(Const(c), Z))).straight
+    for z, exp in ((np.complex128(0.5), np.exp), (0.5 + 0j, cmath.exp)):
+        value, product = run(z, exp)
+        assert _bits([value]) == _bits([c])
+        assert _bits([product]) == _bits([c * z])

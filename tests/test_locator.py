@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nevlab.locator as locator
 from nevlab.expr import compile_expr, parse_expr
@@ -134,6 +136,54 @@ def test_restrict_and_algebra():
     assert (d + other).degree == 4
 
 
+# Divisors on a lattice of spacing 1/7 inside |z| <= 10: distinct points lie
+# far beyond MERGE_TOL apart, and equal keys are the same point exactly.
+_LATTICE = st.tuples(st.integers(-49, 49), st.integers(-49, 49)).filter(
+    lambda k: math.hypot(*k) <= 70)
+_DIVISOR_LAWS = settings(derandomize=True, database=None, deadline=None)
+
+
+def _divisor(points: dict) -> Divisor:
+    return Divisor(10.0, tuple(sorted(DivisorPoint(x / 7, y / 7, m)
+                                      for (x, y), m in points.items())))
+
+
+_divisors = st.dictionaries(_LATTICE, st.integers(1, 4), max_size=8).map(
+    _divisor)
+
+
+@_DIVISOR_LAWS
+@given(_divisors, _divisors)
+def test_divisor_sum_commutes_and_adds_degrees(a, b):
+    assert a + b == b + a
+    assert (a + b).degree == a.degree + b.degree
+
+
+@_DIVISOR_LAWS
+@given(_divisors)
+def test_divisor_minus_itself_is_empty(a):
+    assert a.subtract(a).points == ()
+
+
+@_DIVISOR_LAWS
+@given(st.dictionaries(_LATTICE, st.tuples(st.integers(1, 4), st.booleans()),
+                       max_size=12))
+def test_subtracting_a_summand_gives_back_the_other(points):
+    """With all points farther apart than MERGE_TOL, (a + b) - b == a."""
+    a = _divisor({k: m for k, (m, in_a) in points.items() if in_a})
+    b = _divisor({k: m for k, (m, in_a) in points.items() if not in_a})
+    assert (a + b).subtract(b) == a
+
+
+@_DIVISOR_LAWS
+@given(_divisors, st.floats(0.0, 10.0))
+def test_restrict_keeps_exactly_the_points_inside(a, r):
+    inner = a.restrict(r)
+    assert inner.radius == r
+    assert inner.points == tuple(p for p in a.points
+                                 if math.hypot(p.re, p.im) <= r)
+
+
 def test_conservation_against_winding():
     cases = [(parse_expr("(z^2 + 1)*exp(z)"), 3.0),
              (parse_expr("sin(z)"), 10.0),
@@ -175,7 +225,7 @@ def test_divisors_of_tangent_shifted_by_i():
 
 
 def _search(e, r):
-    return locator._Search(compile_expr(e), None, None, locator._rate_of(e),
+    return locator._Search(compile_expr(e), None, locator._rate_of(e),
                            r, [])
 
 
