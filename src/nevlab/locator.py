@@ -3,7 +3,7 @@
 Winding numbers are measured by phase continuation along boundary paths:
 sample the function, and wherever the phase (or the magnitude) jumps too much
 between neighbours, insert midpoints until every step is tame.  Zeros are then
-isolated by recursive rectangle subdivision driven by boundary windings and
+isolated by rectangle subdivision driven by boundary windings and
 polished with a Newton iteration on f/f'.  Each iteration makes one call to
 a joint program for f, f' and f'' (compile_expr of the tuple), which shares
 their common subtrees and runs on the point as generated straight-line code.
@@ -16,11 +16,27 @@ full circle, which also catches two cells whose Newton points coincide.
 
 One search completes the measurement of each rectangle edge at most once.
 Edge phases are memoised by their endpoints, and a neighbour walking an edge
-the other way reads back the negated phase.  A split refines all of its new
-edges together, sharing one evaluator call per refinement round.  Child edges
-are never derived from the parent's samples or by subtraction from the
-parent's edges, so the check that the four quadrant windings add up to the
-parent's stays an independent test of every new edge.
+the other way reads back the negated phase.  Child edges are never derived
+from the parent's samples or by subtraction from the parent's edges, so the
+check that the four quadrant windings add up to the parent's stays an
+independent test of every new edge.
+
+Paths are segments and circles given by their geometry, so every path of a
+batch is sampled, evaluated and refined as one set of arrays: one evaluator
+call per refinement round however many paths are open.  Each path keeps its
+own samples, caps and agreement test, so its phase does not depend on the
+rest of the batch.
+
+The subdivision is a frontier search.  Each cell is keyed by its quadrant
+path from the root, so tuple order is the pre-order of a depth-first
+search.  Each round, the pending cells of smallest key (up to _BATCH_CELLS)
+propose their next split, and all their new edges are measured in one
+batch; a failing edge fails only the splits that need it.  Found points and
+errors are tagged with their cell's key, and the search ends as the
+depth-first search would: the first event in key order wins, the points
+before it are kept in key order, and cells past the earliest event known
+are not expanded.  The MAX_CELLS budget runs out at the (MAX_CELLS + 1)-th
+smallest counted key.
 
 Split lines avoid the coordinate axes as they avoid seed points, since
 real-coefficient and odd functions have zeros there.  Around a multiple zero
@@ -36,8 +52,10 @@ located once and its multiplicity doubled exactly.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -247,121 +265,161 @@ def _rate_of(e: Expr):
     return rate
 
 
-def _path_phases(fn, paths: list, rate=None) -> list:
-    """Total continuous phase change of fn along each path(t), t in [0, 1].
+def _segment(a: complex, b: complex) -> tuple:
+    """The path a + t (b - a), t in [0, 1]."""
+    return (a, b - a, False)
 
-    paths holds (path, n0, length) triples.  Each path keeps its own samples,
+
+def _circle(center: complex, radius: float) -> tuple:
+    """The path center + radius exp(2 pi i t), t in [0, 1]."""
+    return (center, complex(radius), True)
+
+
+def _path_z(geo: tuple, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Points at parameters t on paths idx; geo holds the base, scale and
+    circle flag of every path as arrays."""
+    base, scale, circle = geo
+    c = circle[idx]
+    if c.any():
+        t = np.where(c, np.exp(2j * np.pi * t), t)
+    return base[idx] + t * scale[idx]
+
+
+def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list:
+    """Total continuous phase change of fn along each path, t in [0, 1].
+
+    paths are _segment or _circle triples.  Each path keeps its own samples,
     caps and two-refinement agreement test, so its result does not depend on
     the other paths.  An entry of the result is the phase as a float, the
     RingTooCloseError (not raised) of a path that failed, or None for a path
-    left unfinished: the batch stops at its first failure, since every caller
-    then discards the whole batch.
+    dropped unfinished.  owners[i] lists the groups that need path i (by
+    default each path is its own group): a failing path fails its groups,
+    and a path whose groups have all failed is dropped.
 
     All paths refine together for the first _LOCKSTEP_ROUNDS rounds, with one
-    evaluator call per round; on the benchmark workloads no converging path
-    needs more than 7.  The paths still open after that are finished one at
-    a time, in order.  They are nearly always split lines through the
-    rounding noise around a multiple zero, which run to the round cap and
-    fail, so finishing them one by one pays for the first failure only."""
-    if not paths:
+    evaluator call per round and the per-path bookkeeping done on arrays; on
+    the benchmark workloads no converging path needs more than 7.  The paths
+    still open after that are finished one at a time, in order.  They are
+    nearly always split lines through the rounding noise around a multiple
+    zero, which run to the round cap and fail, so finishing them one by one
+    pays for the first failure of a group only."""
+    n = len(paths)
+    if not n:
         return []
-    ns = [n0 for _, n0, _ in paths]
-    probed = [i for i, (_, _, length) in enumerate(paths)
-              if rate is not None and length > 0.0]
-    if probed:
+    base, scale, circle = zip(*paths)
+    geo = (np.array(base, dtype=complex), np.array(scale, dtype=complex),
+           np.array(circle, dtype=bool))
+    length = np.abs(geo[1]) * np.where(geo[2], 2.0 * math.pi, 1.0)
+    ns = np.where(geo[2], 64, 16)
+    probed = np.flatnonzero(length > 0.0) if rate is not None else []
+    if len(probed):
         s = np.linspace(0.0, 1.0, 33)
-        r_est = rate(np.stack([paths[i][0](s) for i in probed]))
-        for i, r in zip(probed, r_est.tolist()):
+        z = _path_z(geo, np.repeat(probed, s.size), np.tile(s, probed.size))
+        for i, r in zip(probed.tolist(), rate(z.reshape(-1, s.size)).tolist()):
             if math.isfinite(r):
-                ns[i] = max(ns[i], min(int(1.25 * paths[i][2] * r) + 8, 150000))
-    ts = [np.linspace(0.0, 1.0, n + 1) for n in ns]
-    z = np.concatenate([p(tk) for (p, _, _), tk in zip(paths, ts)])
-    group = (np.concatenate(ts), np.asarray(fn(z), dtype=complex),
-             list(range(len(paths))), np.cumsum([0] + [tk.size for tk in ts]))
-    out: list = [None] * len(paths)
-    prev: list = [None] * len(paths)
-    t, v, ids, bounds = _refine(fn, paths, group, prev, out, _LOCKSTEP_ROUNDS)
-    for k, i in enumerate(ids):
-        lo, hi = bounds[k], bounds[k + 1]
-        alone = (t[lo:hi], v[lo:hi], [i], np.array([0, hi - lo]))
-        if _refine(fn, paths, alone, prev, out, 64 - _LOCKSTEP_ROUNDS)[2]:
-            out[i] = RingTooCloseError("path refinement did not converge")
-        if not isinstance(out[i], float):
-            break
-    return out
+                ns[i] = max(ns[i], min(int(1.25 * float(length[i]) * r) + 8,
+                                       150000))
+    # np.linspace(0, 1, n + 1) of every path, end to end
+    sizes = ns + 1
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(n), sizes)
+    t = (np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)) \
+        * np.repeat(1.0 / ns, sizes)
+    t[ends - 1] = 1.0
+    run = _Refinement(fn, geo, owners or [[i] for i in range(n)])
+    v = np.asarray(fn(_path_z(geo, owner, t)), dtype=complex)
+    t, v, ids, sizes = run.rounds(t, v, np.arange(n), sizes, _LOCKSTEP_ROUNDS)
+    ends = np.cumsum(sizes)
+    for k, i in enumerate(ids.tolist()):
+        if run.alive(i):
+            lo, hi = ends[k] - sizes[k], ends[k]
+            if run.rounds(t[lo:hi], v[lo:hi], ids[k:k + 1], sizes[k:k + 1],
+                          64 - _LOCKSTEP_ROUNDS)[2].size:
+                run.fail(i, "path refinement did not converge")
+    return run.out
 
 
-def _refine(fn, paths: list, group: tuple, prev: list, out: list,
-            rounds: int) -> tuple:
-    """Run up to `rounds` refinement rounds on a group of paths.
+class _Refinement:
+    """Refinement state of one _path_phases call."""
 
-    The group's samples lie end to end in t and v; path ids[k] owns
-    t[bounds[k]:bounds[k + 1]], and a step across two paths is never
-    refined.  A path that converges or fails gets its entry in out; the
-    group returned holds the paths still open, and no path once one failed."""
-    t, v, ids, bounds = group
-    for _ in range(rounds):
-        starts, ends = bounds[:-1], bounds[1:]
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            ratio = v[1:] / v[:-1]
-            dphi = np.angle(ratio)
-            mag = np.abs(ratio)
-        ok = (np.isfinite(ratio)
-              & (np.abs(dphi) <= _PHASE_STEP)
-              & (mag <= _MAG_STEP) & (mag >= 1.0 / _MAG_STEP))
-        ok[ends[:-1] - 1] = True
-        vanishes = np.logical_or.reduceat(~np.isfinite(v) | (np.abs(v) < _TINY),
-                                          starts).tolist()
-        # refine[j]: bisect the step from sample j to sample j + 1
-        refine = np.zeros(v.size, dtype=bool)
-        refine[:-1] = ~ok
-        n_bad = np.add.reduceat(refine, starts, dtype=np.intp).tolist()
-        keep = []
-        for k, i in enumerate(ids):
-            lo, hi = int(starts[k]), int(ends[k]) - 1     # the path's steps
-            if vanishes[k]:
-                out[i] = RingTooCloseError("function vanishes or blows up on path")
-            elif n_bad[k] == 0:
-                total = float(dphi[lo:hi].sum())
-                if prev[i] is not None and abs(total - prev[i]) <= 3e-7 * max(1.0, abs(total)):
-                    out[i] = total
-                else:
-                    prev[i] = total
-                    refine[lo:hi] = True
-                    n_bad[k] = hi - lo
-            else:
-                prev[i] = None
-            if out[i] is None and hi + 1 - lo + n_bad[k] > 600000:
-                out[i] = RingTooCloseError("path refinement did not converge")
-            keep.append(out[i] is None)
-        if not all(keep):
-            if any(isinstance(out[i], RingTooCloseError) for i in ids):
-                return t, v, [], bounds
-            mask = np.repeat(keep, ends - starts)
-            t, v, refine = t[mask], v[mask], refine[mask]
-            ids = [i for i, kp in zip(ids, keep) if kp]
-            bounds = np.cumsum([0] + [int(e - s) for s, e, kp in
-                                      zip(starts, ends, keep) if kp])
-            if not ids:
+    def __init__(self, fn, geo: tuple, owners: list):
+        self.fn, self.geo, self.owners = fn, geo, owners
+        self.out: list = [None] * len(owners)
+        self.prev = np.full(len(owners), math.nan)   # the last clean total
+        self.dead: set = set()                       # failed groups
+
+    def alive(self, i: int) -> bool:
+        return not self.dead.issuperset(self.owners[i])
+
+    def fail(self, i: int, why: str):
+        self.out[i] = RingTooCloseError(why)
+        self.dead.update(self.owners[i])
+
+    def rounds(self, t, v, ids, sizes, rounds: int) -> tuple:
+        """Run up to `rounds` refinement rounds on the open paths ids.
+
+        Their samples lie end to end in t and v, sizes[k] of them for path
+        ids[k], and a step across two paths is never refined.  A path that
+        converges or fails gets its entry in out; returns the samples, ids
+        and sizes of the paths still open and alive."""
+        for _ in range(rounds):
+            if not ids.size:
                 break
-        bad = np.nonzero(refine)[0]
-        tm = 0.5 * (t[bad] + t[bad + 1])
-        cut = np.searchsorted(bad, bounds)
-        vm = np.asarray(fn(np.concatenate([paths[i][0](tm[cut[k]:cut[k + 1]])
-                                           for k, i in enumerate(ids)])),
-                        dtype=complex)
-        t = np.insert(t, bad + 1, tm)
-        v = np.insert(v, bad + 1, vm)
-        bounds = bounds + cut
-    return t, v, ids, bounds
-
-
-def _circle_winding_raw(fn, center: complex, radius: float, rate=None) -> float:
-    path = lambda t: center + radius * np.exp(2j * np.pi * t)
-    phase, = _path_phases(fn, [(path, 64, 2.0 * math.pi * radius)], rate)
-    if isinstance(phase, RingTooCloseError):
-        raise phase
-    return phase / (2.0 * math.pi)
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                ratio = v[1:] / v[:-1]
+                dphi = np.angle(ratio)
+                mag = np.abs(ratio)
+            ok = (np.isfinite(ratio)
+                  & (np.abs(dphi) <= _PHASE_STEP)
+                  & (mag <= _MAG_STEP) & (mag >= 1.0 / _MAG_STEP))
+            ok[ends[:-1] - 1] = True
+            vanishes = np.logical_or.reduceat(
+                ~np.isfinite(v) | (np.abs(v) < _TINY), starts)
+            # refine[j]: bisect the step from sample j to sample j + 1
+            refine = np.zeros(v.size, dtype=bool)
+            refine[:-1] = ~ok
+            n_bad = np.add.reduceat(refine, starts, dtype=np.intp)
+            # Each path's steps summed on their own, so a total does not
+            # depend on the neighbours: reduceat over [start, end - 1).
+            bounds = np.column_stack([starts, ends - 1]).ravel()
+            with np.errstate(invalid="ignore"):
+                totals = np.add.reduceat(np.append(dphi, 0.0), bounds)[::2]
+            clean = ~vanishes & (n_bad == 0)
+            prev = self.prev[ids]
+            done = clean & (np.abs(totals - prev)
+                            <= 3e-7 * np.maximum(1.0, np.abs(totals)))
+            for k in np.flatnonzero(done).tolist():
+                self.out[ids[k]] = float(totals[k])
+            again = clean & ~done       # clean once: refine every step
+            self.prev[ids] = np.where(again, totals, math.nan)
+            refine |= np.repeat(again, sizes)
+            refine[ends - 1] = False
+            n_bad[again] = sizes[again] - 1
+            capped = ~vanishes & ~done & (sizes + n_bad > 600000)
+            keep = ~(done | vanishes | capped)
+            if not keep.all():
+                if (vanishes | capped).any():
+                    for k in np.flatnonzero(vanishes).tolist():
+                        self.fail(ids[k],
+                                  "function vanishes or blows up on path")
+                    for k in np.flatnonzero(capped).tolist():
+                        self.fail(ids[k], "path refinement did not converge")
+                    keep &= [self.alive(i) for i in ids.tolist()]
+                mask = np.repeat(keep, sizes)
+                t, v, refine = t[mask], v[mask], refine[mask]
+                ids, sizes, n_bad = ids[keep], sizes[keep], n_bad[keep]
+                if not ids.size:
+                    break
+            bad = np.flatnonzero(refine)
+            tm = 0.5 * (t[bad] + t[bad + 1])
+            vm = np.asarray(self.fn(_path_z(self.geo, np.repeat(ids, sizes)[bad],
+                                            tm)), dtype=complex)
+            t = np.insert(t, bad + 1, tm)
+            v = np.insert(v, bad + 1, vm)
+            sizes = sizes + n_bad
+        return t, v, ids, sizes
 
 
 def _rect_edges(x0, x1, y0, y1) -> list[tuple[complex, complex]]:
@@ -378,8 +436,27 @@ def _as_int(w_raw: float, what: str) -> int:
     return int(w)
 
 
+def _circle_windings(fn, circles: list, rate=None) -> list:
+    """Winding of fn along each (center, radius) circle, measured in one
+    batch: an int, or the RingTooCloseError or NonIntegerResidualError
+    (not raised) of that circle."""
+    out = []
+    for phase in _path_phases(fn, [_circle(c, rho) for c, rho in circles],
+                              rate):
+        if isinstance(phase, float):
+            try:
+                phase = _as_int(phase / (2.0 * math.pi), "circle")
+            except NonIntegerResidualError as exc:
+                phase = exc
+        out.append(phase)
+    return out
+
+
 def _circle_winding(fn, center: complex, radius: float, rate=None) -> int:
-    return _as_int(_circle_winding_raw(fn, center, radius, rate), "circle")
+    w, = _circle_windings(fn, [(center, radius)], rate)
+    if isinstance(w, LocatorError):
+        raise w
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +513,10 @@ def _polish(jet, z0: complex, scale: float) -> complex | None:
 # rectangle subdivision
 
 _SPLIT_FRACTIONS = (0.5, 0.46, 0.54, 0.42, 0.58, 0.37, 0.63, 0.31, 0.69)
+# Cells whose splits are measured together in one round.  A batch takes the
+# pending cells in key order up to this many, which bounds the samples in
+# flight however wide the frontier grows.
+_BATCH_CELLS = 16
 
 
 @dataclass
@@ -453,31 +534,52 @@ class _Search:
     # would keep the path's sample arrays alive through its traceback.
     phases: dict[tuple[complex, complex], float] = field(default_factory=dict)
 
-    def rect_windings(self, rects: list[tuple]) -> list[float]:
-        """Raw boundary winding of each (x0, x1, y0, y1) rectangle.
+    def split_windings(self, groups: list[list[tuple]]) -> list:
+        """Raw boundary winding of each (x0, x1, y0, y1) rectangle of each
+        group, or the RingTooCloseError (not raised) of a failing edge.
 
-        Every edge not yet in the memo is measured in one batch, including
-        those of the rectangles after a failing one.  An edge met again in
-        reverse takes the negated phase.  Raises the first failing edge's
-        RingTooCloseError once the others are stored."""
-        edges = [e for q in rects for e in _rect_edges(*q)]
+        Every edge not yet in the memo is measured in one batch; an edge
+        shared by several groups is measured once, in the direction of the
+        first group that has it, and an edge met again in reverse takes the
+        negated phase.  A failing edge fails only the groups that have it."""
         todo: dict = {}
-        for a, b in edges:
-            if not ((a, b) in self.phases or (b, a) in self.phases
-                    or (b, a) in todo):
-                todo[(a, b)] = (lambda t, a=a, b=b: a + t * (b - a), 16, abs(b - a))
-        failed = None
-        for key, phase in zip(todo, _path_phases(self.fn, list(todo.values()),
-                                                 self.rate)):
+        for g, rects in enumerate(groups):
+            for a, b in (e for q in rects for e in _rect_edges(*q)):
+                if (a, b) in self.phases or (b, a) in self.phases:
+                    continue
+                own = todo.get((a, b)) or todo.get((b, a))
+                if own is None:
+                    todo[(a, b)] = [g]
+                elif own[-1] != g:
+                    own.append(g)
+        failed: list = [None] * len(groups)
+        for (key, own), phase in zip(todo.items(), _path_phases(
+                self.fn, [_segment(a, b) for a, b in todo], self.rate,
+                list(todo.values()))):
             if isinstance(phase, float):
                 self.phases[key] = phase
-            elif failed is None:
-                failed = phase
-        if failed is not None:
-            raise failed
-        ph = [self.phases[(a, b)] if (a, b) in self.phases else -self.phases[(b, a)]
-              for a, b in edges]
-        return [sum(ph[k:k + 4]) / (2.0 * math.pi) for k in range(0, len(ph), 4)]
+            elif phase is not None:
+                for g in own:
+                    failed[g] = failed[g] or phase
+        out = []
+        for rects, err in zip(groups, failed):
+            if err is not None:
+                out.append(err)
+                continue
+            ph = [self.phases[(a, b)] if (a, b) in self.phases
+                  else -self.phases[(b, a)]
+                  for q in rects for a, b in _rect_edges(*q)]
+            out.append([sum(ph[k:k + 4]) / (2.0 * math.pi)
+                        for k in range(0, len(ph), 4)])
+        return out
+
+    def rect_windings(self, rects: list[tuple]) -> list[float]:
+        """Raw boundary winding of each rectangle, as one group of
+        split_windings; raises the group's RingTooCloseError."""
+        out, = self.split_windings([rects])
+        if isinstance(out, RingTooCloseError):
+            raise out
+        return out
 
     def seed_mult_in(self, x0, x1, y0, y1) -> int:
         return sum(m for z, m in self.seeds
@@ -500,90 +602,222 @@ def _pick_fraction(lo: float, hi: float, coords: list[float]) -> list[float]:
     return out or [lo + 0.5 * width]
 
 
-def _descend(s: _Search, x0, x1, y0, y1, w: int, depth: int):
-    unknown = w - s.seed_mult_in(x0, x1, y0, y1)
-    if unknown < 0:
-        raise ConservationError("cell winding below its seeded multiplicity")
-    if unknown == 0:
-        return
-    if s.outside_disk(x0, x1, y0, y1):
-        # Everything here lies beyond the disk; callers never count it.
-        return
-    s.cells += 1
-    if s.cells > MAX_CELLS:
-        raise MaxDepthExceededError("subdivision cell budget exhausted")
-    diam = math.hypot(x1 - x0, y1 - y0)
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    seeded = any(x0 < z.real <= x1 and y0 < z.imag <= y1 for z, _ in s.seeds)
-    if unknown == 1 and not seeded:
-        z = _polish(s.jet, complex(cx, cy), s.disk_radius)
-        if z is not None:
-            # Accept only if the iteration stayed in this cell; its winding
-            # is 1, so the point is the cell's one simple zero, and anything
-            # outside is some other cell's zero.
-            pad_x, pad_y = 1e-9 * (x1 - x0), 1e-9 * (y1 - y0)
-            if (x0 - pad_x <= z.real <= x1 + pad_x
-                    and y0 - pad_y <= z.imag <= y1 + pad_y):
-                s.found.append((z, None))
+@dataclass
+class _Cell:
+    """A cell still to be split; key is its quadrant path from the root."""
+    key: tuple
+    rect: tuple
+    w: int
+    unknown: int
+    small: bool
+    closable: bool
+    xs: list            # split candidates, each ym in ys for each xm in xs
+    ys: list
+    tried: int = 0
+    certify: bool = False
+
+    def split(self) -> tuple[float, float]:
+        """The next (xm, ym) candidate."""
+        i, j = divmod(self.tried, len(self.ys))
+        return self.xs[i], self.ys[j]
+
+
+class _Frontier:
+    """Events of one subdivision, each tagged with its cell's key.
+
+    Keys are quadrant paths from the root, so tuple order is the pre-order
+    of a depth-first search, and that search's outcome is the first event
+    in key order: points at smaller keys are kept, the rest discarded."""
+
+    def __init__(self, s: _Search):
+        self.s = s
+        self.pending: list = []     # heap of (key, _Cell)
+        self.found: list = []       # (key, (location, multiplicity))
+        self.errors: list = []      # (key, exception)
+        self.counted: list = []     # sorted keys of the cells counted
+        self.stop = None            # key of the earliest event known
+
+    def past(self, key: tuple) -> bool:
+        """Whether key comes after the earliest event known."""
+        return self.stop is not None and key > self.stop
+
+    def halt(self, key: tuple):
+        if self.stop is None or key < self.stop:
+            self.stop = key
+
+    def event(self, key: tuple, exc: LocatorError):
+        self.errors.append((key, exc))
+        self.halt(key)
+
+    def budget(self) -> tuple | None:
+        """Key of the cell that exhausts MAX_CELLS, if one is known."""
+        if len(self.counted) > MAX_CELLS:
+            return self.counted[MAX_CELLS]
+        return None
+
+    def enter(self, key: tuple, rect: tuple, w: int):
+        """A new cell's steps before its first split, in order: the
+        conservation check, the cell budget, Newton, MAX_DEPTH; then it
+        joins the pending cells with its split candidates."""
+        s = self.s
+        if self.past(key):
+            return
+        x0, x1, y0, y1 = rect
+        unknown = w - s.seed_mult_in(*rect)
+        if unknown < 0:
+            self.event(key, ConservationError(
+                "cell winding below its seeded multiplicity"))
+            return
+        if unknown == 0 or s.outside_disk(*rect):
+            # Everything here lies beyond the disk; callers never count it.
+            return
+        bisect.insort(self.counted, key)
+        over = self.budget()
+        if over is not None:
+            self.halt(over)
+            if key >= over:
                 return
-    if depth >= MAX_DEPTH:
-        raise MaxDepthExceededError(
-            f"cluster near {complex(cx, cy):.6g} not separated at depth {depth}")
-    small = diam < CLUSTER_SIZE * max(s.disk_radius, 1.0)
-    closable = small and unknown >= 2 and not seeded
-    # The axes are avoided like seeds: real-coefficient functions have zeros
-    # on y = 0, odd functions at 0, and the bounding square is centred there.
-    seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1] + [0.0]
-    seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1] + [0.0]
-    for xm in _pick_fraction(x0, x1, seed_x):
-        for ym in _pick_fraction(y0, y1, seed_y):
-            quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
-                     (x0, xm, ym, y1), (xm, x1, ym, y1)]
-            try:
-                ws = [_as_int(wq, "cell") for wq in s.rect_windings(quads)]
-            except (RingTooCloseError, NonIntegerResidualError):
-                ws = None
-            if ws is not None and sum(ws) == w:
-                for q, wq in zip(quads, ws):
-                    _descend(s, *q, wq, depth + 1)
-                return
-            # A small cell around a multiple zero whose first split failed:
-            # its other split lines are most likely rounding noise too.
-            if closable:
-                closable = False
-                z = _cluster_centroid(s, complex(cx, cy), unknown)
-                if z is not None:
-                    s.found.append((z, unknown))
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        seeded = any(x0 < z.real <= x1 and y0 < z.imag <= y1
+                     for z, _ in s.seeds)
+        if unknown == 1 and not seeded:
+            z = _polish(s.jet, complex(cx, cy), s.disk_radius)
+            if z is not None:
+                # Accept only if the iteration stayed in this cell; its
+                # winding is 1, so the point is the cell's one simple zero,
+                # and anything outside is some other cell's zero.
+                pad_x, pad_y = 1e-9 * (x1 - x0), 1e-9 * (y1 - y0)
+                if (x0 - pad_x <= z.real <= x1 + pad_x
+                        and y0 - pad_y <= z.imag <= y1 + pad_y):
+                    self.found.append((key, (z, None)))
                     return
-    # Every split line is contaminated.  For a tight multiple zero the
-    # boundary signal drowns in rounding noise below ~1e-8; accept the cell
-    # as a single point once it is already small, otherwise give up.
-    if small:
-        s.found.append((complex(cx, cy), unknown))
+        if len(key) >= MAX_DEPTH:
+            self.event(key, MaxDepthExceededError(
+                f"cluster near {complex(cx, cy):.6g} not separated at depth "
+                f"{len(key)}"))
+            return
+        small = math.hypot(x1 - x0, y1 - y0) \
+            < CLUSTER_SIZE * max(s.disk_radius, 1.0)
+        # The axes are avoided like seeds: real-coefficient functions have
+        # zeros on y = 0, odd functions at 0, and the bounding square is
+        # centred there.
+        seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1] + [0.0]
+        seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1] + [0.0]
+        heapq.heappush(self.pending, (key, _Cell(
+            key, rect, w, unknown, small,
+            small and unknown >= 2 and not seeded,
+            _pick_fraction(x0, x1, seed_x), _pick_fraction(y0, y1, seed_y))))
+
+    def round(self):
+        """Measure the proposals of the next batch of cells, then act on
+        each cell's outcome in key order."""
+        s = self.s
+        batch = []
+        while self.pending and len(batch) < _BATCH_CELLS:
+            key, cell = heapq.heappop(self.pending)
+            if self.past(key):
+                self.pending.clear()
+                break
+            batch.append(cell)
+        rho = CLUSTER_SIZE * max(s.disk_radius, 1.0)
+        split_out = iter(s.split_windings(
+            [_quads(c.rect, *c.split()) for c in batch if not c.certify]))
+        cert_out = iter(_circle_windings(
+            s.fn, [(_centre(c.rect), rho) for c in batch if c.certify],
+            s.rate))
+        for c in batch:
+            if c.certify:
+                c.certify = False
+                w = next(cert_out)      # an int, or the circle's error
+                z = _moment_centroid(s.jet, _centre(c.rect), rho, c.unknown) \
+                    if w == c.unknown else None
+                if z is not None:
+                    self.found.append((c.key, (z, c.unknown)))
+                    continue
+            else:
+                quads = _quads(c.rect, *c.split())
+                c.tried += 1
+                ws = next(split_out)    # raw windings, or the error
+                try:
+                    ws = None if isinstance(ws, LocatorError) else \
+                        [_as_int(wq, "cell") for wq in ws]
+                except NonIntegerResidualError:
+                    ws = None
+                if ws is not None and sum(ws) == c.w:
+                    for j, (q, wq) in enumerate(zip(quads, ws)):
+                        self.enter(c.key + (j,), q, wq)
+                    continue
+                # A small cell around a multiple zero whose first split
+                # failed: its other split lines are most likely rounding
+                # noise too, so it first tries to close at its centroid.
+                if c.closable:
+                    c.closable, c.certify = False, True
+                    heapq.heappush(self.pending, (c.key, c))
+                    continue
+            if c.tried < len(c.xs) * len(c.ys):
+                heapq.heappush(self.pending, (c.key, c))
+            elif c.small:
+                # Every split line is contaminated.  For a tight multiple
+                # zero the boundary signal drowns in rounding noise below
+                # ~1e-8; accept the cell as a single point once it is
+                # already small, otherwise give up.
+                self.found.append((c.key, (_centre(c.rect), c.unknown)))
+            else:
+                self.event(c.key, RingTooCloseError(
+                    "no clean split line found for cell"))
+
+
+def _quads(rect: tuple, xm: float, ym: float) -> list[tuple]:
+    x0, x1, y0, y1 = rect
+    return [(x0, xm, y0, ym), (xm, x1, y0, ym),
+            (x0, xm, ym, y1), (xm, x1, ym, y1)]
+
+
+def _centre(rect: tuple) -> complex:
+    x0, x1, y0, y1 = rect
+    return complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+
+
+def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
+    """Locate the zeros in a cell of winding w, into s.found and s.cells.
+
+    A frontier search: each round, the pending cells of smallest key propose
+    their next split (or centroid certificate), all measured in one batch.
+    The outcome is the one a depth-first search gives: the points before
+    the first event in key order, in that order, and then that event's
+    error, if any.  The cell budget is spent at the (MAX_CELLS + 1)-th
+    smallest counted key."""
+    fr = _Frontier(s)
+    fr.enter((), (x0, x1, y0, y1), w)
+    while fr.pending:
+        fr.round()
+    stop = fr.stop
+    if stop is None:
+        s.found = [p for _, p in sorted(fr.found)]
+        s.cells = len(fr.counted)
         return
-    raise RingTooCloseError("no clean split line found for cell")
+    s.found = [p for k, p in sorted(fr.found) if k < stop]
+    s.cells = bisect.bisect_right(fr.counted, stop)
+    if stop == fr.budget():
+        raise MaxDepthExceededError("subdivision cell budget exhausted")
+    raise dict(fr.errors)[stop]
 
 
-def _cluster_centroid(s: _Search, c: complex, unknown: int) -> complex | None:
-    """Mean of the `unknown` zeros near c, or None if not certified.
+def _moment_centroid(jet, c: complex, rho: float,
+                     unknown: int) -> complex | None:
+    """Mean of the `unknown` zeros inside the circle |z - c| = rho, whose
+    winding has certified that it holds those zeros and no other; None if
+    the estimate does not settle.
 
-    The circle of radius rho = CLUSTER_SIZE * max(r, 1) about c contains the
-    cell; its winding must equal `unknown`, so it holds no other zero.  The
-    centroid is then the moment ratio s1/s0 of Delves and Lyness, with s_k
+    The centroid is the moment ratio s1/s0 of Delves and Lyness, with s_k
     the integral of z^k f'/f over the circle divided by 2 pi i, taken by the
     trapezoid rule on N = 32, 64, ... points until two successive estimates
     agree within 1e-3 rho."""
-    rho = CLUSTER_SIZE * max(s.disk_radius, 1.0)
-    try:
-        if _circle_winding(s.fn, c, rho, s.rate) != unknown:
-            return None
-    except (RingTooCloseError, NonIntegerResidualError):
-        return None
     prev = None
     with np.errstate(all="ignore"):
         for n in (32, 64, 128, 256, 512, 1024):
             u = rho * np.exp(2j * np.pi * np.arange(n) / n)
-            f, df, _ = s.jet(c + u)
+            f, df, _ = jet(c + u)
             est = c + complex(np.mean(u * u * df / f)) / unknown
             if prev is not None and abs(est - prev) <= 1e-3 * rho:
                 return est
@@ -603,14 +837,20 @@ def _locate_entire(e: Expr, r: float,
     de = differentiate(e)
     jet = compile_expr((e, de, differentiate(de)))
     rate = _rate_of(e)
-    w_disk = _circle_winding(fn, 0j, r, rate)
-
-    seed_list: list[tuple[complex, int]] = []
     inside = [z for z in seeds if abs(z) <= r * (1 + 10 * RING_CLEARANCE)]
+    circles = [(0j, r)]
     for z in inside:
         others = [abs(z - w) for w in inside if w is not z] + [abs(r - abs(z))]
-        rho = max(1e-3 * min(others, default=1.0), 1e-9)
-        m = _circle_winding(fn, z, rho, rate)
+        circles.append((z, max(1e-3 * min(others, default=1.0), 1e-9)))
+    # One batch; failures are raised in the order of the circles.
+    w_disk, *ms = _circle_windings(fn, circles, rate)
+    if isinstance(w_disk, LocatorError):
+        raise w_disk
+
+    seed_list: list[tuple[complex, int]] = []
+    for z, m in zip(inside, ms):
+        if isinstance(m, LocatorError):
+            raise m
         if m < 0:
             raise ConservationError("negative multiplicity at seeded point")
         if m:
@@ -625,7 +865,7 @@ def _locate_entire(e: Expr, r: float,
         try:
             w_sq = _as_int(s.rect_windings([(-half, half, -half, half)])[0],
                            "bounding square")
-            _descend(s, -half, half, -half, half, w_sq, 0)
+            _subdivide(s, -half, half, -half, half, w_sq)
         except MaxDepthExceededError:
             ok = False
         # Newton points found twice merge into one of multiplicity 1, and

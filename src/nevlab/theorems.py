@@ -95,7 +95,11 @@ class CheckReport:
 class EvalContext:
     """Caches divisor pairs and proximity values across rows and checks,
     and the entire factors located for them, so a factor shared by several
-    requests (cos(z) for tan(z)) is located once per radius and context."""
+    requests (cos(z) for tan(z)) is located once per radius and context.
+
+    A proximity miss integrates its expression at every row radius of the
+    current check not yet cached, in one batched call; each value has the
+    bits of the single-radius call."""
 
     def __init__(self, f: Expr, radii: list[float] | None = None,
                  quad_tol: float = 1e-10):
@@ -109,6 +113,7 @@ class EvalContext:
         self._pairs: dict = {}
         self._prox: dict = {}
         self._atoms: dict = {}
+        self.row_radii: list[float] = []   # working radii of the check's rows
 
     def pair_at(self, expr: Expr, rt: float) -> tuple[Divisor, Divisor]:
         key = (expr, rt)
@@ -125,10 +130,15 @@ class EvalContext:
         return rt, divs
 
     def prox(self, expr: Expr, r: float) -> float:
-        key = (expr, r)
-        if key not in self._prox:
-            self._prox[key] = proximity(expr, r, self.quad_tol)
-        return self._prox[key]
+        if (expr, r) not in self._prox:
+            radii = [rt for rt in dict.fromkeys([r] + self.row_radii)
+                     if (expr, rt) not in self._prox]
+            for rt, m in zip(radii, proximity(expr, radii, self.quad_tol)):
+                self._prox[(expr, rt)] = m
+        m = self._prox[(expr, r)]
+        if isinstance(m, QuadratureError):
+            raise m
+        return m
 
     def char_from(self, expr: Expr, poles: Divisor, r: float) -> float:
         return self.prox(expr, r) + counting(poles, r, _FULL)
@@ -484,10 +494,19 @@ def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
     moduli = sorted({abs(pt.location)
                      for pair in divs.values()
                      for dv in pair for pt in dv.points})
+    cleared: dict = {}
+    for r in ctx.radii:
+        try:
+            cleared[r] = clear_radius(r, moduli, rmax=rt_div)
+        except LocatorError as exc:
+            cleared[r] = exc
+    ctx.row_radii = [c[0] for c in cleared.values() if isinstance(c, tuple)]
 
     def one(r: float) -> CheckRow:
         try:
-            rt, perturbed = clear_radius(r, moduli, rmax=rt_div)
+            if isinstance(cleared[r], LocatorError):
+                raise cleared[r]
+            rt, perturbed = cleared[r]
             D = {name: (z.restrict(rt), p.restrict(rt))
                  for name, (z, p) in divs.items()}
             lhs, rhs, T = plan.row(rt, D, ctx)

@@ -2,9 +2,14 @@
 
 import cmath
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nevlab.expr import Add, Const, evaluate, parse_expr
+from nevlab.expr import (Add, Const, Z, add, compile_expr, differentiate, div,
+                         evaluate, exp_e, intpow, mul, neg, parse_expr, sub,
+                         to_grammar)
 from nevlab.exppoly import (Constancy, ZeroVerdict, canonical,
                             derivative_chain, is_constant,
                             is_identically_zero, set_probabilistic_seed,
@@ -143,3 +148,76 @@ def test_canonical_exact_zero_sum_becomes_constant():
     e = canonical(parse_expr("exp(i*z) - exp(i*z)"))
     assert isinstance(e, Const)
     assert e.value == 0
+
+
+# ---------------------------------------------------------------------------
+# property tests of the exact layer against pointwise evaluation
+
+# Small Gaussian-integer coefficients and frequencies: every coefficient the
+# ring operations make is an exact integer far above COEFF_TOL times the
+# largest, so the pruning in ExpPoly._normalise never drops one.
+_GAUSS = st.builds(complex, st.integers(-3, 3), st.integers(-3, 3))
+_ENTIRE_LEAVES = st.one_of(st.just(Z), _GAUSS.map(Const),
+                           _GAUSS.map(lambda c: exp_e(mul(Const(c), Z))))
+
+
+def _entire_branches(children):
+    return st.one_of(st.builds(add, children, children),
+                     st.builds(mul, children, children),
+                     st.builds(sub, children, children),
+                     st.builds(neg, children),
+                     st.builds(intpow, children, st.integers(0, 3)))
+
+
+_ENTIRE = st.recursive(_ENTIRE_LEAVES, _entire_branches, max_leaves=6)
+_POINTS = np.array([0.3 + 0.4j, -0.7 + 0.2j, 1.1 - 0.5j])
+_PROPERTIES = settings(derandomize=True, database=None, deadline=None,
+                       max_examples=150)
+
+
+def _values(e):
+    return np.broadcast_to(compile_expr(e)(_POINTS), _POINTS.shape)
+
+
+def _scale(p):
+    """sum |c| |z|^j |exp(f z)| over the terms of p, at each point."""
+    return np.array([sum(abs(c) * abs(z) ** j * abs(cmath.exp(f * z))
+                         for f, cs in p.terms for j, c in enumerate(cs))
+                     for z in _POINTS])
+
+
+def _agrees(p, e, scale):
+    got = np.array([p.eval(z) for z in _POINTS])
+    return np.all(np.abs(got - _values(e)) <= 1e-12 * (1.0 + scale))
+
+
+@_PROPERTIES
+@given(_ENTIRE, _ENTIRE)
+def test_exp_poly_ring_agrees_with_pointwise_evaluation(a, b):
+    pa, pb = to_exp_poly(a), to_exp_poly(b)
+    sa, sb = _scale(pa), _scale(pb)
+    assert _agrees(pa, a, sa) and _agrees(pb, b, sb)
+    assert _agrees(pa + pb, add(a, b), sa + sb)
+    assert _agrees(pa - pb, sub(a, b), sa + sb)
+    assert _agrees(pa * pb, mul(a, b), (1.0 + sa) * (1.0 + sb))
+    order = 1 + max((abs(f) + len(cs) for f, cs in pa.terms), default=0)
+    assert _agrees(pa.diff(), differentiate(a), order * (1.0 + sa))
+
+
+def _trees(children):
+    return st.one_of(_entire_branches(children),
+                     st.builds(lambda n, d: div(n, add(d, exp_e(Z))),
+                               children, children))
+
+
+@_PROPERTIES
+@given(st.recursive(_ENTIRE_LEAVES, _trees, max_leaves=8))
+def test_grammar_round_trip(e):
+    """parse_expr(to_grammar(e)) evaluates bit for bit as e.  A negated
+    product prints as -a*b, which parses as (-a)*b, so the first trip may
+    move a sign; after it the text is stable."""
+    once = parse_expr(to_grammar(e))
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_values(once), _values(e), equal_nan=True)
+    assert parse_expr(to_grammar(once)) == parse_expr(
+        to_grammar(parse_expr(to_grammar(once))))

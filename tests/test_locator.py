@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nevlab.locator as locator
-from nevlab.expr import compile_expr, parse_expr
+from nevlab.expr import compile_expr, differentiate, format_complex, parse_expr
 from nevlab.locator import (Divisor, DivisorPoint, NonIntegerResidualError,
                             RadiusMismatchError, RingTooCloseError,
                             clear_radius, divisor_of, divisor_pair_at,
@@ -271,8 +271,7 @@ def test_reversed_edge_phase_is_negated(src, a, b):
     fn, rate = compile_expr(e), locator._rate_of(e)
 
     def phase(p, q):
-        out, = locator._path_phases(
-            fn, [(lambda t: p + t * (q - p), 16, abs(q - p))], rate)
+        out, = locator._path_phases(fn, [locator._segment(p, q)], rate)
         assert isinstance(out, float)
         return out
 
@@ -291,9 +290,8 @@ def test_batch_matches_paths_measured_alone():
     for _ in range(12):
         a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        paths.append((lambda t, a=a, b=b: a + t * (b - a), 16, abs(b - a)))
-    paths.append((lambda t: 0.2 + 2.5 * np.exp(2j * np.pi * t), 64,
-                  2 * math.pi * 2.5))
+        paths.append(locator._segment(a, b))
+    paths.append(locator._circle(0.2, 2.5))
     alone = [locator._path_phases(fn, [p], rate)[0] for p in paths]
     assert all(isinstance(x, float) for x in alone)
     assert locator._path_phases(fn, paths, rate) == alone
@@ -305,13 +303,12 @@ def _record_segments(monkeypatch):
     log = []
     real = locator._path_phases
 
-    def recording(fn, paths, rate=None):
-        out = real(fn, paths, rate)
-        for (path, _, _), phase in zip(paths, out):
-            a, b = path(np.array([0.0, 1.0]))
-            if abs(a - b) > 1e-9:
+    def recording(fn, paths, rate=None, owners=None):
+        out = real(fn, paths, rate, owners)
+        for (a, d, circle), phase in zip(paths, out):
+            if not circle:
                 ends = frozenset((round(z.real, 12), round(z.imag, 12))
-                                 for z in (a, b))
+                                 for z in (a, a + d))
                 log.append((id(fn), ends, phase))
         return out
 
@@ -353,13 +350,13 @@ def test_failing_splits_measure_no_edge_twice(monkeypatch, src, r):
     and the memo holds plain floats only."""
     log = _record_segments(monkeypatch)
     searches = []
-    real_descend = locator._descend
+    real_subdivide = locator._subdivide
 
-    def descend(s, *args):
+    def subdivide(s, *args):
         searches.append(s)
-        return real_descend(s, *args)
+        return real_subdivide(s, *args)
 
-    monkeypatch.setattr(locator, "_descend", descend)
+    monkeypatch.setattr(locator, "_subdivide", subdivide)
     e = parse_expr(src)
     assert find_zeros(e, r).degree == winding_number(e, r)
     done = [(fn, ends) for fn, ends, phase in log if isinstance(phase, float)]
@@ -383,29 +380,30 @@ def test_failed_edge_leaves_no_memo_entry():
 
 
 def _log_splits(monkeypatch):
-    """Wrap _Search.rect_windings to log (search, parent cell, failed) for
-    every split.  A split fails when an edge raises, or when the quadrant
+    """Wrap _Search.split_windings to log (search, parent cell, failed) for
+    every split.  A split fails when an edge fails, or when the quadrant
     windings are not integers adding up to the parent's."""
     log = []
-    real = locator._Search.rect_windings
+    real = locator._Search.split_windings
 
-    def windings(self, rects):
-        if len(rects) != 4:
-            return real(self, rects)
-        (x0, _, y0, _), (_, x1, _, _), _, (_, _, _, y1) = rects
-        parent = (x0, x1, y0, y1)
-        try:
-            ws = real(self, rects)
-        except RingTooCloseError:
-            log.append((self, parent, True))
-            raise
-        w = real(self, [parent])[0]     # the parent's edges are in the memo
-        bad = (any(abs(q - round(q)) > 0.25 for q in ws)
-               or round(sum(ws)) != round(w))
-        log.append((self, parent, bad))
-        return ws
+    def windings(self, groups):
+        out = real(self, groups)
+        for rects, ws in zip(groups, out):
+            if len(rects) != 4:
+                continue
+            (x0, _, y0, _), (_, x1, _, _), _, (_, _, _, y1) = rects
+            parent = (x0, x1, y0, y1)
+            if isinstance(ws, RingTooCloseError):
+                log.append((self, parent, True))
+                continue
+            # the parent's edges are in the memo
+            w = real(self, [[parent]])[0][0]
+            bad = (any(abs(q - round(q)) > 0.25 for q in ws)
+                   or round(sum(ws)) != round(w))
+            log.append((self, parent, bad))
+        return out
 
-    monkeypatch.setattr(locator._Search, "rect_windings", windings)
+    monkeypatch.setattr(locator._Search, "split_windings", windings)
     return log
 
 
@@ -454,15 +452,17 @@ def test_uncertified_cluster_falls_back_to_splitting(monkeypatch, error):
     e = parse_expr("z^2 - 2*z + 1")
     want = find_zeros(e, 2.0)
     refused = []
-    real = locator._circle_winding
+    real = locator._circle_windings
 
-    def winding(fn, center, radius, rate=None):
-        if radius == locator.CLUSTER_SIZE * 2.0:
-            refused.append(center)
-            raise error("certificate refused")
-        return real(fn, center, radius, rate)
+    def windings(fn, circles, rate=None):
+        out = real(fn, circles, rate)
+        for k, (center, radius) in enumerate(circles):
+            if radius == locator.CLUSTER_SIZE * 2.0:
+                refused.append(center)
+                out[k] = error("certificate refused")
+        return out
 
-    monkeypatch.setattr(locator, "_circle_winding", winding)
+    monkeypatch.setattr(locator, "_circle_windings", windings)
     log = _log_splits(monkeypatch)
     got = find_zeros(e, 2.0)
     assert refused and len(set(refused)) == len(refused)   # once per cell
@@ -510,3 +510,146 @@ def test_every_zero_found_with_its_multiplicity(e, roots, mults):
     assert not inside
     got = sorted(p.multiplicity for p in d.points)
     assert got == (mults or [1] * d.degree)
+
+
+# ---------------------------------------------------------------------------
+# the depth-first search the frontier replaced, kept as the oracle of its
+# outcomes
+
+def _dfs_descend(s, x0, x1, y0, y1, w, depth=0):
+    unknown = w - s.seed_mult_in(x0, x1, y0, y1)
+    if unknown < 0:
+        raise locator.ConservationError(
+            "cell winding below its seeded multiplicity")
+    if unknown == 0:
+        return
+    if s.outside_disk(x0, x1, y0, y1):
+        return
+    s.cells += 1
+    if s.cells > locator.MAX_CELLS:
+        raise locator.MaxDepthExceededError("subdivision cell budget exhausted")
+    diam = math.hypot(x1 - x0, y1 - y0)
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    seeded = any(x0 < z.real <= x1 and y0 < z.imag <= y1 for z, _ in s.seeds)
+    if unknown == 1 and not seeded:
+        z = locator._polish(s.jet, complex(cx, cy), s.disk_radius)
+        if z is not None:
+            pad_x, pad_y = 1e-9 * (x1 - x0), 1e-9 * (y1 - y0)
+            if (x0 - pad_x <= z.real <= x1 + pad_x
+                    and y0 - pad_y <= z.imag <= y1 + pad_y):
+                s.found.append((z, None))
+                return
+    if depth >= locator.MAX_DEPTH:
+        raise locator.MaxDepthExceededError(
+            f"cluster near {complex(cx, cy):.6g} not separated at depth {depth}")
+    small = diam < locator.CLUSTER_SIZE * max(s.disk_radius, 1.0)
+    closable = small and unknown >= 2 and not seeded
+    seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1] + [0.0]
+    seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1] + [0.0]
+    for xm in locator._pick_fraction(x0, x1, seed_x):
+        for ym in locator._pick_fraction(y0, y1, seed_y):
+            quads = [(x0, xm, y0, ym), (xm, x1, y0, ym),
+                     (x0, xm, ym, y1), (xm, x1, ym, y1)]
+            try:
+                ws = [locator._as_int(wq, "cell")
+                      for wq in s.rect_windings(quads)]
+            except (RingTooCloseError, NonIntegerResidualError):
+                ws = None
+            if ws is not None and sum(ws) == w:
+                for q, wq in zip(quads, ws):
+                    _dfs_descend(s, *q, wq, depth + 1)
+                return
+            if closable:
+                closable = False
+                z = _dfs_centroid(s, complex(cx, cy), unknown)
+                if z is not None:
+                    s.found.append((z, unknown))
+                    return
+    if small:
+        s.found.append((complex(cx, cy), unknown))
+        return
+    raise RingTooCloseError("no clean split line found for cell")
+
+
+def _dfs_centroid(s, c, unknown):
+    rho = locator.CLUSTER_SIZE * max(s.disk_radius, 1.0)
+    w, = locator._circle_windings(s.fn, [(c, rho)], s.rate)
+    if w != unknown:
+        return None
+    return locator._moment_centroid(s.jet, c, rho, unknown)
+
+
+def _search_outcome(e, r, seeds, descend):
+    """(found, cells, ok, error type and message) of one search of the
+    bounding square, as _locate_entire runs it."""
+    de = differentiate(e)
+    s = locator._Search(compile_expr(e), compile_expr((e, de, differentiate(de))),
+                        locator._rate_of(e), r, list(seeds))
+    half = r * (1 + 3 * locator.RING_CLEARANCE)
+    w = locator._as_int(s.rect_windings([(-half, half, -half, half)])[0],
+                        "bounding square")
+    try:
+        descend(s, -half, half, -half, half, w)
+        error = None
+    except locator.LocatorError as exc:
+        error = (type(exc), str(exc))
+    ok = error is None or error[0] is not locator.MaxDepthExceededError
+    return s.found, s.cells, ok, error
+
+
+_CUBIC = "z^3 + (1 - 3*i)*z^2 + (-2 - 3*i)*z + 6*i"    # zeros 1, -2, 3*i
+# zeros -2 and -2.001, a pair that needs depth 12 to split, and 2 + 2*i
+_PAIR = "z^3 + (2.001 - 2*i)*z^2 + (-4 - 8.002*i)*z + (-8.004 - 8.004*i)"
+
+
+@pytest.mark.parametrize("src,r,seeds", [
+    (_CUBIC, 4.0, ()),
+    (_CUBIC, 4.0, ((1 + 0j, 1),)),           # one zero known in advance
+    (_CUBIC, 4.0, ((-2 + 0j, 2),)),          # over-seeded: ConservationError
+    ("sin(z)", 10.0, ()),
+    ("sin(z)", 10.0, ((-math.pi + 0j, 2),)),  # the same, after two points
+    ("exp(3*z) - 1", 3.0, ()),
+    ("exp(z) - 1 - z", 3.0, ()),             # a double zero at 0
+    # Under a depth cap, the frontier finds 2 + 2*i (and, over-seeded
+    # there, a ConservationError) before the earlier depth error.
+    (_PAIR, 3.5, ()),
+    (_PAIR, 3.5, ((2 + 2j, 2),)),
+    (poly_expr(_random_poly(random.Random(88), 7)[0]), 2.5, ()),
+])
+@pytest.mark.parametrize("max_cells,max_depth", [
+    (60000, 40), (3, 40), (9, 40), (25, 40), (60000, 2), (60000, 4)])
+# one cell per round; the default; a whole level per round, breadth-first
+@pytest.mark.parametrize("batch", [1, locator._BATCH_CELLS, 1000])
+def test_frontier_outcome_is_the_depth_first_one(monkeypatch, src, r, seeds,
+                                                 max_cells, max_depth, batch):
+    """The frontier search ends as the recursive depth-first search did:
+    the same points in the same order, the same cell count, and the same
+    error, also when the cell budget or the depth cap cuts it short."""
+    monkeypatch.setattr(locator, "MAX_CELLS", max_cells)
+    monkeypatch.setattr(locator, "MAX_DEPTH", max_depth)
+    e = parse_expr(src) if isinstance(src, str) else src
+    want = _search_outcome(e, r, seeds, _dfs_descend)
+    monkeypatch.setattr(locator, "_BATCH_CELLS", batch)
+    assert _search_outcome(e, r, seeds, locator._subdivide) == want
+
+
+# Factors of an entire function drawn from small Gaussian integers: shifted
+# exponentials exp(c*z) - b and polynomials of degree at most 2.
+_GAUSS = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+_FACTOR = st.one_of(
+    st.builds(lambda c, b: f"(exp({c}*z) - {b})",
+              st.sampled_from(["1", "2", "(0-1)", "i", "(1+i)"]),
+              _GAUSS.filter(lambda b: b != 0).map(format_complex)),
+    st.builds(lambda a, b: f"(z^2 + {a}*z + {b})",
+              _GAUSS.map(format_complex), _GAUSS.map(format_complex)),
+    _GAUSS.map(lambda a: f"(z - {format_complex(a)})"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.lists(_FACTOR, min_size=1, max_size=3), st.sampled_from([1.5, 3.0]))
+def test_divisor_degree_equals_winding_number(factors, r):
+    e = parse_expr("*".join(factors))
+    zeros, poles = divisor_of(e, r, 0)
+    assert poles.degree == 0
+    assert zeros.valid
+    assert zeros.degree == winding_number(e, zeros.radius)

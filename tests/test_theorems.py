@@ -5,6 +5,8 @@ import math
 import pytest
 
 import nevlab.locator as locator
+import nevlab.nevanlinna as nevanlinna
+import nevlab.theorems as theorems
 from nevlab.diffpoly import DiffPolynomial
 from nevlab.exppoly import canonical_quotient
 from nevlab.expr import parse_expr
@@ -199,3 +201,30 @@ def test_context_locates_each_entire_atom_once(monkeypatch):
     del calls[:]
     assert EvalContext(tan).pair_at(expr, rt) == pair
     assert calls
+
+
+def test_check_rows_batch_proximity_bit_for_bit(monkeypatch):
+    """A tan(z) lem_32 check gets all its proximity values from one batched
+    call.  Its rows equal, bit for bit, the rows made from single-radius
+    calls, and a radius whose quadrature fails keeps its error text; the
+    interval budget is cut so that some radii fail."""
+    monkeypatch.setattr(nevanlinna, "_SIMPSON_MAX_INTERVALS", 1000)
+    tan = parse_expr("tan(z)")
+    calls = []
+    real = theorems.proximity
+
+    def counted(expr, r, tol=1e-10):
+        calls.append(r)
+        return real(expr, r, tol)
+
+    monkeypatch.setattr(theorems, "proximity", counted)
+    batched = run_check("lem_32", tan, params={"k": 2}, radii=GRID)
+    assert len(calls) == 1 and len(calls[0]) == len(GRID)
+
+    monkeypatch.setattr(EvalContext, "prox",
+                        lambda self, expr, r: real(expr, r, self.quad_tol))
+    single = run_check("lem_32", tan, params={"k": 2}, radii=GRID)
+    assert [repr(w) for w in batched.rows] == [repr(w) for w in single.rows]
+    errors = [w.error for w in batched.rows]
+    assert None in errors
+    assert "QuadratureError: quadrature interval budget exhausted" in errors
