@@ -297,6 +297,73 @@ def test_batch_matches_paths_measured_alone():
     assert locator._path_phases(fn, paths, rate) == alone
 
 
+def _loop_phase(fn, path, rate):
+    """One path's phase by the per-path loop that the array refinement
+    replaced: a float, or the message of its RingTooCloseError."""
+    a, d, circle = path
+    if circle:
+        at, n, length = (lambda t: a + abs(d) * np.exp(2j * np.pi * t), 64,
+                         2.0 * math.pi * abs(d))
+    else:
+        at, n, length = lambda t: a + t * d, 16, abs(d)
+    if length > 0.0:
+        r, = rate(np.stack([at(np.linspace(0.0, 1.0, 33))])).tolist()
+        if math.isfinite(r):
+            n = max(n, min(int(1.25 * length * r) + 8, 150000))
+    t = np.linspace(0.0, 1.0, n + 1)
+    v = np.asarray(fn(at(t)), dtype=complex)
+    prev = None
+    for _ in range(64):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = v[1:] / v[:-1]
+            dphi = np.angle(ratio)
+            mag = np.abs(ratio)
+        bad = ~(np.isfinite(ratio) & (np.abs(dphi) <= locator._PHASE_STEP)
+                & (mag <= locator._MAG_STEP) & (mag >= 1 / locator._MAG_STEP))
+        if not np.all(np.isfinite(v) & (np.abs(v) >= locator._TINY)):
+            return "function vanishes or blows up on path"
+        if not bad.any():
+            total = float(dphi.sum())
+            if prev is not None and abs(total - prev) <= 3e-7 * max(1.0, abs(total)):
+                return total
+            prev = total
+            bad[:] = True
+        else:
+            prev = None
+        if v.size + bad.sum() > 600000:
+            return "path refinement did not converge"
+        j = np.flatnonzero(bad)
+        tm = 0.5 * (t[j] + t[j + 1])
+        t = np.insert(t, j + 1, tm)
+        v = np.insert(v, j + 1, np.asarray(fn(at(tm)), dtype=complex))
+    return "path refinement did not converge"
+
+
+@pytest.mark.parametrize("src", ["tan(z)*(z - 0.3*i)^2 + exp(2*i*z)",
+                                 "z^2 - 2*z + 1"])
+def test_array_refinement_matches_the_per_path_loop(src):
+    """Each path's phase equals the per-path loop's up to the order of its
+    sum: at most 600,000 steps of size at most pi/2, so they may differ by
+    600000 * pi/2 * 2.2e-16 < 2.1e-10.  Failures keep their messages."""
+    rng = random.Random(4417)
+    e = parse_expr(src)
+    fn, rate = compile_expr(e), locator._rate_of(e)
+    paths = [locator._segment(0.0, 2.0),          # through the zero at 1
+             locator._segment(1.0 - 1e-9j, 1.0 + 2e-9j),
+             locator._circle(1.0, 1e-7), locator._circle(0.5j, 2.0)]
+    for _ in range(16):
+        a = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        b = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        paths.append(locator._segment(a, b))
+    got = locator._path_phases(fn, paths, rate)
+    for path, phase in zip(paths, got):
+        want = _loop_phase(fn, path, rate)
+        if isinstance(want, str):
+            assert isinstance(phase, RingTooCloseError) and str(phase) == want
+        else:
+            assert phase == pytest.approx(want, rel=0, abs=2.1e-10)
+
+
 def _record_segments(monkeypatch):
     """Log (evaluator id, undirected endpoints, result) for every segment
     that _path_phases measures; circles are skipped."""
