@@ -275,14 +275,19 @@ def _circle(center: complex, radius: float) -> tuple:
     return (center, complex(radius), True)
 
 
-def _path_z(geo: tuple, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Points at parameters t on paths idx; geo holds the base, scale and
-    circle flag of every path as arrays."""
-    base, scale, circle = geo
-    c = circle[idx]
-    if c.any():
-        t = np.where(c, np.exp(2j * np.pi * t), t)
-    return base[idx] + t * scale[idx]
+def _path_z(geo: tuple, ids: np.ndarray, counts: np.ndarray,
+            t: np.ndarray) -> np.ndarray:
+    """Points at parameters t, the first counts[0] on path ids[0] and so on;
+    geo holds the base, scale and circle flag of every path as arrays."""
+    base, scale, circle = (a[ids] for a in geo)
+    if ids.size == 1:       # a path finished alone: its scalars broadcast
+        base, scale, circle = base[0], scale[0], circle[0]
+    else:
+        base, scale, circle = (np.repeat(a, counts)
+                               for a in (base, scale, circle))
+    if np.any(circle):
+        t = np.where(circle, np.exp(2j * np.pi * t), t)
+    return base + t * scale
 
 
 def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list:
@@ -314,7 +319,7 @@ def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list
     probed = np.flatnonzero(length > 0.0) if rate is not None else []
     if len(probed):
         s = np.linspace(0.0, 1.0, 33)
-        z = _path_z(geo, np.repeat(probed, s.size), np.tile(s, probed.size))
+        z = _path_z(geo, probed, s.size, np.tile(s, probed.size))
         for i, r in zip(probed.tolist(), rate(z.reshape(-1, s.size)).tolist()):
             if math.isfinite(r):
                 ns[i] = max(ns[i], min(int(1.25 * float(length[i]) * r) + 8,
@@ -322,12 +327,11 @@ def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list
     # np.linspace(0, 1, n + 1) of every path, end to end
     sizes = ns + 1
     ends = np.cumsum(sizes)
-    owner = np.repeat(np.arange(n), sizes)
     t = (np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)) \
         * np.repeat(1.0 / ns, sizes)
     t[ends - 1] = 1.0
     run = _Refinement(fn, geo, owners or [[i] for i in range(n)])
-    v = np.asarray(fn(_path_z(geo, owner, t)), dtype=complex)
+    v = np.asarray(fn(_path_z(geo, np.arange(n), sizes, t)), dtype=complex)
     t, v, ids, sizes = run.rounds(t, v, np.arange(n), sizes, _LOCKSTEP_ROUNDS)
     ends = np.cumsum(sizes)
     for k, i in enumerate(ids.tolist()):
@@ -381,22 +385,25 @@ class _Refinement:
             refine = np.zeros(v.size, dtype=bool)
             refine[:-1] = ~ok
             n_bad = np.add.reduceat(refine, starts, dtype=np.intp)
-            # Each path's steps summed on their own, so a total does not
-            # depend on the neighbours: reduceat over [start, end - 1).
-            bounds = np.column_stack([starts, ends - 1]).ravel()
-            with np.errstate(invalid="ignore"):
-                totals = np.add.reduceat(np.append(dphi, 0.0), bounds)[::2]
             clean = ~vanishes & (n_bad == 0)
-            prev = self.prev[ids]
-            done = clean & (np.abs(totals - prev)
-                            <= 3e-7 * np.maximum(1.0, np.abs(totals)))
-            for k in np.flatnonzero(done).tolist():
-                self.out[ids[k]] = float(totals[k])
-            again = clean & ~done       # clean once: refine every step
-            self.prev[ids] = np.where(again, totals, math.nan)
-            refine |= np.repeat(again, sizes)
-            refine[ends - 1] = False
-            n_bad[again] = sizes[again] - 1
+            done = again = np.zeros(ids.size, dtype=bool)
+            if clean.any():
+                # Each path's steps summed on their own, so a total does not
+                # depend on the neighbours: reduceat over [start, end - 1).
+                bounds = np.column_stack([starts, ends - 1]).ravel()
+                with np.errstate(invalid="ignore"):
+                    totals = np.add.reduceat(np.append(dphi, 0.0),
+                                             bounds)[::2]
+                done = clean & (np.abs(totals - self.prev[ids])
+                                <= 3e-7 * np.maximum(1.0, np.abs(totals)))
+                for k in np.flatnonzero(done).tolist():
+                    self.out[ids[k]] = float(totals[k])
+                again = clean & ~done   # clean once: refine every step
+                refine |= np.repeat(again, sizes)
+                refine[ends - 1] = False
+                n_bad[again] = sizes[again] - 1
+            self.prev[ids] = np.where(again, totals, math.nan) \
+                if again.any() else math.nan
             capped = ~vanishes & ~done & (sizes + n_bad > 600000)
             keep = ~(done | vanishes | capped)
             if not keep.all():
@@ -414,8 +421,8 @@ class _Refinement:
                     break
             bad = np.flatnonzero(refine)
             tm = 0.5 * (t[bad] + t[bad + 1])
-            vm = np.asarray(self.fn(_path_z(self.geo, np.repeat(ids, sizes)[bad],
-                                            tm)), dtype=complex)
+            vm = np.asarray(self.fn(_path_z(self.geo, ids, n_bad, tm)),
+                            dtype=complex)
             t = np.insert(t, bad + 1, tm)
             v = np.insert(v, bad + 1, vm)
             sizes = sizes + n_bad
@@ -542,9 +549,11 @@ class _Search:
         shared by several groups is measured once, in the direction of the
         first group that has it, and an edge met again in reverse takes the
         negated phase.  A failing edge fails only the groups that have it."""
+        edges = [[e for q in rects for e in _rect_edges(*q)]
+                 for rects in groups]
         todo: dict = {}
-        for g, rects in enumerate(groups):
-            for a, b in (e for q in rects for e in _rect_edges(*q)):
+        for g, es in enumerate(edges):
+            for a, b in es:
                 if (a, b) in self.phases or (b, a) in self.phases:
                     continue
                 own = todo.get((a, b)) or todo.get((b, a))
@@ -562,13 +571,12 @@ class _Search:
                 for g in own:
                     failed[g] = failed[g] or phase
         out = []
-        for rects, err in zip(groups, failed):
+        for es, err in zip(edges, failed):
             if err is not None:
                 out.append(err)
                 continue
             ph = [self.phases[(a, b)] if (a, b) in self.phases
-                  else -self.phases[(b, a)]
-                  for q in rects for a, b in _rect_edges(*q)]
+                  else -self.phases[(b, a)] for a, b in es]
             out.append([sum(ph[k:k + 4]) / (2.0 * math.pi)
                         for k in range(0, len(ph), 4)])
         return out
