@@ -54,6 +54,18 @@ class Const(Expr):
     def __post_init__(self):
         object.__setattr__(self, "value", complex(self.value))
 
+    def __eq__(self, other):
+        # 0.0 == -0.0, yet the sign of a zero part reaches results, so two
+        # constants are equal only when their parts also agree in that sign.
+        # The dataclass hash, hash((value,)), stays consistent with this.
+        if other.__class__ is not Const:
+            return NotImplemented
+        a, b = self.value, other.value
+        sign = math.copysign
+        return a is b or a == b and (
+            (a.real != 0.0 or sign(1.0, a.real) == sign(1.0, b.real))
+            and (a.imag != 0.0 or sign(1.0, a.imag) == sign(1.0, b.imag)))
+
 
 @dataclass(frozen=True)
 class Var(Expr):

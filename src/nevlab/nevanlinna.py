@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exppoly import canonical_quotient
-from .expr import Expr, QuotientForm, _evaluator, _lower
+from .expr import Div, Expr, QuotientForm, _evaluator, _lower
 from .locator import Divisor, LocatorError, clear_radius, divisor_of
 
 __all__ = [
@@ -161,13 +161,16 @@ _SIMPSON_MAX_ROUNDS = 64
 _SIMPSON_MAX_INTERVALS = 200000
 # Radii join a batch while fewer intervals than this are open, which bounds
 # the arrays in flight however many radii are asked for.
-_BATCH_OPEN_INTERVALS = 512
+_BATCH_OPEN_INTERVALS = 1024
 
 _N0 = 64
 _EDGES = np.linspace(0.0, 2.0 * math.pi, _N0 + 1)
 _LO0, _HI0 = _EDGES[:-1], _EDGES[1:]
 _MID0 = 0.5 * (_LO0 + _HI0)
 _START = np.concatenate([_LO0, _MID0, _HI0])   # a new radius's first points
+_UNIT_START = np.exp(1j * _START)
+_FIRST = np.array([_LO0, _MID0, _HI0])[:, None, :]
+_W0 = (_HI0 - _LO0) / 6.0
 
 
 def proximity(f: Expr | QuotientForm, r: float | list[float],
@@ -181,10 +184,11 @@ def proximity(f: Expr | QuotientForm, r: float | list[float],
     q = f if isinstance(f, QuotientForm) else canonical_quotient(f)
     single = np.ndim(r) == 0
     radii = [float(r)] if single else [float(x) for x in r]
+    # The raw Div, not div(): its log form is the one step
+    # ln|num| - ln|den|, with the subtrees of num and den computed once.
     out = [v if isinstance(v, QuadratureError) else v / (2.0 * math.pi)
-           for v in _simpson_circles(compile_log_abs(q.num),
-                                     compile_log_abs(q.den), radii,
-                                     tol * 2.0 * math.pi)]
+           for v in _simpson_circles(compile_log_abs(Div(q.num, q.den)),
+                                     radii, tol * 2.0 * math.pi)]
     if not single:
         return out
     if isinstance(out[0], QuadratureError):
@@ -192,17 +196,16 @@ def proximity(f: Expr | QuotientForm, r: float | list[float],
     return out[0]
 
 
-def _simpson_circles(ln_num, ln_den, radii: list[float], tol: float) -> list:
-    """Vectorised adaptive Simpson of max(0, ln|num| - ln|den|) over theta in
-    [0, 2pi] on each circle |z| = radii[i].
+def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
+    """Vectorised adaptive Simpson of max(0, ln|f|) over theta in [0, 2pi]
+    on each circle |z| = radii[i].
 
     Returns the integral or a QuadratureError per radius.  The open
-    intervals of all radii in flight are refined together, one evaluator
-    call per round.  Each radius keeps its intervals contiguous and in the
-    order a lone run would give them, its own round cap, interval budget and
-    pole check, and its own sums over its own slice (numpy's pairwise sum,
-    as a lone run takes it), so its result does not depend on its
-    neighbours."""
+    intervals of all radii in flight are refined together, one ln_f call
+    per round.  Each radius keeps its intervals contiguous and in the order
+    a lone run would give them, its own round cap, interval budget and pole
+    check, and its own sums over its own slice (numpy's pairwise sum, as a
+    lone run takes it), so its result does not depend on its neighbours."""
     n = len(radii)
     rs = np.asarray(radii, dtype=float)
     out: list = [None] * n
@@ -210,7 +213,6 @@ def _simpson_circles(ln_num, ln_den, radii: list[float], tol: float) -> list:
     err_sum = [0.0] * n
     seen = [_N0] * n
     rounds = [0] * n
-    span = 2.0 * math.pi
 
     # open intervals, one column each: lo, mid, hi, g(lo), g(mid), g(hi) and
     # the Simpson estimate on [lo, hi]; row is the radius of each column
@@ -221,50 +223,39 @@ def _simpson_circles(ln_num, ln_den, radii: list[float], tol: float) -> list:
     admitted = 0
     while active or admitted < n:
         new = []
-        while admitted < n and sum(sizes) + _N0 * len(new) < \
+        in_flight = sum(sizes)
+        while admitted < n and in_flight + _N0 * len(new) < \
                 _BATCH_OPEN_INTERVALS:
             new.append(admitted)
             admitted += 1
-        # One call: the quarter points of every open interval, then the
-        # starting lo, mid and hi points of each newly admitted radius.
-        lo, mid, hi, flo, fmid, fhi, whole = state
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        rr = rs[row]
-        theta = np.concatenate([lm, rm] + [_START] * len(new))
-        rad = np.concatenate([rr, rr] + [np.full(3 * _N0, rs[i]) for i in new])
-        z = rad * np.exp(1j * theta)
-        with np.errstate(invalid="ignore"):
-            d = ln_num(z) - ln_den(z)
-        # num == 0 gives -inf, harmless under the positive part; a pole or
-        # an inf - inf collision is a real failure.
-        vals = np.maximum(d, 0.0)
-        bad = ~np.isfinite(vals)
-        m = lo.size
-        flm, frm = vals[:m], vals[m:2 * m]
-        poles = set(row[bad[:m] | bad[m:2 * m]].tolist())
+        m = len(row)
+        halves, bad = _sample(ln_f, state, rs[row], rs[new])
+        poles = set(row[bad[:m] | bad[m:2 * m]].tolist()) \
+            if bad[:2 * m].any() else ()
+        start_poles = bad[2 * m:].reshape(len(new), 3 * _N0).any(axis=1)
 
-        h = hi - lo
-        left = h / 12.0 * (flo + 4.0 * flm + fmid)
-        right = h / 12.0 * (fmid + 4.0 * frm + fhi)
-        better = left + right
-        err = np.abs(better - whole) / 15.0
-        done = err <= tol * h / span
+        ge, done = _estimates(halves, state, tol)
+        err = ge[1]
         keep = ~done
-        nfin = np.bincount(row[done], minlength=n).tolist()
-        gain_done = (better + (better - whole) / 15.0)[done]
-        err_done = err[done]
+        fin_ends = np.cumsum(done)[np.cumsum(sizes, dtype=np.intp) - 1]
+        ge_done = ge.compress(done, axis=1)   # C order: rows sum pairwise
+        del state    # before the next state is allocated
 
         still, still_sizes = [], []
         s = p = 0
-        for i, size in zip(active, sizes):
-            e, q = s + size, p + nfin[i]
+        for i, size, q in zip(active, sizes, fin_ends.tolist()):
+            e = s + size
             if i in poles:
                 out[i] = QuadratureError(_POLE_MESSAGE)
             else:
-                total[i] += float(gain_done[p:q].sum())
-                err_sum[i] += float(err_done[p:q].sum())
-                k = size - nfin[i]
+                if q > p:
+                    gain, err_done = ge_done[:, p:q].sum(axis=1).tolist()
+                    total[i] += gain
+                    err_sum[i] += err_done
+                else:
+                    total[i] += 0.0
+                    err_sum[i] += 0.0
+                k = size - (q - p)
                 seen[i] += 2 * k
                 rounds[i] += 1
                 if seen[i] > _SIMPSON_MAX_INTERVALS:
@@ -283,32 +274,110 @@ def _simpson_circles(ln_num, ln_den, radii: list[float], tol: float) -> list:
             if out[i] is not None:
                 keep[s:e] = False
             s, p = e, q
+        # This round's arrays go before the next evaluation, which is where
+        # memory peaks.
+        del ge, ge_done, err
 
-        # Halve the kept intervals; a stable sort by row puts each radius's
-        # left halves, then its right halves, back together in order.
-        kept = np.flatnonzero(keep)
-        halves = np.concatenate([row[kept], row[kept]])
-        order = np.argsort(halves, kind="stable")
-        row = halves[order]
-        pick = np.concatenate([kept, kept + m])[order]
-        state = np.concatenate(
-            [np.array([lo, lm, mid, flo, flm, fmid, left]),
-             np.array([mid, rm, hi, fmid, frm, fhi, right])], axis=1)[:, pick]
-
-        starts = vals[2 * m:].reshape(len(new), 3, _N0)
-        start_poles = bad[2 * m:].reshape(len(new), 3 * _N0).any(axis=1)
-        for i, (f0, f1, f2), pole in zip(new, starts, start_poles):
+        new_ok = []
+        for i, pole in zip(new, start_poles):
             if pole:
                 out[i] = QuadratureError(_POLE_MESSAGE)
-                continue
-            first = np.array([_LO0, _MID0, _HI0, f0, f1, f2,
-                              (_HI0 - _LO0) / 6.0 * (f0 + 4.0 * f1 + f2)])
-            state = np.concatenate([state, first], axis=1)
-            row = np.concatenate([row, np.full(_N0, i)])
-            still.append(i)
-            still_sizes.append(_N0)
-        active, sizes = still, still_sizes
+            else:
+                new_ok.append(i)
+        state = _next_intervals(halves, keep, still_sizes, ~start_poles)
+        del halves
+        active = still + new_ok
+        sizes = still_sizes + [_N0] * len(new_ok)
+        row = np.repeat(np.array(active, dtype=np.intp), sizes)
     return out
+
+
+def _sample(ln_f, state, rr, new_rs):
+    """One ln_f call on the quarter points lm, rm of every open interval (of
+    radius rr) and on the starting lo, mid and hi points of each new radius.
+
+    Returns (halves, bad).  halves[:, 0, :m] and halves[:, 1, :m] are the
+    left and right halves of the m open intervals, laid out as the rows of
+    state, with their Simpson estimates still to be written to row 6;
+    halves[3:6, 0, m:] holds the starting values, radius by radius.  bad
+    flags the points where the positive part of ln_f is not finite."""
+    m = rr.size
+    quarter = np.add(state[0:2], state[1:3])
+    quarter *= 0.5
+    z = np.empty(2 * m + 3 * _N0 * new_rs.size, dtype=complex)
+    zq = z[:2 * m].reshape(2, m)
+    np.multiply(1j, quarter, out=zq)
+    np.exp(zq, out=zq)
+    np.multiply(rr, zq, out=zq)
+    np.multiply(new_rs[:, None], _UNIT_START,
+                out=z[2 * m:].reshape(new_rs.size, 3 * _N0))
+    vals = ln_f(z)
+    del z, zq
+    # num == 0 gives -inf, harmless under the positive part; a pole or an
+    # inf - inf collision is a real failure.
+    np.maximum(vals, 0.0, out=vals)
+    halves = np.empty((7, 2, m + _N0 * new_rs.size))
+    halves[0, :, :m], halves[1, :, :m], halves[2, :, :m] = \
+        state[0:2], quarter, state[1:3]
+    halves[3, :, :m], halves[5, :, :m] = state[3:5], state[4:6]
+    halves[4, :, :m] = vals[:2 * m].reshape(2, m)
+    halves[3:6, 0, m:] = vals[2 * m:].reshape(new_rs.size, 3, _N0) \
+        .transpose(1, 0, 2).reshape(3, -1)
+    return halves, ~np.isfinite(vals)
+
+
+def _estimates(halves, state, tol):
+    """Write the left and right Simpson estimates of each open interval to
+    halves[6].  Returns the gain and the error of each interval as two rows,
+    so that one call sums a radius's finished intervals, and the mask of
+    the intervals that meet tol."""
+    m = state.shape[1]
+    h = state[2] - state[0]
+    simpson = halves[6, :, :m]
+    np.multiply(halves[4, :, :m], 4.0, out=simpson)
+    simpson += halves[3, :, :m]
+    simpson += halves[5, :, :m]
+    simpson *= h / 12.0
+    ge = np.empty((2, m))
+    np.add(simpson[0], simpson[1], out=ge[0])
+    np.subtract(ge[0], state[6], out=ge[1])
+    ge[1] /= 15.0
+    ge[0] += ge[1]
+    np.abs(ge[1], out=ge[1])
+    return ge, ge[1] <= tol * h / (2.0 * math.pi)
+
+
+def _next_intervals(halves, keep, still_sizes, start_ok):
+    """The next round's state: each radius's kept left halves, then its
+    kept right halves, in order, then the starting intervals of each new
+    radius whose starting values are all finite.
+
+    The j-th kept column of a radius with k kept columns, of which c lie in
+    earlier radii, goes to c + j and c + j + k."""
+    m = keep.size
+    width = halves.shape[2]
+    kept = np.flatnonzero(keep)
+    counts = np.array(still_sizes, dtype=np.intp) // 2
+    left = np.arange(kept.size) + np.repeat(np.cumsum(counts) - counts,
+                                            counts)
+    source = np.empty(2 * kept.size, dtype=np.intp)
+    source[left] = kept
+    source[left + np.repeat(counts, counts)] = kept + width
+    starts = halves[3:6, 0, m:].reshape(3, -1, _N0)[:, start_ok]
+    k2 = source.size
+    state = np.empty((7, k2 + starts.shape[1] * _N0))
+    # "clip" lets take write straight into the view (indices are in range)
+    np.take(halves.reshape(7, 2 * width), source, axis=1, mode="clip",
+            out=state[:, :k2])
+    first = state[:, k2:].reshape(7, -1, _N0)
+    first[:3] = _FIRST
+    first[3:6] = starts
+    f0, f1, f2 = starts
+    np.multiply(f1, 4.0, out=first[6])
+    first[6] += f0
+    first[6] += f2
+    first[6] *= _W0
+    return state
 
 
 def characteristic(f: Expr | QuotientForm, r: float, poles: Divisor,

@@ -76,6 +76,15 @@ def test_probabilistic_verdicts_are_seed_stable():
     assert is_identically_zero(e) is first
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: ExpPoly prunes "
+                   "coefficients below 1e-12 of the largest")
+def test_tiny_coefficient_survives_the_exact_layer():
+    # equals 1e-13*z*exp(z), which is neither zero nor constant
+    e = parse_expr("(1 + 0.0000000000001*z)*exp(z) - exp(z)")
+    assert is_identically_zero(e) is ZeroVerdict.NONZERO
+    assert is_constant(e)[0] is Constancy.NON_CONSTANT
+
+
 @pytest.mark.parametrize("src,kind,value", [
     ("5", Constancy.CONSTANT, 5),
     ("sin(z)^2 + cos(z)^2", Constancy.CONSTANT, 1),

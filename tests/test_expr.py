@@ -241,3 +241,14 @@ def test_constants_reach_the_generated_code_bit_for_bit(c):
         value, product = run(z, exp)
         assert _bits([value]) == _bits([c])
         assert _bits([product]) == _bits([c * z])
+
+
+def test_signed_zero_constants_get_their_own_programs():
+    """Constants equal as numbers but not in the sign of a zero part are
+    different keys, with the same hash, so a compiled constant keeps its
+    sign whatever the process compiled before it."""
+    positive, negative = Const(complex(0.0, -1.0)), Const(complex(-0.0, -1.0))
+    assert positive != negative and hash(positive) == hash(negative)
+    assert positive == Const(complex(0.0, -1.0))
+    compile_expr(positive)(0.5)
+    assert _bits([compile_expr(negative)(0.5)]) == _bits([negative.value])

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -126,7 +127,7 @@ def _assert_same(got, want):
 ])
 def test_batched_proximity_matches_each_radius_alone(src, extra):
     f = parse_expr(src)
-    radii = radial_grid(2.2, 38.0, 18) + extra
+    radii = radial_grid(2.2, 38.0, 40) + extra
     # more radii than one batch admits, so some join while others refine
     assert 64 * len(radii) > 2 * _BATCH_OPEN_INTERVALS
     got = proximity(f, radii)
@@ -160,6 +161,27 @@ def test_batched_proximity_keeps_failures_in_their_rows():
         _assert_same(_alone(f, r, 1e-30), g)
         assert str(g) == "quadrature interval budget exhausted"
         assert g.achieved > 0
+
+
+# tracemalloc peaks of the batched call over radial_grid(2, 40, 512), in
+# bytes, measured before the quadrature took one ln|num/den| program per
+# quotient and halved its intervals without copies; the batch cap was raised
+# on the memory that freed, so it must not raise the peak again
+@pytest.mark.parametrize("src, former_peak", [
+    ("tan(z)^3*(z - 1)", 1_728_213),
+    ("sin(z)^3", 1_879_301),
+])
+def test_batched_proximity_peaks_no_higher_than_before(src, former_peak):
+    f = parse_expr(src)
+    radii = radial_grid(2, 40, 512)
+    proximity(f, radii[:1])     # compile outside the traced call
+    tracemalloc.start()
+    try:
+        proximity(f, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= former_peak
 
 
 def test_one_radius_gives_a_float_and_a_sequence_a_list():
