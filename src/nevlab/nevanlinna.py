@@ -230,8 +230,7 @@ def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
             admitted += 1
         m = len(row)
         halves, bad = _sample(ln_f, state, rs[row], rs[new])
-        poles = set(row[bad[:m] | bad[m:2 * m]].tolist()) \
-            if bad[:2 * m].any() else ()
+        poles = set(row[bad[:m] | bad[m:2 * m]].tolist())
         start_poles = bad[2 * m:].reshape(len(new), 3 * _N0).any(axis=1)
 
         ge, done = _estimates(halves, state, tol)
@@ -252,7 +251,7 @@ def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
                     gain, err_done = ge_done[:, p:q].sum(axis=1).tolist()
                     total[i] += gain
                     err_sum[i] += err_done
-                else:
+                else:    # as the empty sum would: -0.0 + 0.0 is 0.0
                     total[i] += 0.0
                     err_sum[i] += 0.0
                 k = size - (q - p)
