@@ -234,8 +234,8 @@ def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
         start_poles = bad[2 * m:].reshape(len(new), 3 * _N0).any(axis=1)
 
         ge, done = _estimates(halves, state, tol)
-        err = ge[1]
         keep = ~done
+        # finished intervals up to the end of each radius's slice
         fin_ends = np.cumsum(done)[np.cumsum(sizes, dtype=np.intp) - 1]
         ge_done = ge.compress(done, axis=1)   # C order: rows sum pairwise
         del state    # before the next state is allocated
@@ -260,7 +260,8 @@ def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
                 if seen[i] > _SIMPSON_MAX_INTERVALS:
                     out[i] = QuadratureError(
                         "quadrature interval budget exhausted",
-                        achieved=err_sum[i] + float(err[s:e][keep[s:e]].sum()))
+                        achieved=err_sum[i]
+                        + float(ge[1, s:e][keep[s:e]].sum()))
                 elif rounds[i] == _SIMPSON_MAX_ROUNDS:
                     out[i] = QuadratureError(
                         "quadrature refinement did not converge",
@@ -275,7 +276,7 @@ def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
             s, p = e, q
         # This round's arrays go before the next evaluation, which is where
         # memory peaks.
-        del ge, ge_done, err
+        del ge, ge_done
 
         new_ok = []
         for i, pole in zip(new, start_poles):
