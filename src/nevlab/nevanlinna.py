@@ -169,7 +169,6 @@ _LO0, _HI0 = _EDGES[:-1], _EDGES[1:]
 _MID0 = 0.5 * (_LO0 + _HI0)
 _START = np.concatenate([_LO0, _MID0, _HI0])   # a new radius's first points
 _UNIT_START = np.exp(1j * _START)
-_FIRST = np.array([_LO0, _MID0, _HI0])[:, None, :]
 _W0 = (_HI0 - _LO0) / 6.0
 
 
@@ -214,9 +213,12 @@ def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
     seen = [_N0] * n
     rounds = [0] * n
 
-    # open intervals, one column each: lo, mid, hi, g(lo), g(mid), g(hi) and
-    # the Simpson estimate on [lo, hi]; row is the radius of each column
-    state = np.empty((7, 0))
+    # open intervals, one column each of the seven rows lo, mid, hi, g(lo),
+    # g(mid), g(hi) and the Simpson estimate on [lo, hi]; row is the radius
+    # of each column.  Each row is its own array: small allocations reuse
+    # memory that earlier work freed, where one 7-row block raised a nev
+    # job's resident high-water mark by up to 0.8 MB at this batch size.
+    state = [np.empty(0)] * 7
     row = np.empty(0, dtype=np.intp)
     active: list[int] = []   # radii with open intervals, in row order
     sizes: list[int] = []    # their open interval counts
@@ -293,16 +295,20 @@ def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
 
 
 def _sample(ln_f, state, rr, new_rs):
-    """One ln_f call on the quarter points lm, rm of every open interval (of
-    radius rr) and on the starting lo, mid and hi points of each new radius.
+    """One ln_f call on the quarter points lm, rm of every open interval
+    (rr holds its radius) and on the starting lo, mid and hi points of each
+    new radius (new_rs).
 
-    Returns (halves, bad).  halves[:, 0, :m] and halves[:, 1, :m] are the
-    left and right halves of the m open intervals, laid out as the rows of
-    state, with their Simpson estimates still to be written to row 6;
-    halves[3:6, 0, m:] holds the starting values, radius by radius.  bad
-    flags the points where the positive part of ln_f is not finite."""
+    Returns (halves, bad).  halves[k] is a 2 x width array: its row 0 holds
+    row k of state for the left halves of the m open intervals in columns
+    :m, its row 1 the same for the right halves, and the Simpson estimates
+    (k = 6) are still to be written.  Columns m: of halves[3:6] row 0 hold
+    the starting values, radius by radius.  bad flags the points where the
+    positive part of ln_f is not finite."""
     m = rr.size
-    quarter = np.add(state[0:2], state[1:3])
+    quarter = np.empty((2, m))
+    np.add(state[0], state[1], out=quarter[0])
+    np.add(state[1], state[2], out=quarter[1])
     quarter *= 0.5
     z = np.empty(2 * m + 3 * _N0 * new_rs.size, dtype=complex)
     zq = z[:2 * m].reshape(2, m)
@@ -316,13 +322,15 @@ def _sample(ln_f, state, rr, new_rs):
     # num == 0 gives -inf, harmless under the positive part; a pole or an
     # inf - inf collision is a real failure.
     np.maximum(vals, 0.0, out=vals)
-    halves = np.empty((7, 2, m + _N0 * new_rs.size))
-    halves[0, :, :m], halves[1, :, :m], halves[2, :, :m] = \
-        state[0:2], quarter, state[1:3]
-    halves[3, :, :m], halves[5, :, :m] = state[3:5], state[4:6]
-    halves[4, :, :m] = vals[:2 * m].reshape(2, m)
-    halves[3:6, 0, m:] = vals[2 * m:].reshape(new_rs.size, 3, _N0) \
-        .transpose(1, 0, 2).reshape(3, -1)
+    halves = [np.empty((2, m + _N0 * new_rs.size)) for _ in range(7)]
+    halves[1][:, :m] = quarter
+    halves[4][:, :m] = vals[:2 * m].reshape(2, m)
+    for k, (a, b) in ((0, (0, 1)), (2, (1, 2)), (3, (3, 4)), (5, (4, 5))):
+        halves[k][0, :m] = state[a]
+        halves[k][1, :m] = state[b]
+    starts = vals[2 * m:].reshape(new_rs.size, 3, _N0)
+    for k in range(3):
+        halves[3 + k][0, m:] = starts[:, k].reshape(-1)
     return halves, ~np.isfinite(vals)
 
 
@@ -331,12 +339,12 @@ def _estimates(halves, state, tol):
     halves[6].  Returns the gain and the error of each interval as two rows,
     so that one call sums a radius's finished intervals, and the mask of
     the intervals that meet tol."""
-    m = state.shape[1]
+    m = state[0].size
     h = state[2] - state[0]
-    simpson = halves[6, :, :m]
-    np.multiply(halves[4, :, :m], 4.0, out=simpson)
-    simpson += halves[3, :, :m]
-    simpson += halves[5, :, :m]
+    simpson = halves[6][:, :m]
+    np.multiply(halves[4][:, :m], 4.0, out=simpson)
+    simpson += halves[3][:, :m]
+    simpson += halves[5][:, :m]
     simpson *= h / 12.0
     ge = np.empty((2, m))
     np.add(simpson[0], simpson[1], out=ge[0])
@@ -355,7 +363,7 @@ def _next_intervals(halves, keep, still_sizes, start_ok):
     The j-th kept column of a radius with k kept columns, of which c lie in
     earlier radii, goes to c + j and c + j + k."""
     m = keep.size
-    width = halves.shape[2]
+    width = halves[0].shape[1]
     kept = np.flatnonzero(keep)
     counts = np.array(still_sizes, dtype=np.intp) // 2
     left = np.arange(kept.size) + np.repeat(np.cumsum(counts) - counts,
@@ -363,20 +371,21 @@ def _next_intervals(halves, keep, still_sizes, start_ok):
     source = np.empty(2 * kept.size, dtype=np.intp)
     source[left] = kept
     source[left + np.repeat(counts, counts)] = kept + width
-    starts = halves[3:6, 0, m:].reshape(3, -1, _N0)[:, start_ok]
     k2 = source.size
-    state = np.empty((7, k2 + starts.shape[1] * _N0))
-    # "clip" lets take write straight into the view (indices are in range)
-    np.take(halves.reshape(7, 2 * width), source, axis=1, mode="clip",
-            out=state[:, :k2])
-    first = state[:, k2:].reshape(7, -1, _N0)
-    first[:3] = _FIRST
-    first[3:6] = starts
-    f0, f1, f2 = starts
-    np.multiply(f1, 4.0, out=first[6])
-    first[6] += f0
-    first[6] += f2
-    first[6] *= _W0
+    new = int(np.count_nonzero(start_ok))
+    state = [np.empty(k2 + _N0 * new) for _ in range(7)]
+    for half, row in zip(halves, state):
+        # "clip" lets take write straight into the view (indices are in range)
+        np.take(half.reshape(-1), source, mode="clip", out=row[:k2])
+    for k, edge in enumerate((_LO0, _MID0, _HI0)):
+        state[k][k2:].reshape(new, _N0)[:] = edge
+        state[3 + k][k2:] = \
+            halves[3 + k][0, m:].reshape(-1, _N0)[start_ok].reshape(-1)
+    f0, f1, f2, first = (state[k][k2:] for k in (3, 4, 5, 6))
+    np.multiply(f1, 4.0, out=first)
+    first += f0
+    first += f2
+    first.reshape(new, _N0)[:] *= _W0
     return state
 
 
