@@ -372,20 +372,20 @@ def _next_intervals(halves, keep, still_sizes, start_ok):
     source[left] = kept
     source[left + np.repeat(counts, counts)] = kept + width
     k2 = source.size
-    new = int(np.count_nonzero(start_ok))
-    state = [np.empty(k2 + _N0 * new) for _ in range(7)]
-    for half, row in zip(halves, state):
+    fresh = int(np.count_nonzero(start_ok))
+    state = [np.empty(k2 + _N0 * fresh) for _ in range(7)]
+    for half, dest in zip(halves, state):
         # "clip" lets take write straight into the view (indices are in range)
-        np.take(half.reshape(-1), source, mode="clip", out=row[:k2])
+        np.take(half.reshape(-1), source, mode="clip", out=dest[:k2])
     for k, edge in enumerate((_LO0, _MID0, _HI0)):
-        state[k][k2:].reshape(new, _N0)[:] = edge
+        state[k][k2:].reshape(fresh, _N0)[:] = edge
         state[3 + k][k2:] = \
             halves[3 + k][0, m:].reshape(-1, _N0)[start_ok].reshape(-1)
     f0, f1, f2, first = (state[k][k2:] for k in (3, 4, 5, 6))
     np.multiply(f1, 4.0, out=first)
     first += f0
     first += f2
-    first.reshape(new, _N0)[:] *= _W0
+    first.reshape(fresh, _N0)[:] *= _W0
     return state
 
 
