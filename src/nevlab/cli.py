@@ -47,15 +47,6 @@ _MONOMIAL_KEYS = {"coeff", "exponents"}
 _CHECK_KEYS = {"id", "params"}
 _TOL_KEYS = {"epsilon", "eq_tolerance", "quadrature_tol"}
 
-# Parameters each check accepts; anything else in params is rejected.
-_CHECK_PARAMS = {
-    "thm_a": set(), "thm_b": {"k"}, "thm_c": {"n", "p", "k", "alpha", "a"},
-    "thm_d": {"l", "n", "k"}, "thm_e": set(), "thm_f": set(), "thm_g": set(),
-    "thm_1": set(), "thm_2": set(), "thm_3": set(),
-    "lem_31": set(), "lem_32": {"k"}, "lem_33": {"b"}, "lem_35": {"b"},
-    "lem_36": set(),
-}
-
 
 class SpecError(Exception):
     """The run spec file is malformed or fails validation."""
@@ -146,19 +137,30 @@ def _parse_checks(raw) -> list[tuple[str, dict]]:
             raise SpecError(f"check #{i} must be a string or an object")
         if cid not in CHECKS:
             raise SpecError(f"unknown check id '{cid}'")
-        _reject_unknown(params, _CHECK_PARAMS[cid], f"params of '{cid}'")
+        _reject_unknown(params, {p.name for p in CHECKS[cid].params},
+                        f"params of '{cid}'")
         out.append((cid, dict(params)))
     return out
+
+
+def _finite(text: str) -> float:
+    """A JSON float that must be finite: NaN fails every comparison and
+    Infinity (or a literal such as 1e400) passes every bound, so the checks
+    below would let both through."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"number {text} is not finite")
+    return x
 
 
 def load_spec(path: str, command: str) -> RunSpec:
     """Read and validate a run spec for the given subcommand."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         raise SpecError(f"cannot read spec: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SpecError(f"spec is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise SpecError("spec must be a JSON object")

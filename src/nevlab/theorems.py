@@ -145,6 +145,50 @@ class EvalContext:
 
 
 # ---------------------------------------------------------------------------
+# check parameters
+
+@dataclass(frozen=True)
+class _Int:
+    """An integer parameter that must be at least `least`.  A float with an
+    integral value counts; NaN and the infinities do not."""
+    name: str
+    default: int
+    least: int
+
+    def read(self, params: dict) -> tuple[int, list[str]]:
+        v = params.get(self.name, self.default)
+        if isinstance(v, bool) or not (
+                isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+            raise ValueError(f"parameter '{self.name}' must be an integer")
+        v = int(v)
+        if v < self.least:
+            return v, [f"needs {self.name} >= {self.least} (got {v})"]
+        return v, []
+
+
+@dataclass(frozen=True)
+class _Rational:
+    """A rational function of z that must not vanish identically."""
+    name: str
+    default: object = 1
+
+    def read(self, params: dict) -> tuple[Expr, list[str]]:
+        v = params.get(self.name, self.default)
+        if isinstance(v, str):
+            v = parse_expr(v)
+        elif isinstance(v, (int, float, complex)):
+            v = Const(v)
+        elif not isinstance(v, Expr):
+            raise ValueError(
+                f"{self.name} must be an expression, string or number")
+        if contains_exponential(v):
+            return v, [f"{self.name} must be a rational function"]
+        if is_identically_zero(v) is ZeroVerdict.ZERO:
+            return v, [f"{self.name} must not vanish identically"]
+        return v, []
+
+
+# ---------------------------------------------------------------------------
 # check plans
 
 @dataclass
@@ -156,130 +200,30 @@ class _Plan:
     equality: bool = False
 
 
-def _coerce_expr(value, what: str) -> Expr:
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, str):
-        return parse_expr(value)
-    if isinstance(value, (int, float, complex)):
-        return Const(value)
-    raise ValueError(f"{what} must be an expression, string or number")
+# --- thresholds T(r, f) <= c N(r, 1; P(f)) --------------------------------
+
+def _top(q0: int, k: int, qk: int) -> tuple[int, ...]:
+    """Exponents of f^q0 (f^(k))^qk."""
+    return (q0,) + (0,) * (k - 1) + (qk,)
 
 
-def _coerce_int(params: dict, name: str, default: int | None = None) -> int:
-    v = params.get(name, default)
-    if v is None:
-        raise ValueError(f"parameter '{name}' is required")
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != int(v):
-        raise ValueError(f"parameter '{name}' must be an integer")
-    return int(v)
-
-
-def _rational_param(params: dict, name: str, default) -> tuple[Expr, list[str]]:
-    e = _coerce_expr(params.get(name, default), name)
-    out = []
-    if contains_exponential(e):
-        out.append(f"{name} must be a rational function")
-    elif is_identically_zero(e) is ZeroVerdict.ZERO:
-        out.append(f"{name} must not vanish identically")
-    return e, out
-
-
-def _f_char_row(constant: float, mode: CountingMode, target_name: str):
-    def row(rt, D, ctx):
-        T = ctx.char_from(ctx.f, D["f"][1], rt)
-        rhs = constant * counting(D[target_name][0], rt, mode)
-        return T, rhs, T
-    return row
-
-
-def _threshold_plan(ctx, applied: Expr, constant: float, mode: CountingMode,
-                    stats: dict) -> _Plan:
-    shifted = sub(applied, ONE)
-    requests = {"f": ctx.f, "target": shifted}
-    stats = dict(stats, constant=constant)
-    return _Plan(requests, _f_char_row(constant, mode, "target"), stats,
-                 vacuity=applied)
-
-
-# --- Hayman-type checks on fixed monomials ---------------------------------
-
-def _plan_thm_a(ctx, poly, params):
-    P = DiffPolynomial.from_exponents((1, (2, 1)))
-    return [], _threshold_plan(ctx, P.apply(ctx.f), 6.0, _FULL, {})
-
-
-def _plan_thm_b(ctx, poly, params):
-    k = _coerce_int(params, "k", 2)
-    violations = [] if k >= 1 else [f"needs k >= 1 (got {k})"]
-    if violations:
-        return violations, None
-    P = DiffPolynomial.from_exponents((1, (2,) + (0,) * (k - 1) + (1,)))
-    return [], _threshold_plan(ctx, P.apply(ctx.f), 6.0, _FULL, {"k": k})
-
-
-def _plan_thm_c(ctx, poly, params):
-    n = _coerce_int(params, "n", 1)
-    p = _coerce_int(params, "p", 1)
-    k = _coerce_int(params, "k", 1)
-    violations = []
-    if n < 0:
-        violations.append(f"needs n >= 0 (got {n})")
-    for name, v in (("p", p), ("k", k)):
-        if v < 1:
-            violations.append(f"needs {name} >= 1 (got {v})")
-    alpha, more = _rational_param(params, "alpha", 1)
-    violations += more
-    a, more = _rational_param(params, "a", 1)
-    violations += more
-    if violations:
-        return violations, None
-    mono = DiffMonomial(alpha, (n,) + (0,) * (k - 1) + (p,))
-    P = DiffPolynomial((mono,))
-    psi = P.apply(ctx.f)
-    requests = {"f": ctx.f, "psi_a": sub(psi, a)}
-    cap = CountingMode.capped(k)
-
-    def row(rt, D, ctx):
-        T = ctx.char_from(ctx.f, D["f"][1], rt)
-        zf, pf = D["f"]
-        rhs = (counting(pf, rt, _RED) + counting(zf, rt, _RED)
-               + p * counting(zf, rt, cap)
-               + counting(D["psi_a"][0], rt, _RED))
-        return (p + n) * T, rhs, T
-    return [], _Plan(requests, row, {"n": n, "p": p, "k": k}, vacuity=psi)
-
-
-def _plan_thm_d(ctx, poly, params):
-    l = _coerce_int(params, "l", 3)
-    n = _coerce_int(params, "n", 1)
-    k = _coerce_int(params, "k", 1)
-    violations = []
-    if l < 3:
-        violations.append(f"needs l >= 3 (got {l})")
-    if n < 1:
-        violations.append(f"needs n >= 1 (got {n})")
-    if k < 1:
-        violations.append(f"needs k >= 1 (got {k})")
-    if violations:
-        return violations, None
-    P = DiffPolynomial.from_exponents((1, (l,) + (0,) * (k - 1) + (n,)))
-    return [], _threshold_plan(ctx, P.apply(ctx.f), 1.0 / (l - 2), _RED,
-                               {"l": l, "n": n, "k": k})
-
-
-# --- general differential polynomial checks --------------------------------
-
-def _plan_poly_threshold(check_id: str, mode: CountingMode, constant_of):
+def _threshold(mode: CountingMode, constant_of, exponents=None):
+    """T(r, f) <= c N(r, 1; P(f)), c = constant_of(stats, P).  A check on a
+    fixed monomial passes `exponents(params)` and reports its parameters;
+    one on the spec's polynomial reports the polynomial's statistics."""
     def build(ctx, poly, params):
-        violations = validate_hypotheses(poly, check_id)
-        if violations:
-            return violations, None
+        if exponents is not None:
+            poly = DiffPolynomial.from_exponents((1, exponents(params)))
         s = poly.stats()
-        constant = constant_of(s, poly)
-        stats = dict(s.to_dict(), constant=constant)
-        return [], _threshold_plan(ctx, poly.apply(ctx.f), constant, mode,
-                                   stats)
+        c = constant_of(s, poly)
+        stats = dict(params if exponents else s.to_dict(), constant=c)
+        applied = poly.apply(ctx.f)
+
+        def row(rt, D, ctx):
+            T = ctx.char_from(ctx.f, D["f"][1], rt)
+            return T, c * counting(D["target"][0], rt, mode), T
+        return _Plan({"f": ctx.f, "target": sub(applied, ONE)}, row, stats,
+                     vacuity=applied)
     return build
 
 
@@ -302,6 +246,25 @@ def _const_thm_g(s, poly):
     return 1.0 / (s.max_degree - s.weight_excess - 4 + q0)
 
 
+# --- a value a of alpha f^n (f^(k))^p -------------------------------------
+
+def _plan_thm_c(ctx, poly, params):
+    n, p, k = params["n"], params["p"], params["k"]
+    mono = DiffMonomial(params["alpha"], _top(n, k, p))
+    psi = DiffPolynomial((mono,)).apply(ctx.f)
+    requests = {"f": ctx.f, "psi_a": sub(psi, params["a"])}
+    cap = CountingMode.capped(k)
+
+    def row(rt, D, ctx):
+        T = ctx.char_from(ctx.f, D["f"][1], rt)
+        zf, pf = D["f"]
+        rhs = (counting(pf, rt, _RED) + counting(zf, rt, _RED)
+               + p * counting(zf, rt, cap)
+               + counting(D["psi_a"][0], rt, _RED))
+        return (p + n) * T, rhs, T
+    return _Plan(requests, row, {"n": n, "p": p, "k": k}, vacuity=psi)
+
+
 # --- lemma checks ----------------------------------------------------------
 
 def _plan_lem_31(ctx, poly, params):
@@ -317,13 +280,11 @@ def _plan_lem_31(ctx, poly, params):
                - counting(D["gp"][0], rt, _FULL))
         T = ctx.char_from(g, D["g"][1], rt)
         return lhs, rhs, T
-    return [], _Plan(requests, row, {}, equality=True)
+    return _Plan(requests, row, {}, equality=True)
 
 
 def _plan_lem_32(ctx, poly, params):
-    k = _coerce_int(params, "k", 2)
-    if k < 1:
-        return [f"needs k >= 1 (got {k})"], None
+    k = params["k"]
     fk = derivative_chain(ctx.f, k)[k]
     requests = {"f": ctx.f, "fk": fk}
 
@@ -332,20 +293,22 @@ def _plan_lem_32(ctx, poly, params):
         rhs = counting(D["fk"][0], rt, _FULL)
         T = ctx.char_from(ctx.f, D["f"][1], rt)
         return lhs, rhs, T
-    return [], _Plan(requests, row, {"k": k})
+    return _Plan(requests, row, {"k": k})
+
+
+def _scaled(b: Expr, applied: Expr) -> Expr:
+    """b P(f); P(f) itself when b is the constant 1."""
+    if isinstance(b, Const) and b.value == 1:
+        return applied
+    return mul(b, applied)
 
 
 def _plan_lem_33(ctx, poly, params):
-    violations = validate_hypotheses(poly, "lem_33")
-    b, more = _rational_param(params, "b", 1)
-    violations += more
-    if violations:
-        return violations, None
+    b = params["b"]
     s = poly.stats()
     growth = s.max_degree + s.weight_excess
     applied = poly.apply(ctx.f)
-    bp = mul(b, applied) if not (isinstance(b, Const) and b.value == 1) \
-        else applied
+    bp = _scaled(b, applied)
     requests = {"f": ctx.f, "bp": bp}
     b_const = isinstance(b, Const)
     if not b_const:
@@ -357,22 +320,15 @@ def _plan_lem_33(ctx, poly, params):
         Tb = max(0.0, math.log(abs(b.value))) if b_const \
             else ctx.char_from(b, D["b"][1], rt)
         return lhs, growth * T + Tb, T
-    return [], _Plan(requests, row,
-                     dict(s.to_dict(), growth_constant=growth),
-                     vacuity=applied)
+    return _Plan(requests, row, dict(s.to_dict(), growth_constant=growth),
+                 vacuity=applied)
 
 
 def _plan_lem_35(ctx, poly, params):
-    violations = validate_hypotheses(poly, "lem_35")
-    b, more = _rational_param(params, "b", 1)
-    violations += more
-    if violations:
-        return violations, None
     s = poly.stats()
     d = s.max_degree
     applied = poly.apply(ctx.f)
-    bp = mul(b, applied) if not (isinstance(b, Const) and b.value == 1) \
-        else applied
+    bp = _scaled(params["b"], applied)
     dbp = differentiate(bp)
     requests = {"f": ctx.f, "bpm1": sub(bp, ONE), "dbp": dbp}
 
@@ -383,13 +339,10 @@ def _plan_lem_35(ctx, poly, params):
                + counting(D["bpm1"][0], rt, _FULL)
                - counting(D["dbp"][0], rt, _FULL))
         return d * T, rhs, T
-    return [], _Plan(requests, row, dict(s.to_dict()), vacuity=applied)
+    return _Plan(requests, row, dict(s.to_dict()), vacuity=applied)
 
 
 def _plan_lem_36(ctx, poly, params):
-    violations = validate_hypotheses(poly, "lem_36")
-    if violations:
-        return violations, None
     s = poly.stats()
     d, nu, qstar, k = (s.max_degree, s.weight_excess, s.min_base_power,
                        s.order)
@@ -409,7 +362,7 @@ def _plan_lem_36(ctx, poly, params):
                + counting(D["pm1"][0], rt, _RED)
                - counting(extra, rt, _FULL))
         return d * T, rhs, T
-    return [], _Plan(requests, row, dict(s.to_dict()), vacuity=applied)
+    return _Plan(requests, row, dict(s.to_dict()), vacuity=applied)
 
 
 # ---------------------------------------------------------------------------
@@ -417,34 +370,46 @@ def _plan_lem_36(ctx, poly, params):
 
 @dataclass(frozen=True)
 class _CheckSpec:
-    builder: Callable
+    """plan(ctx, polynomial, {name: value}) builds the check once its
+    hypotheses (`needs_poly`: on the spec's polynomial) and its params,
+    read in order, gave no violation."""
+    plan: Callable
+    params: tuple
     needs_poly: bool
-    equality: bool = False
 
 
+def _six(s, poly):
+    return 6.0
+
+
+# The one declaration of every check: its plan, its parameters with their
+# defaults and bounds, and whether it runs on the spec's polynomial.
 CHECKS = {
-    "thm_a": _CheckSpec(_plan_thm_a, False),
-    "thm_b": _CheckSpec(_plan_thm_b, False),
-    "thm_c": _CheckSpec(_plan_thm_c, False),
-    "thm_d": _CheckSpec(_plan_thm_d, False),
-    "thm_e": _CheckSpec(_plan_poly_threshold(
-        "thm_e", _FULL, lambda s, p: 1.0 / (p.monomials[0].exponent(0) - 1)),
-        True),
-    "thm_f": _CheckSpec(_plan_poly_threshold("thm_f", _RED, _const_thm_2),
-                        True),
-    "thm_g": _CheckSpec(_plan_poly_threshold("thm_g", _RED, _const_thm_g),
-                        True),
-    "thm_1": _CheckSpec(_plan_poly_threshold("thm_1", _FULL, _const_thm_1),
-                        True),
-    "thm_2": _CheckSpec(_plan_poly_threshold("thm_2", _RED, _const_thm_2),
-                        True),
-    "thm_3": _CheckSpec(_plan_poly_threshold("thm_3", _RED, _const_thm_3),
-                        True),
-    "lem_31": _CheckSpec(_plan_lem_31, False, equality=True),
-    "lem_32": _CheckSpec(_plan_lem_32, False),
-    "lem_33": _CheckSpec(_plan_lem_33, True),
-    "lem_35": _CheckSpec(_plan_lem_35, True),
-    "lem_36": _CheckSpec(_plan_lem_36, True),
+    "thm_a": _CheckSpec(_threshold(_FULL, _six, lambda p: _top(2, 1, 1)),
+                        (), False),
+    "thm_b": _CheckSpec(_threshold(_FULL, _six,
+                                   lambda p: _top(2, p["k"], 1)),
+                        (_Int("k", 2, 1),), False),
+    "thm_c": _CheckSpec(_plan_thm_c,
+                        (_Int("n", 1, 0), _Int("p", 1, 1), _Int("k", 1, 1),
+                         _Rational("alpha"), _Rational("a")), False),
+    "thm_d": _CheckSpec(_threshold(
+        _RED, lambda s, poly: 1 / (s.min_base_power - 2),
+        lambda p: _top(p["l"], p["k"], p["n"])),
+        (_Int("l", 3, 3), _Int("n", 1, 1), _Int("k", 1, 1)), False),
+    "thm_e": _CheckSpec(_threshold(
+        _FULL, lambda s, poly: 1.0 / (poly.monomials[0].exponent(0) - 1)),
+        (), True),
+    "thm_f": _CheckSpec(_threshold(_RED, _const_thm_2), (), True),
+    "thm_g": _CheckSpec(_threshold(_RED, _const_thm_g), (), True),
+    "thm_1": _CheckSpec(_threshold(_FULL, _const_thm_1), (), True),
+    "thm_2": _CheckSpec(_threshold(_RED, _const_thm_2), (), True),
+    "thm_3": _CheckSpec(_threshold(_RED, _const_thm_3), (), True),
+    "lem_31": _CheckSpec(_plan_lem_31, (), False),
+    "lem_32": _CheckSpec(_plan_lem_32, (_Int("k", 2, 1),), False),
+    "lem_33": _CheckSpec(_plan_lem_33, (_Rational("b"),), True),
+    "lem_35": _CheckSpec(_plan_lem_35, (_Rational("b"),), True),
+    "lem_36": _CheckSpec(_plan_lem_36, (), True),
 }
 
 
@@ -546,9 +511,14 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
     elif kind is Constancy.UNKNOWN:
         violations.append("function is constant on all probe points")
 
-    built = spec.builder(ctx, polynomial, dict(params or {}))
-    violations += built[0]
-    plan = built[1]
+    found = validate_hypotheses(polynomial, check_id) \
+        if spec.needs_poly else []
+    values = {}
+    for param in spec.params:
+        values[param.name], more = param.read(params or {})
+        found += more
+    plan = None if found else spec.plan(ctx, polynomial, values)
+    violations += found
     if violations:
         stats = plan.stats if plan is not None else None
         return CheckReport(check_id, "hypothesis_violation",

@@ -211,6 +211,16 @@ def test_exit_numerical_budget(tmp_path):
     (lambda s: s.update(tolerances={"epsilon": -1}), "negative tolerance"),
     (lambda s: s.update(seed="abc"), "non-integer seed"),
     (lambda s: s.pop("function"), "function missing"),
+    (lambda s: s.update(tolerances={"epsilon": math.inf}),
+     "infinite tolerance"),
+    (lambda s: s.update(tolerances={"epsilon": math.nan}), "NaN tolerance"),
+    (lambda s: s.update(tolerances={"quadrature_tol": math.nan}),
+     "NaN quadrature tolerance"),
+    (lambda s: s.update(checks=[{"id": "thm_b", "params": {"k": math.inf}}]),
+     "infinite check parameter"),
+    (lambda s: s["radii"].update(stop=math.inf), "infinite radius"),
+    (lambda s: s.update(tolerances={"eq_tolerance": math.inf}),
+     "infinite identity tolerance"),
 ])
 def test_spec_validation_failures(tmp_path, mutate, reason):
     spec = json.loads(json.dumps(CHECK_SPEC))
@@ -226,6 +236,14 @@ def test_malformed_json_and_missing_file(tmp_path):
     assert run(["check", "--spec", bad, "--out", tmp_path / "o.json"]) == 3
     assert run(["check", "--spec", tmp_path / "absent.json",
                 "--out", tmp_path / "o.json"]) == 3
+
+
+def test_overflowing_number_literal_is_a_spec_error(tmp_path):
+    """1e400 is valid JSON text but no finite float."""
+    text = json.dumps(CHECK_SPEC).replace('"stop": 20', '"stop": 1e400')
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run(["check", "--spec", path, "--out", tmp_path / "o.json"]) == 3
 
 
 def test_param_type_error_is_a_spec_error(tmp_path):

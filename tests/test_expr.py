@@ -234,8 +234,9 @@ def test_outputs_are_not_clobbered_on_arrays():
                                complex(5e-324, -0.0)])
 def test_constants_reach_the_generated_code_bit_for_bit(c):
     """A constant enters as a parameter default, not as program text, so
-    its sign bits and last digits survive.  The program is lowered afresh:
-    the caches key constants by equality, and 0.0 == -0.0."""
+    its sign bits and last digits survive.  The program is lowered afresh,
+    past the cache, so this lowering is tested, not one an earlier call
+    left behind."""
     run = _lower.__wrapped__((Const(c), mul(Const(c), Z))).straight
     for z, exp in ((np.complex128(0.5), np.exp), (0.5 + 0j, cmath.exp)):
         value, product = run(z, exp)

@@ -80,6 +80,21 @@ def test_monomial_check_specialises_the_general_one():
         assert a.rhs == pytest.approx(b.rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("src", ["exp(z)", "tan(z)"])
+def test_fixed_monomial_check_is_an_instance_of_the_threshold(src):
+    """thm_d at l=3, n=1, k=1 is thm_f on P = f^3 f': the same requests,
+    the same reduced counting and the same constant 1/(l-2) = 1/(d-nu-2),
+    so the same rows to the bit."""
+    f = parse_expr(src)
+    fixed = run_check("thm_d", f, params={"l": 3, "n": 1, "k": 1},
+                      radii=GRID)
+    general = run_check("thm_f", f, DiffPolynomial.from_exponents((1, (3, 1))),
+                        radii=GRID)
+    assert fixed.verdict == general.verdict
+    assert fixed.stats["constant"] == general.stats["constant"] == 1.0
+    assert [repr(w) for w in fixed.rows] == [repr(w) for w in general.rows]
+
+
 def test_reduced_counting_pair_specialises_too():
     poly = DiffPolynomial.from_exponents((1, (6, 1, 0, 1)))
     ctx = EvalContext(EZ, GRID)
@@ -121,6 +136,8 @@ def test_dispatch_validation():
                   DiffPolynomial.from_exponents((1, (2, 1))), radii=GRID)
     with pytest.raises(ValueError):
         run_check("thm_b", EZ, params={"k": 2.5}, radii=GRID)
+    with pytest.raises(ValueError):
+        run_check("thm_b", EZ, params={"k": math.inf}, radii=GRID)
 
 
 def test_row_floor_propagates():
@@ -131,6 +148,44 @@ def test_row_floor_propagates():
 def test_nonpositive_order_is_a_violation():
     rep = run_check("thm_b", EZ, params={"k": 0}, radii=GRID)
     assert rep.verdict == "hypothesis_violation"
+
+
+def test_declared_parameter_defaults_and_bounds():
+    declared = {cid: [(p.name, p.default, getattr(p, "least", None))
+                      for p in spec.params]
+                for cid, spec in theorems.CHECKS.items() if spec.params}
+    assert declared == {
+        "thm_b": [("k", 2, 1)],
+        "thm_c": [("n", 1, 0), ("p", 1, 1), ("k", 1, 1), ("alpha", 1, None),
+                  ("a", 1, None)],
+        "thm_d": [("l", 3, 3), ("n", 1, 1), ("k", 1, 1)],
+        "lem_32": [("k", 2, 1)],
+        "lem_33": [("b", 1, None)],
+        "lem_35": [("b", 1, None)],
+    }
+
+
+@pytest.mark.parametrize("cid,param", [
+    (cid, p) for cid, spec in theorems.CHECKS.items() for p in spec.params
+    if isinstance(p, theorems._Int)], ids=lambda v: getattr(v, "name", v))
+def test_integer_below_its_bound_is_a_violation(cid, param):
+    got = param.least - 1
+    rep = run_check(cid, EZ, params={param.name: got}, radii=GRID)
+    assert rep.verdict == "hypothesis_violation"
+    assert rep.violations == (
+        f"needs {param.name} >= {param.least} (got {got})",)
+    assert rep.rows == () and rep.stats is None
+
+
+def test_every_parameter_violation_is_reported_in_declared_order():
+    rep = run_check("thm_c", EZ, params={"n": -1, "p": 0, "k": 0,
+                                         "alpha": "exp(z)", "a": 0},
+                    radii=GRID)
+    assert rep.verdict == "hypothesis_violation"
+    assert rep.violations == (
+        "needs n >= 0 (got -1)", "needs p >= 1 (got 0)",
+        "needs k >= 1 (got 0)", "alpha must be a rational function",
+        "a must not vanish identically")
 
 
 def test_exponential_weight_parameter_rejected():
