@@ -2,17 +2,18 @@
 characteristic.
 
 Counting functions are exact sums over located divisors.  The proximity mean
-is an adaptive Simpson quadrature of max(0, log|f|) over a circle, evaluated
-through the quotient form so that poles on the circle show up as explicit
-failures instead of silent garbage.  Log magnitudes are computed structurally
-(powers and exponentials contribute p*log|base| and Re(arg) directly), which
-keeps quantities like a 31st power of a trigonometric factor at radius 40
-inside floating-point range.
+is a Gauss-Legendre quadrature of max(0, log|f|) over a circle, on the pieces
+between its kinks, evaluated through the quotient form so that poles on the
+circle show up as explicit failures instead of silent garbage.  Log
+magnitudes are computed structurally (powers and exponentials contribute
+p*log|base| and Re(arg) directly), which keeps quantities like a 31st power
+of a trigonometric factor at radius 40 inside floating-point range.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -153,23 +154,43 @@ def compile_log_abs(e: Expr):
 
 
 # ---------------------------------------------------------------------------
-# proximity by adaptive Simpson quadrature
+# proximity by Gauss-Legendre quadrature between the kinks of log+|f|
 
 _POLE_MESSAGE = "log|f| not finite on the circle (pole on or near the ring?)"
 
-_SIMPSON_MAX_ROUNDS = 64
-_SIMPSON_MAX_INTERVALS = 200000
-# Radii join a batch while fewer intervals than this are open, which bounds
-# the arrays in flight however many radii are asked for.
-_BATCH_OPEN_INTERVALS = 1024
+_SAMPLES = 128                       # angles sampled to find the kinks
+_STEP = 2.0 * math.pi / _SAMPLES
+_ANGLES = _STEP * np.arange(_SAMPLES)
+_BATCH_RADII = 32                    # radii integrated together
+# Points per evaluator call: one batch's samples, and at most about as many
+# Gauss-Legendre nodes, which bounds the memory of the program's
+# intermediates.  There are fewer brackets than samples.
+_CHUNK = _BATCH_RADII * _SAMPLES
+_KINK_ROUNDS = 64                    # a cap on regula falsi rounds
+_MAX_PIECES = 2048                   # pieces a radius may be cut into
+_EPS = float(np.finfo(float).eps)
 
-_N0 = 64
-_EDGES = np.linspace(0.0, 2.0 * math.pi, _N0 + 1)
-_LO0, _HI0 = _EDGES[:-1], _EDGES[1:]
-_MID0 = 0.5 * (_LO0 + _HI0)
-_START = np.concatenate([_LO0, _MID0, _HI0])   # a new radius's first points
-_UNIT_START = np.exp(1j * _START)
-_W0 = (_HI0 - _LO0) / 6.0
+
+def _gauss_legendre(n: int):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
+    Newton's method on the Legendre recurrence.  numpy.polynomial's
+    leggauss would do, but importing it and running its eigensolver raised
+    a process's resident high-water mark by 2 MB."""
+    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(6):
+        p0, p1 = np.ones(n), x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        dp = n * (x * p1 - p0) / (x * x - 1.0)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        x = x - p1 / dp
+    return x, w
+
+
+# Gauss-Legendre nodes and weights of orders 8 with 16, and 32 with 64.
+_RULES = [tuple(np.concatenate(p) for p in
+                zip(_gauss_legendre(n), _gauss_legendre(2 * n)))
+          for n in (8, 32)]
 
 
 def proximity(f: Expr | QuotientForm, r: float | list[float],
@@ -185,9 +206,10 @@ def proximity(f: Expr | QuotientForm, r: float | list[float],
     radii = [float(r)] if single else [float(x) for x in r]
     # The raw Div, not div(): its log form is the one step
     # ln|num| - ln|den|, with the subtrees of num and den computed once.
-    out = [v if isinstance(v, QuadratureError) else v / (2.0 * math.pi)
-           for v in _simpson_circles(compile_log_abs(Div(q.num, q.den)),
-                                     radii, tol * 2.0 * math.pi)]
+    ln_f = compile_log_abs(Div(q.num, q.den))
+    out = []
+    for s in range(0, len(radii), _BATCH_RADII):
+        out += _gauss_circles(ln_f, radii[s:s + _BATCH_RADII], tol)
     if not single:
         return out
     if isinstance(out[0], QuadratureError):
@@ -195,198 +217,142 @@ def proximity(f: Expr | QuotientForm, r: float | list[float],
     return out[0]
 
 
-def _simpson_circles(ln_f, radii: list[float], tol: float) -> list:
-    """Vectorised adaptive Simpson of max(0, ln|f|) over theta in [0, 2pi]
-    on each circle |z| = radii[i].
+def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
+    """m(r, f) or a QuadratureError for each radius r in radii.
 
-    Returns the integral or a QuadratureError per radius.  The open
-    intervals of all radii in flight are refined together, one ln_f call
-    per round.  Each radius keeps its intervals contiguous and in the order
-    a lone run would give them, its own round cap, interval budget and pole
-    check, and its own sums over its own slice (numpy's pairwise sum, as a
-    lone run takes it), so its result does not depend on its neighbours."""
-    n = len(radii)
+    ln|f| is sampled at _SAMPLES angles per circle; each sign change is
+    refined to a kink of max(0, ln|f|) by Illinois regula falsi, and each
+    piece between kinks that starts positive is integrated by Gauss-Legendre
+    rules of doubling order, halved when order 64 does not settle it.  The
+    open brackets, then the open pieces, of all radii share one ln_f call
+    per round and _CHUNK points.  A radius's pieces are summed on their own
+    by math.fsum, so its result does not depend on its neighbours."""
     rs = np.asarray(radii, dtype=float)
-    out: list = [None] * n
-    total = [0.0] * n
-    err_sum = [0.0] * n
-    seen = [_N0] * n
-    rounds = [0] * n
+    n = rs.size
+    pole = np.zeros(n, dtype=bool)
 
-    # open intervals, one column each of the seven rows lo, mid, hi, g(lo),
-    # g(mid), g(hi) and the Simpson estimate on [lo, hi]; row is the radius
-    # of each column.  Each row is its own array: small allocations reuse
-    # memory that earlier work freed, where one 7-row block raised a nev
-    # job's resident high-water mark by up to 0.8 MB at this batch size.
-    state = [np.empty(0)] * 7
-    row = np.empty(0, dtype=np.intp)
-    active: list[int] = []   # radii with open intervals, in row order
-    sizes: list[int] = []    # their open interval counts
-    admitted = 0
-    while active or admitted < n:
-        new = []
-        in_flight = sum(sizes)
-        while admitted < n and in_flight + _N0 * len(new) < \
-                _BATCH_OPEN_INTERVALS:
-            new.append(admitted)
-            admitted += 1
-        m = len(row)
-        halves, bad = _sample(ln_f, state, rs[row], rs[new])
-        poles = set(row[bad[:m] | bad[m:2 * m]].tolist())
-        start_poles = bad[2 * m:].reshape(len(new), 3 * _N0).any(axis=1)
+    def g(row, theta):
+        vals = ln_f(rs[row] * np.exp(1j * theta))
+        # num == 0 gives -inf, harmless under the positive part; a pole or
+        # an inf - inf collision is a real failure.
+        pole[row[~np.isfinite(np.maximum(vals, 0.0))]] = True
+        return vals
 
-        ge, done = _estimates(halves, state, tol)
+    rows = np.repeat(np.arange(n), _SAMPLES)
+    gs = g(rows, np.tile(_ANGLES, n)).reshape(n, _SAMPLES)
+    # a sample at rounding level is a kink at that sample
+    floor = 4.0 * _EPS * np.where(np.isfinite(gs), np.abs(gs), 0.0).max(
+        axis=1, initial=0.0)
+    sign = np.where(np.abs(gs) <= floor[:, None], 0.0, np.sign(gs))
+    sign[pole] = np.nan
+    after = np.roll(sign, -1, axis=1)
+    zrow, zj = np.nonzero(sign == 0.0)
+    brow, bj = np.nonzero(sign * after < 0.0)
+
+    # Illinois regula falsi on all brackets at once.  A kink placed at x
+    # costs about ln|f(x)|^2 / (2 s), s the slope of ln|f| across the first
+    # bracket, and at most |ln|f(x)|| times the bracket width over 2.  A
+    # bracket stops once either is within its share tol * _STEP / 2 of the
+    # error, or at rounding level.
+    kink = np.empty(bj.size)
+    a, fa = bj * _STEP, gs[brow, bj]
+    b, fb = a + _STEP, gs[brow, (bj + 1) % _SAMPLES]
+    enough = np.nan_to_num(np.abs(fb - fa), posinf=0.0) * tol
+    moved = np.zeros(bj.size)          # +1: a moved last, -1: b moved last
+    live = np.arange(bj.size)
+    for _ in range(_KINK_ROUNDS):
+        if not live.size:
+            break
+        with np.errstate(invalid="ignore", divide="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+        x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+        row = brow[live]
+        fx = g(row, x)
+        left = np.sign(fx) == np.sign(fa)
+        fb = np.where(left & (moved > 0), 0.5 * fb, fb)
+        fa = np.where(~left & (moved < 0), 0.5 * fa, fa)
+        a, fa = np.where(left, x, a), np.where(left, fx, fa)
+        b, fb = np.where(left, b, x), np.where(left, fb, fx)
+        moved = np.where(left, 1.0, -1.0)
+        done = (fx * fx <= enough) | (np.abs(fx) * (b - a) <= tol * _STEP) \
+            | pole[row] \
+            | (np.abs(fx) <= floor[row]) | (b - a <= 8.0 * _EPS * b)
+        kink[live] = x
         keep = ~done
-        # finished intervals up to the end of each radius's slice
-        fin_ends = np.cumsum(done)[np.cumsum(sizes, dtype=np.intp) - 1]
-        ge_done = ge.compress(done, axis=1)   # C order: rows sum pairwise
-        del state    # before the next state is allocated
+        live, a, fa, b, fb, moved, enough = (
+            v[keep] for v in (live, a, fa, b, fb, moved, enough))
 
-        still, still_sizes = [], []
-        s = p = 0
-        for i, size, q in zip(active, sizes, fin_ends.tolist()):
-            e = s + size
-            if i in poles:
-                out[i] = QuadratureError(_POLE_MESSAGE)
-            else:
-                if q > p:
-                    gain, err_done = ge_done[:, p:q].sum(axis=1).tolist()
-                    total[i] += gain
-                    err_sum[i] += err_done
-                else:    # as the empty sum would: -0.0 + 0.0 is 0.0
-                    total[i] += 0.0
-                    err_sum[i] += 0.0
-                k = size - (q - p)
-                seen[i] += 2 * k
-                rounds[i] += 1
-                if seen[i] > _SIMPSON_MAX_INTERVALS:
-                    out[i] = QuadratureError(
-                        "quadrature interval budget exhausted",
-                        achieved=err_sum[i]
-                        + float(ge[1, s:e][keep[s:e]].sum()))
-                elif rounds[i] == _SIMPSON_MAX_ROUNDS:
-                    out[i] = QuadratureError(
-                        "quadrature refinement did not converge",
-                        achieved=err_sum[i])
-                elif k == 0:
-                    out[i] = total[i]
-                else:
-                    still.append(i)
-                    still_sizes.append(2 * k)
-            if out[i] is not None:
-                keep[s:e] = False
-            s, p = e, q
-        # This round's arrays go before the next evaluation, which is where
-        # memory peaks.
-        del ge, ge_done
-
-        new_ok = []
-        for i, pole in zip(new, start_poles):
-            if pole:
-                out[i] = QuadratureError(_POLE_MESSAGE)
-            else:
-                new_ok.append(i)
-        state = _next_intervals(halves, keep, still_sizes, ~start_poles)
-        del halves
-        active = still + new_ok
-        sizes = still_sizes + [_N0] * len(new_ok)
-        row = np.repeat(np.array(active, dtype=np.intp), sizes)
-    return out
+    # The pieces: from each kink to the next one of its radius, taken when
+    # the first sample past its start is positive.
+    krow = np.concatenate([zrow, brow])
+    order = np.lexsort((np.concatenate([2 * zj, 2 * bj + 1]), krow))
+    krow = krow[order]
+    start = np.concatenate([zj * _STEP, kink])[order]
+    first = np.diff(krow, prepend=-1) != 0
+    last = np.diff(krow, append=n) != 0
+    end = np.empty_like(start)
+    end[:-1] = start[1:]
+    end[last] = start[first] + 2.0 * math.pi
+    past = (np.concatenate([zj, bj])[order] + 1) % _SAMPLES
+    take = sign[krow, past] > 0.0
+    whole = np.flatnonzero((sign > 0.0).all(axis=1))
+    lo = np.concatenate([start[take], np.zeros(whole.size)])
+    hi = np.concatenate([end[take], np.full(whole.size, 2.0 * math.pi)])
+    row = np.concatenate([krow[take], whole])
+    return _integrate(g, pole, lo, hi, row, tol)
 
 
-def _sample(ln_f, state, rr, new_rs):
-    """One ln_f call on the quarter points lm, rm of every open interval
-    (rr holds its radius) and on the starting lo, mid and hi points of each
-    new radius (new_rs).
+def _integrate(g, pole, lo, hi, row, tol: float) -> list:
+    """Gauss-Legendre quadrature of max(0, g) on the pieces [lo, hi] of the
+    circles whose index is row; one g call per round and _CHUNK points.
 
-    Returns (halves, bad).  halves[k] is a 2 x width array: its row 0 holds
-    row k of state for the left halves of the m open intervals in columns
-    :m, its row 1 the same for the right halves, and the Simpson estimates
-    (k = 6) are still to be written.  Columns m: of halves[3:6] row 0 hold
-    the starting values, radius by radius.  bad flags the points where the
-    positive part of ln_f is not finite."""
-    m = rr.size
-    quarter = np.empty((2, m))
-    np.add(state[0], state[1], out=quarter[0])
-    np.add(state[1], state[2], out=quarter[1])
-    quarter *= 0.5
-    z = np.empty(2 * m + 3 * _N0 * new_rs.size, dtype=complex)
-    zq = z[:2 * m].reshape(2, m)
-    np.multiply(1j, quarter, out=zq)
-    np.exp(zq, out=zq)
-    np.multiply(rr, zq, out=zq)
-    np.multiply(new_rs[:, None], _UNIT_START,
-                out=z[2 * m:].reshape(new_rs.size, 3 * _N0))
-    vals = ln_f(z)
-    del z, zq
-    # num == 0 gives -inf, harmless under the positive part; a pole or an
-    # inf - inf collision is a real failure.
-    np.maximum(vals, 0.0, out=vals)
-    halves = [np.empty((2, m + _N0 * new_rs.size)) for _ in range(7)]
-    halves[1][:, :m] = quarter
-    halves[4][:, :m] = vals[:2 * m].reshape(2, m)
-    for k, (a, b) in ((0, (0, 1)), (2, (1, 2)), (3, (3, 4)), (5, (4, 5))):
-        halves[k][0, :m] = state[a]
-        halves[k][1, :m] = state[b]
-    starts = vals[2 * m:].reshape(new_rs.size, 3, _N0)
-    for k in range(3):
-        halves[3 + k][0, m:] = starts[:, k].reshape(-1)
-    return halves, ~np.isfinite(vals)
-
-
-def _estimates(halves, state, tol):
-    """Write the left and right Simpson estimates of each open interval to
-    halves[6].  Returns the gain and the error of each interval as two rows,
-    so that one call sums a radius's finished intervals, and the mask of
-    the intervals that meet tol."""
-    m = state[0].size
-    h = state[2] - state[0]
-    simpson = halves[6][:, :m]
-    np.multiply(halves[4][:, :m], 4.0, out=simpson)
-    simpson += halves[3][:, :m]
-    simpson += halves[5][:, :m]
-    simpson *= h / 12.0
-    ge = np.empty((2, m))
-    np.add(simpson[0], simpson[1], out=ge[0])
-    np.subtract(ge[0], state[6], out=ge[1])
-    ge[1] /= 15.0
-    ge[0] += ge[1]
-    np.abs(ge[1], out=ge[1])
-    return ge, ge[1] <= tol * h / (2.0 * math.pi)
-
-
-def _next_intervals(halves, keep, still_sizes, start_ok):
-    """The next round's state: each radius's kept left halves, then its
-    kept right halves, in order, then the starting intervals of each new
-    radius whose starting values are all finite.
-
-    The j-th kept column of a radius with k kept columns, of which c lie in
-    earlier radii, goes to c + j and c + j + k."""
-    m = keep.size
-    width = halves[0].shape[1]
-    kept = np.flatnonzero(keep)
-    counts = np.array(still_sizes, dtype=np.intp) // 2
-    left = np.arange(kept.size) + np.repeat(np.cumsum(counts) - counts,
-                                            counts)
-    source = np.empty(2 * kept.size, dtype=np.intp)
-    source[left] = kept
-    source[left + np.repeat(counts, counts)] = kept + width
-    k2 = source.size
-    fresh = int(np.count_nonzero(start_ok))
-    state = [np.empty(k2 + _N0 * fresh) for _ in range(7)]
-    for half, dest in zip(halves, state):
-        # "clip" lets take write straight into the view (indices are in range)
-        np.take(half.reshape(-1), source, mode="clip", out=dest[:k2])
-    for k, edge in enumerate((_LO0, _MID0, _HI0)):
-        state[k][k2:].reshape(fresh, _N0)[:] = edge
-        state[3 + k][k2:] = \
-            halves[3 + k][0, m:].reshape(-1, _N0)[start_ok].reshape(-1)
-    f0, f1, f2, first = (state[k][k2:] for k in (3, 4, 5, 6))
-    np.multiply(f1, 4.0, out=first)
-    first += f0
-    first += f2
-    first.reshape(fresh, _N0)[:] *= _W0
-    return state
+    The first round compares orders 8 and 16 on every piece, each later one
+    orders 32 and 64.  A piece stops when they agree to tol times its width:
+    their difference plus a rounding floor, eps times the integral, is its
+    error, so a tol below rounding is never met.  A piece that fails at
+    orders 32 and 64 is halved."""
+    n = pole.size
+    parts: list = [[] for _ in range(n)]
+    errs: list = [[] for _ in range(n)]
+    over = np.zeros(n, dtype=bool)              # the budget ran out
+    achieved = {}
+    count = np.bincount(row, minlength=n)
+    for rnd in itertools.count():
+        live = ~(pole | over)[row]
+        lo, hi, row = lo[live], hi[live], row[live]
+        if not lo.size:
+            break
+        nodes, w = _RULES[min(rnd, 1)]
+        low = w.size // 3                       # the lower order's nodes
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        est, err = np.empty(lo.size), np.empty(lo.size)
+        step = _CHUNK // w.size
+        for s in range(0, lo.size, step):
+            i = slice(s, s + step)
+            v = np.maximum(g(np.repeat(row[i], w.size),
+                             (mid[i, None] + half[i, None] * nodes).ravel()),
+                           0.0).reshape(-1, w.size) * w
+            est[i] = v[:, low:].sum(axis=1) * half[i]
+            err[i] = np.abs(est[i] - v[:, :low].sum(axis=1) * half[i])
+        err += _EPS * est
+        done = err <= tol * (hi - lo)
+        for i, e, d in zip(row[done].tolist(), est[done].tolist(),
+                           err[done].tolist()):
+            parts[i].append(e)
+            errs[i].append(d)
+        lo, hi, mid, row, err = (v[~done] for v in (lo, hi, mid, row, err))
+        if rnd == 0:
+            continue
+        count += np.bincount(row, minlength=n)
+        for i in np.flatnonzero((count > _MAX_PIECES) & ~over).tolist():
+            over[i] = True
+            achieved[i] = math.fsum(errs[i] + err[row == i].tolist())
+        lo, hi, row = (np.concatenate(v) for v in
+                       ((lo, mid), (mid, hi), (row, row)))
+    return [QuadratureError(_POLE_MESSAGE) if pole[i] else
+            QuadratureError("quadrature interval budget exhausted",
+                            achieved=achieved[i]) if over[i] else
+            math.fsum(parts[i]) / (2.0 * math.pi) for i in range(n)]
 
 
 def characteristic(f: Expr | QuotientForm, r: float, poles: Divisor,

@@ -149,11 +149,13 @@ class EvalContext:
 
 @dataclass(frozen=True)
 class _Int:
-    """An integer parameter that must be at least `least`.  A float with an
-    integral value counts; NaN and the infinities do not."""
+    """An integer parameter that must be at least `least`, a hypothesis of
+    the check, and at most `most`, a limit of the program (see README).  A
+    float with an integral value counts; NaN and the infinities do not."""
     name: str
     default: int
     least: int
+    most: int = 100
 
     def read(self, params: dict) -> tuple[int, list[str]]:
         v = params.get(self.name, self.default)
@@ -161,6 +163,9 @@ class _Int:
                 isinstance(v, int) or isinstance(v, float) and v.is_integer()):
             raise ValueError(f"parameter '{self.name}' must be an integer")
         v = int(v)
+        if v > self.most:
+            raise ValueError(
+                f"parameter '{self.name}' must be at most {self.most}")
         if v < self.least:
             return v, [f"needs {self.name} >= {self.least} (got {v})"]
         return v, []
@@ -511,18 +516,16 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
     elif kind is Constancy.UNKNOWN:
         violations.append("function is constant on all probe points")
 
-    found = validate_hypotheses(polynomial, check_id) \
-        if spec.needs_poly else []
+    if spec.needs_poly:
+        violations += validate_hypotheses(polynomial, check_id)
     values = {}
     for param in spec.params:
         values[param.name], more = param.read(params or {})
-        found += more
-    plan = None if found else spec.plan(ctx, polynomial, values)
-    violations += found
+        violations += more
     if violations:
-        stats = plan.stats if plan is not None else None
         return CheckReport(check_id, "hypothesis_violation",
-                           tuple(violations), (), None, stats)
+                           tuple(violations), (), None, None)
+    plan = spec.plan(ctx, polynomial, values)
     if plan.vacuity is not None \
             and is_identically_zero(plan.vacuity) is ZeroVerdict.ZERO:
         return CheckReport(check_id, "vacuous", (), (), None, plan.stats)

@@ -218,6 +218,8 @@ def test_exit_numerical_budget(tmp_path):
      "NaN quadrature tolerance"),
     (lambda s: s.update(checks=[{"id": "thm_b", "params": {"k": math.inf}}]),
      "infinite check parameter"),
+    (lambda s: s.update(checks=[{"id": "thm_b", "params": {"k": 10**30}}]),
+     "check parameter above its bound"),
     (lambda s: s["radii"].update(stop=math.inf), "infinite radius"),
     (lambda s: s.update(tolerances={"eq_tolerance": math.inf}),
      "infinite identity tolerance"),

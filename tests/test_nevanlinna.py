@@ -8,13 +8,12 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nevlab.exppoly import canonical_quotient
+from nevlab import nevanlinna
 from nevlab.expr import compile_expr, parse_expr
 from nevlab.locator import Divisor, DivisorPoint
-from nevlab.nevanlinna import (_BATCH_OPEN_INTERVALS, CountingMode,
-                               QuadratureError, characteristic,
-                               compile_log_abs, counting, nevanlinna_rows,
-                               proximity, radial_grid)
+from nevlab.nevanlinna import (_BATCH_RADII, CountingMode, QuadratureError,
+                               characteristic, compile_log_abs, counting,
+                               nevanlinna_rows, proximity, radial_grid)
 
 E = math.e
 
@@ -45,60 +44,6 @@ def test_pole_on_the_circle_is_an_explicit_failure():
         proximity(parse_expr("1/(z - 2)"), 2.0)
 
 
-def _lone_simpson(f, r, tol=1e-10):
-    """Adaptive Simpson on one circle, one interval set at a time: the
-    reference for the bits of the batched quadrature.  Returns m(r, f) or
-    the QuadratureError it would raise."""
-    q = canonical_quotient(f)
-    ln_num, ln_den = compile_log_abs(q.num), compile_log_abs(q.den)
-
-    def g(theta):
-        z = r * np.exp(1j * theta)
-        with np.errstate(invalid="ignore"):
-            out = np.maximum(ln_num(z) - ln_den(z), 0.0)
-        if not np.isfinite(out).all():
-            raise QuadratureError("log|f| not finite on the circle "
-                                  "(pole on or near the ring?)")
-        return out
-
-    tol *= 2 * math.pi
-    edges = np.linspace(0.0, 2 * math.pi, 65)
-    lo, hi = edges[:-1], edges[1:]
-    mid = 0.5 * (lo + hi)
-    total = err_sum = 0.0
-    seen = 64
-    try:
-        flo, fmid, fhi = g(lo), g(mid), g(hi)
-        whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-        for _ in range(64):
-            if lo.size == 0:
-                return total / (2 * math.pi)
-            lm, rm = 0.5 * (lo + mid), 0.5 * (mid + hi)
-            flm, frm = g(lm), g(rm)
-            h = hi - lo
-            left = h / 12.0 * (flo + 4.0 * flm + fmid)
-            right = h / 12.0 * (fmid + 4.0 * frm + fhi)
-            better = left + right
-            err = np.abs(better - whole) / 15.0
-            done = err <= tol * h / (2 * math.pi)
-            total += float((better + (better - whole) / 15.0)[done].sum())
-            err_sum += float(err[done].sum())
-            keep = ~done
-            seen += 2 * int(keep.sum())
-            if seen > 200000:
-                return QuadratureError(
-                    "quadrature interval budget exhausted",
-                    achieved=err_sum + float(err[keep].sum()))
-            lo, hi, mid, flo, fhi, fmid, whole = (
-                np.concatenate([a[keep], b[keep]]) for a, b in
-                ((lo, mid), (mid, hi), (lm, rm), (flo, fmid), (fmid, fhi),
-                 (flm, frm), (left, right)))
-    except QuadratureError as exc:
-        return exc
-    return QuadratureError("quadrature refinement did not converge",
-                           achieved=err_sum)
-
-
 def _alone(f, r, tol=1e-10):
     try:
         return proximity(f, r, tol)
@@ -115,30 +60,32 @@ def _assert_same(got, want):
         assert got == want
 
 
-# the functions of the nev_dense benchmark workload; r = 29.837... is the
-# cleared ring of its known failing row, where a triple pole of tan(z)^3
-# sits 2.5e-4*r away and the refinement hits the 64-round cap
+# tan(z)^3*(z - 1) at r = 29.837..., where a triple pole sits 2.5e-4*r from
+# the ring, by mpmath at 30 digits with breakpoints graded to 1e-8 around
+# theta = 0 and pi; _mp_proximity, which does not grade them, is off here
+TAN_CUBED_NEAR_POLE = (29.837171008851936, 3.4738658487780737)
+
+
+# the functions of the nev_dense benchmark workload; the extra radius is the
+# cleared ring of its tan(z)^3*(z - 1) row nearest a pole
 @pytest.mark.parametrize("src, extra", [
     ("tan(z)", []),
     ("1/(tan(z) - (i))", []),
     ("sin(z)^3", []),
-    ("tan(z)^3*(z - 1)", [29.837171008851936]),
+    ("tan(z)^3*(z - 1)", [TAN_CUBED_NEAR_POLE[0]]),
     ("exp(z)", []),
 ])
 def test_batched_proximity_matches_each_radius_alone(src, extra):
     f = parse_expr(src)
     radii = radial_grid(2.2, 38.0, 40) + extra
-    # more radii than one batch admits, so some join while others refine
-    assert 64 * len(radii) > 2 * _BATCH_OPEN_INTERVALS
+    # more radii than one batch takes
+    assert len(radii) > _BATCH_RADII
     got = proximity(f, radii)
     assert len(got) == len(radii)
     for r, g in zip(radii, got):
-        want = _lone_simpson(f, r)
-        _assert_same(g, want)
-        _assert_same(_alone(f, r), want)
+        _assert_same(g, _alone(f, r))
     if extra:
-        assert str(got[-1]) == "quadrature refinement did not converge"
-        assert got[-1].achieved > 0
+        assert got[-1] == pytest.approx(TAN_CUBED_NEAR_POLE[1], abs=1e-10)
 
 
 def test_batched_proximity_keeps_failures_in_their_rows():
@@ -146,21 +93,39 @@ def test_batched_proximity_keeps_failures_in_their_rows():
     radii = [1.5, 2.0, 2.5] * 4
     got = proximity(f, radii)
     for r, g in zip(radii, got):
-        _assert_same(g, _lone_simpson(f, r))
-        _assert_same(_alone(f, r), g)
+        _assert_same(g, _alone(f, r))
     assert [isinstance(g, QuadratureError) for g in got[:3]] == \
         [False, True, False]
     assert str(got[1]).startswith("log|f| not finite on the circle")
     assert got[1].achieved is None
-    # a tolerance no interval meets doubles the open intervals each round
-    # until the interval budget runs out
+    # no piece meets a tolerance below rounding, so the pieces are halved
+    # until the budget runs out
     f = parse_expr("exp(z)")
     got = proximity(f, [3.0, 5.0], 1e-30)
     for r, g in zip([3.0, 5.0], got):
-        _assert_same(g, _lone_simpson(f, r, 1e-30))
-        _assert_same(_alone(f, r, 1e-30), g)
+        _assert_same(g, _alone(f, r, 1e-30))
         assert str(g) == "quadrature interval budget exhausted"
         assert g.achieved > 0
+
+
+def test_proximity_shares_evaluator_calls_across_a_batch(monkeypatch):
+    """Every open bracket, then every open piece, of a batch shares one
+    evaluator call per round.  286 is the count of the adaptive Simpson rule
+    that the Gauss-Legendre pieces replaced."""
+    calls = []
+    real = nevanlinna.compile_log_abs
+
+    def counted(e):
+        ln_f = real(e)
+
+        def ev(z):
+            calls.append(z.size)
+            return ln_f(z)
+        return ev
+
+    monkeypatch.setattr(nevanlinna, "compile_log_abs", counted)
+    proximity(parse_expr("tan(z)"), radial_grid(2, 40, 512))
+    assert len(calls) <= 286
 
 
 # tracemalloc peaks of the batched call over radial_grid(2, 40, 512), in
@@ -223,10 +188,18 @@ def test_proximity_of_exp_z_squared():
 def test_proximity_matches_mpmath(src, fn, radii):
     f = parse_expr(src)
     for r in radii:
-        # measured at the default tol 1e-10: tan at r = 4 is off by 1.3e-9
-        # (a kink of log+ fools the step-doubling error estimate there), the
-        # other five cases by at most 2.6e-12
-        assert abs(proximity(f, r) - _mp_proximity(fn, r)) <= 5e-9
+        # within the default tol 1e-10; measured off by at most 1.5e-12
+        assert abs(proximity(f, r) - _mp_proximity(fn, r)) <= 1e-10
+
+
+# mpmath at 30 digits, split at the kinks of log+|tan|
+@pytest.mark.parametrize("src, r, want", [
+    ("tan(z)", 4.0, 0.010117700240720151387),
+    ("tan(z)", 10.0, 1.4444273074580933451e-6),
+    ("tan(z)^3*(z - 1)", *TAN_CUBED_NEAR_POLE),
+])
+def test_proximity_matches_reference_values(src, r, want):
+    assert abs(proximity(parse_expr(src), r) - want) <= 1e-10
 
 
 @pytest.mark.parametrize("src", [

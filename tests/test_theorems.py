@@ -138,6 +138,12 @@ def test_dispatch_validation():
         run_check("thm_b", EZ, params={"k": 2.5}, radii=GRID)
     with pytest.raises(ValueError):
         run_check("thm_b", EZ, params={"k": math.inf}, radii=GRID)
+    with pytest.raises(ValueError, match="'k' must be at most 100"):
+        run_check("thm_b", EZ, params={"k": 10**30}, radii=GRID)
+    # a constant function is a violation before any plan divides by f'
+    rep = run_check("lem_31", parse_expr("2"), radii=GRID)
+    assert rep.verdict == "hypothesis_violation"
+    assert rep.violations == ("function must be non-constant",)
 
 
 def test_row_floor_propagates():
@@ -262,8 +268,8 @@ def test_check_rows_batch_proximity_bit_for_bit(monkeypatch):
     """A tan(z) lem_32 check gets all its proximity values from one batched
     call.  Its rows equal, bit for bit, the rows made from single-radius
     calls, and a radius whose quadrature fails keeps its error text; the
-    interval budget is cut so that some radii fail."""
-    monkeypatch.setattr(nevanlinna, "_SIMPSON_MAX_INTERVALS", 1000)
+    piece budget is cut so that some radii fail."""
+    monkeypatch.setattr(nevanlinna, "_MAX_PIECES", 8)
     tan = parse_expr("tan(z)")
     calls = []
     real = theorems.proximity
