@@ -158,14 +158,15 @@ def compile_log_abs(e: Expr):
 
 _POLE_MESSAGE = "log|f| not finite on the circle (pole on or near the ring?)"
 
-_SAMPLES = 128                       # angles sampled to find the kinks
+# Angles sampled to find the kinks.  An arc where log|f| > 0 that fits
+# between two samples with log|f| < 0 is not seen.
+_SAMPLES = 256
 _STEP = 2.0 * math.pi / _SAMPLES
 _ANGLES = _STEP * np.arange(_SAMPLES)
 _BATCH_RADII = 32                    # radii integrated together
-# Points per evaluator call: one batch's samples, and at most about as many
-# Gauss-Legendre nodes, which bounds the memory of the program's
-# intermediates.  There are fewer brackets than samples.
-_CHUNK = _BATCH_RADII * _SAMPLES
+# Points per evaluator call, which bounds the memory of the program's
+# intermediates.
+_CHUNK = 4096
 _KINK_ROUNDS = 64                    # a cap on regula falsi rounds
 _MAX_PIECES = 2048                   # pieces a radius may be cut into
 _EPS = float(np.finfo(float).eps)
@@ -200,7 +201,9 @@ def proximity(f: Expr | QuotientForm, r: float | list[float],
     ``r`` is one radius or a sequence of radii.  One radius returns a float
     and raises QuadratureError on failure; a sequence returns, in order, a
     float or a QuadratureError instance per radius.  Either way every radius
-    gets the same bits as if it were integrated alone."""
+    gets the same bits as if it were integrated alone.  An arc narrower than
+    2*pi/256 where |f| > 1, between two of the 256 sampled angles where
+    |f| < 1, is not seen."""
     q = f if isinstance(f, QuotientForm) else canonical_quotient(f)
     single = np.ndim(r) == 0
     radii = [float(r)] if single else [float(x) for x in r]
@@ -224,30 +227,32 @@ def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
     refined to a kink of max(0, ln|f|) by Illinois regula falsi, and each
     piece between kinks that starts positive is integrated by Gauss-Legendre
     rules of doubling order, halved when order 64 does not settle it.  The
-    open brackets, then the open pieces, of all radii share one ln_f call
-    per round and _CHUNK points.  A radius's pieces are summed on their own
+    open brackets, then the open pieces, of all radii share one round of
+    ln_f calls of _CHUNK points.  A radius's pieces are summed on their own
     by math.fsum, so its result does not depend on its neighbours."""
     rs = np.asarray(radii, dtype=float)
     n = rs.size
     pole = np.zeros(n, dtype=bool)
 
     def g(row, theta):
-        vals = ln_f(rs[row] * np.exp(1j * theta))
+        vals = np.concatenate([
+            ln_f(rs[row[s:s + _CHUNK]] * np.exp(1j * theta[s:s + _CHUNK]))
+            for s in range(0, row.size, _CHUNK)])
         # num == 0 gives -inf, harmless under the positive part; a pole or
         # an inf - inf collision is a real failure.
         pole[row[~np.isfinite(np.maximum(vals, 0.0))]] = True
         return vals
 
-    rows = np.repeat(np.arange(n), _SAMPLES)
-    gs = g(rows, np.tile(_ANGLES, n)).reshape(n, _SAMPLES)
+    gs = g(np.repeat(np.arange(n), _SAMPLES),
+           np.tile(_ANGLES, n)).reshape(n, _SAMPLES)
+    gs[pole] = 1.0                     # a failed circle has no kinks
     # a sample at rounding level is a kink at that sample
     floor = 4.0 * _EPS * np.where(np.isfinite(gs), np.abs(gs), 0.0).max(
         axis=1, initial=0.0)
-    sign = np.where(np.abs(gs) <= floor[:, None], 0.0, np.sign(gs))
-    sign[pole] = np.nan
-    after = np.roll(sign, -1, axis=1)
-    zrow, zj = np.nonzero(sign == 0.0)
-    brow, bj = np.nonzero(sign * after < 0.0)
+    sign = np.sign(np.where(np.abs(gs) <= floor[:, None], 0.0, gs)).astype(
+        np.int8)
+    zrow, zj = np.nonzero(sign == 0)
+    brow, bj = np.nonzero(sign * np.roll(sign, -1, axis=1) < 0)
 
     # Illinois regula falsi on all brackets at once.  A kink placed at x
     # costs about ln|f(x)|^2 / (2 s), s the slope of ln|f| across the first
@@ -259,6 +264,7 @@ def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
     b, fb = a + _STEP, gs[brow, (bj + 1) % _SAMPLES]
     enough = np.nan_to_num(np.abs(fb - fa), posinf=0.0) * tol
     moved = np.zeros(bj.size)          # +1: a moved last, -1: b moved last
+    fx = fa                            # ln|f| at each kink placed so far
     live = np.arange(bj.size)
     for _ in range(_KINK_ROUNDS):
         if not live.size:
@@ -279,8 +285,12 @@ def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
             | (np.abs(fx) <= floor[row]) | (b - a <= 8.0 * _EPS * b)
         kink[live] = x
         keep = ~done
-        live, a, fa, b, fb, moved, enough = (
-            v[keep] for v in (live, a, fa, b, fb, moved, enough))
+        live, a, fa, b, fb, moved, enough, fx = (
+            v[keep] for v in (live, a, fa, b, fb, moved, enough, fx))
+    # A kink still open after the cap fails its radius; its error is at
+    # most |ln|f(x)|| times its bracket.
+    stuck = np.zeros(n)
+    np.add.at(stuck, brow[live], np.abs(fx) * (b - a))
 
     # The pieces: from each kink to the next one of its radius, taken when
     # the first sample past its start is positive.
@@ -294,15 +304,15 @@ def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
     end[:-1] = start[1:]
     end[last] = start[first] + 2.0 * math.pi
     past = (np.concatenate([zj, bj])[order] + 1) % _SAMPLES
-    take = sign[krow, past] > 0.0
-    whole = np.flatnonzero((sign > 0.0).all(axis=1))
+    take = sign[krow, past] > 0
+    whole = np.flatnonzero((sign > 0).all(axis=1))
     lo = np.concatenate([start[take], np.zeros(whole.size)])
     hi = np.concatenate([end[take], np.full(whole.size, 2.0 * math.pi)])
     row = np.concatenate([krow[take], whole])
-    return _integrate(g, pole, lo, hi, row, tol)
+    return _integrate(g, pole, stuck, lo, hi, row, tol)
 
 
-def _integrate(g, pole, lo, hi, row, tol: float) -> list:
+def _integrate(g, pole, stuck, lo, hi, row, tol: float) -> list:
     """Gauss-Legendre quadrature of max(0, g) on the pieces [lo, hi] of the
     circles whose index is row; one g call per round and _CHUNK points.
 
@@ -310,7 +320,8 @@ def _integrate(g, pole, lo, hi, row, tol: float) -> list:
     orders 32 and 64.  A piece stops when they agree to tol times its width:
     their difference plus a rounding floor, eps times the integral, is its
     error, so a tol below rounding is never met.  A piece that fails at
-    orders 32 and 64 is halved."""
+    orders 32 and 64 is halved.  A radius with a stuck kink is not
+    integrated."""
     n = pole.size
     parts: list = [[] for _ in range(n)]
     errs: list = [[] for _ in range(n)]
@@ -318,7 +329,7 @@ def _integrate(g, pole, lo, hi, row, tol: float) -> list:
     achieved = {}
     count = np.bincount(row, minlength=n)
     for rnd in itertools.count():
-        live = ~(pole | over)[row]
+        live = ~(pole | over | (stuck > 0.0))[row]
         lo, hi, row = lo[live], hi[live], row[live]
         if not lo.size:
             break
@@ -350,6 +361,8 @@ def _integrate(g, pole, lo, hi, row, tol: float) -> list:
         lo, hi, row = (np.concatenate(v) for v in
                        ((lo, mid), (mid, hi), (row, row)))
     return [QuadratureError(_POLE_MESSAGE) if pole[i] else
+            QuadratureError("quadrature refinement did not converge",
+                            achieved=float(stuck[i])) if stuck[i] else
             QuadratureError("quadrature interval budget exhausted",
                             achieved=achieved[i]) if over[i] else
             math.fsum(parts[i]) / (2.0 * math.pi) for i in range(n)]

@@ -147,15 +147,19 @@ class EvalContext:
 # ---------------------------------------------------------------------------
 # check parameters
 
+# The largest integer parameter: each is a derivative order or an exponent,
+# far past any a check runs in useful time and far below overflow (README).
+_INT_MOST = 100
+
+
 @dataclass(frozen=True)
 class _Int:
     """An integer parameter that must be at least `least`, a hypothesis of
-    the check, and at most `most`, a limit of the program (see README).  A
-    float with an integral value counts; NaN and the infinities do not."""
+    the check, and at most _INT_MOST, a limit of the program.  A float with
+    an integral value counts; NaN and the infinities do not."""
     name: str
     default: int
     least: int
-    most: int = 100
 
     def read(self, params: dict) -> tuple[int, list[str]]:
         v = params.get(self.name, self.default)
@@ -163,9 +167,9 @@ class _Int:
                 isinstance(v, int) or isinstance(v, float) and v.is_integer()):
             raise ValueError(f"parameter '{self.name}' must be an integer")
         v = int(v)
-        if v > self.most:
+        if v > _INT_MOST:
             raise ValueError(
-                f"parameter '{self.name}' must be at most {self.most}")
+                f"parameter '{self.name}' must be at most {_INT_MOST}")
         if v < self.least:
             return v, [f"needs {self.name} >= {self.least} (got {v})"]
         return v, []

@@ -108,6 +108,18 @@ def test_batched_proximity_keeps_failures_in_their_rows():
         assert g.achieved > 0
 
 
+def test_kink_left_open_fails_its_radius(monkeypatch):
+    # one regula falsi round cannot place the kinks of log+|tan|; the radius
+    # fails with the error bound of where they were left instead of
+    # returning a value that misses tol
+    monkeypatch.setattr(nevanlinna, "_KINK_ROUNDS", 1)
+    with pytest.raises(QuadratureError, match="did not converge") as exc:
+        proximity(parse_expr("tan(z)"), 4.0)
+    assert exc.value.achieved > 1e-10
+    # a circle with no kink needs no round
+    assert proximity(parse_expr("z^10"), E) == pytest.approx(10.0, abs=1e-9)
+
+
 def test_proximity_shares_evaluator_calls_across_a_batch(monkeypatch):
     """Every open bracket, then every open piece, of a batch shares one
     evaluator call per round.  286 is the count of the adaptive Simpson rule
@@ -181,9 +193,16 @@ def test_proximity_of_exp_z_squared():
         assert proximity(f, r) == pytest.approx(r * r / math.pi, rel=1e-12)
 
 
+# a pole at 38.5*exp(i*pi/128): on |z| = 38 log|f| > 0 only on an arc of
+# width 0.046 around theta = pi/128, between samples 2*pi/128 apart
+NARROW_POLE = mp.mpc(38.488404519803865, 0.9448372981321231)
+
+
 @pytest.mark.parametrize("src, fn, radii", [
     ("tan(z)", mp.tan, (2.5, 4.0, 6.0)),
     ("sin(z)^3", lambda z: mp.sin(z) ** 3, (2.0, 5.0, 10.0)),
+    ("1/(z - 38.488404519803865 - 0.9448372981321231*i)",
+     lambda z: 1 / (z - NARROW_POLE), (38.0,)),
 ])
 def test_proximity_matches_mpmath(src, fn, radii):
     f = parse_expr(src)
