@@ -40,10 +40,12 @@ smallest counted key.
 
 Split lines avoid the coordinate axes as they avoid seed points, since
 real-coefficient and odd functions have zeros there.  Around a multiple zero
-every split line of a small enough cell is rounding noise; such a cell that
-fails its first split closes at the centroid of its zeros, the moment ratio
-s1/s0 on a circle whose winding certifies that it holds the cell's zeros
-and no other.
+every split line near it is rounding noise, so a seed-free cell of two or
+more zeros that fails its first split tries once to close as one point: on
+the largest circle about the cell inside its top (the largest ancestor of
+the same winding), whose winding certifies that it holds the cell's zeros
+and no other, the moments of f'/f must show a single point in the cell.
+A cell whose certificate and every split fail raises RingTooCloseError.
 
 The machinery never factors anything numerically; products, integer powers and
 exponential factors are split structurally first, so a squared factor is
@@ -103,18 +105,14 @@ RING_CLEARANCE = 1e-4
 MERGE_TOL = 1e-7
 # |p| below this times the radius is treated as the origin.
 ORIGIN_TOL = 1e-12
-# Below this size (relative) a cell's split lines may all lie in the rounding
-# noise around a multiple zero; such a cell can close at its centroid.
-CLUSTER_SIZE = 1e-6
 MAX_DEPTH = 40
 MAX_CELLS = 60000
 # Phase / magnitude continuity thresholds for path refinement.
 _PHASE_STEP = 0.5 * math.pi
 _MAG_STEP = 4.0
 _TINY = 1e-280
+_EPS = float(np.finfo(float).eps)
 _WINDING_SLACK = 0.25
-# Rounds in which all paths of a batch refine together (see _path_phases).
-_LOCKSTEP_ROUNDS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +277,7 @@ def _path_z(geo: tuple, ids: np.ndarray, counts: np.ndarray,
             t: np.ndarray) -> np.ndarray:
     """Points at parameters t, the first counts[0] on path ids[0] and so on;
     geo holds the base, scale and circle flag of every path as arrays."""
-    base, scale, circle = (a[ids] for a in geo)
-    if ids.size == 1:       # a path finished alone: its scalars broadcast
-        base, scale, circle = base[0], scale[0], circle[0]
-    else:
-        base, scale, circle = (np.repeat(a, counts)
-                               for a in (base, scale, circle))
+    base, scale, circle = (np.repeat(a[ids], counts) for a in geo)
     if np.any(circle):
         t = np.where(circle, np.exp(2j * np.pi * t), t)
     return base + t * scale
@@ -301,16 +294,15 @@ def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list
     default each path is its own group): a failing path fails its groups,
     and a path whose groups have all failed is dropped.
 
-    All paths refine together for the first _LOCKSTEP_ROUNDS rounds, with one
-    evaluator call per round and the per-path bookkeeping done on arrays; on
-    the benchmark workloads no converging path needs more than 7.  The paths
-    still open after that are finished one at a time, in order.  They are
-    nearly always split lines through the rounding noise around a multiple
-    zero, which run to the round cap and fail, so finishing them one by one
-    pays for the first failure of a group only."""
+    All open paths refine together, with one evaluator call per round and
+    the per-path bookkeeping done on arrays; a path still open after 64
+    rounds fails.  The samples of the open paths lie end to end in t and v,
+    sizes[k] of them for path ids[k], and a step across two paths is never
+    refined."""
     n = len(paths)
     if not n:
         return []
+    owners = owners or [[i] for i in range(n)]
     base, scale, circle = zip(*paths)
     geo = (np.array(base, dtype=complex), np.array(scale, dtype=complex),
            np.array(circle, dtype=bool))
@@ -330,103 +322,76 @@ def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list
     t = (np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)) \
         * np.repeat(1.0 / ns, sizes)
     t[ends - 1] = 1.0
-    run = _Refinement(fn, geo, owners or [[i] for i in range(n)])
-    v = np.asarray(fn(_path_z(geo, np.arange(n), sizes, t)), dtype=complex)
-    t, v, ids, sizes = run.rounds(t, v, np.arange(n), sizes, _LOCKSTEP_ROUNDS)
-    ends = np.cumsum(sizes)
-    for k, i in enumerate(ids.tolist()):
-        if run.alive(i):
-            lo, hi = ends[k] - sizes[k], ends[k]
-            if run.rounds(t[lo:hi], v[lo:hi], ids[k:k + 1], sizes[k:k + 1],
-                          64 - _LOCKSTEP_ROUNDS)[2].size:
-                run.fail(i, "path refinement did not converge")
-    return run.out
+    ids = np.arange(n)
+    v = np.asarray(fn(_path_z(geo, ids, sizes, t)), dtype=complex)
+    out: list = [None] * n
+    prev = np.full(n, math.nan)         # the last clean total
+    dead: set = set()                   # failed groups
 
+    def fail(i: int, why: str):
+        out[i] = RingTooCloseError(why)
+        dead.update(owners[i])
 
-class _Refinement:
-    """Refinement state of one _path_phases call."""
-
-    def __init__(self, fn, geo: tuple, owners: list):
-        self.fn, self.geo, self.owners = fn, geo, owners
-        self.out: list = [None] * len(owners)
-        self.prev = np.full(len(owners), math.nan)   # the last clean total
-        self.dead: set = set()                       # failed groups
-
-    def alive(self, i: int) -> bool:
-        return not self.dead.issuperset(self.owners[i])
-
-    def fail(self, i: int, why: str):
-        self.out[i] = RingTooCloseError(why)
-        self.dead.update(self.owners[i])
-
-    def rounds(self, t, v, ids, sizes, rounds: int) -> tuple:
-        """Run up to `rounds` refinement rounds on the open paths ids.
-
-        Their samples lie end to end in t and v, sizes[k] of them for path
-        ids[k], and a step across two paths is never refined.  A path that
-        converges or fails gets its entry in out; returns the samples, ids
-        and sizes of the paths still open and alive."""
-        for _ in range(rounds):
+    for _ in range(64):
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            ratio = v[1:] / v[:-1]
+            dphi = np.angle(ratio)
+            mag = np.abs(ratio)
+        ok = (np.isfinite(ratio)
+              & (np.abs(dphi) <= _PHASE_STEP)
+              & (mag <= _MAG_STEP) & (mag >= 1.0 / _MAG_STEP))
+        ok[ends[:-1] - 1] = True
+        vanishes = np.logical_or.reduceat(
+            ~np.isfinite(v) | (np.abs(v) < _TINY), starts)
+        # refine[j]: bisect the step from sample j to sample j + 1
+        refine = np.zeros(v.size, dtype=bool)
+        refine[:-1] = ~ok
+        n_bad = np.add.reduceat(refine, starts, dtype=np.intp)
+        clean = ~vanishes & (n_bad == 0)
+        done = again = np.zeros(ids.size, dtype=bool)
+        if clean.any():
+            # Each path's steps summed on their own, so a total does not
+            # depend on the neighbours: reduceat over [start, end - 1).
+            bounds = np.column_stack([starts, ends - 1]).ravel()
+            with np.errstate(invalid="ignore"):
+                totals = np.add.reduceat(np.append(dphi, 0.0), bounds)[::2]
+            done = clean & (np.abs(totals - prev[ids])
+                            <= 3e-7 * np.maximum(1.0, np.abs(totals)))
+            for k in np.flatnonzero(done).tolist():
+                out[ids[k]] = float(totals[k])
+            again = clean & ~done   # clean once: refine every step
+            refine |= np.repeat(again, sizes)
+            refine[ends - 1] = False
+            n_bad[again] = sizes[again] - 1
+        prev[ids] = np.where(again, totals, math.nan) \
+            if again.any() else math.nan
+        capped = ~vanishes & ~done & (sizes + n_bad > 600000)
+        keep = ~(done | vanishes | capped)
+        if not keep.all():
+            if (vanishes | capped).any():
+                for k in np.flatnonzero(vanishes).tolist():
+                    fail(ids[k], "function vanishes or blows up on path")
+                for k in np.flatnonzero(capped).tolist():
+                    fail(ids[k], "path refinement did not converge")
+                keep &= [not dead.issuperset(owners[i])
+                         for i in ids.tolist()]
+            mask = np.repeat(keep, sizes)
+            t, v, refine = t[mask], v[mask], refine[mask]
+            ids, sizes, n_bad = ids[keep], sizes[keep], n_bad[keep]
             if not ids.size:
-                break
-            ends = np.cumsum(sizes)
-            starts = ends - sizes
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                ratio = v[1:] / v[:-1]
-                dphi = np.angle(ratio)
-                mag = np.abs(ratio)
-            ok = (np.isfinite(ratio)
-                  & (np.abs(dphi) <= _PHASE_STEP)
-                  & (mag <= _MAG_STEP) & (mag >= 1.0 / _MAG_STEP))
-            ok[ends[:-1] - 1] = True
-            vanishes = np.logical_or.reduceat(
-                ~np.isfinite(v) | (np.abs(v) < _TINY), starts)
-            # refine[j]: bisect the step from sample j to sample j + 1
-            refine = np.zeros(v.size, dtype=bool)
-            refine[:-1] = ~ok
-            n_bad = np.add.reduceat(refine, starts, dtype=np.intp)
-            clean = ~vanishes & (n_bad == 0)
-            done = again = np.zeros(ids.size, dtype=bool)
-            if clean.any():
-                # Each path's steps summed on their own, so a total does not
-                # depend on the neighbours: reduceat over [start, end - 1).
-                bounds = np.column_stack([starts, ends - 1]).ravel()
-                with np.errstate(invalid="ignore"):
-                    totals = np.add.reduceat(np.append(dphi, 0.0),
-                                             bounds)[::2]
-                done = clean & (np.abs(totals - self.prev[ids])
-                                <= 3e-7 * np.maximum(1.0, np.abs(totals)))
-                for k in np.flatnonzero(done).tolist():
-                    self.out[ids[k]] = float(totals[k])
-                again = clean & ~done   # clean once: refine every step
-                refine |= np.repeat(again, sizes)
-                refine[ends - 1] = False
-                n_bad[again] = sizes[again] - 1
-            self.prev[ids] = np.where(again, totals, math.nan) \
-                if again.any() else math.nan
-            capped = ~vanishes & ~done & (sizes + n_bad > 600000)
-            keep = ~(done | vanishes | capped)
-            if not keep.all():
-                if (vanishes | capped).any():
-                    for k in np.flatnonzero(vanishes).tolist():
-                        self.fail(ids[k],
-                                  "function vanishes or blows up on path")
-                    for k in np.flatnonzero(capped).tolist():
-                        self.fail(ids[k], "path refinement did not converge")
-                    keep &= [self.alive(i) for i in ids.tolist()]
-                mask = np.repeat(keep, sizes)
-                t, v, refine = t[mask], v[mask], refine[mask]
-                ids, sizes, n_bad = ids[keep], sizes[keep], n_bad[keep]
-                if not ids.size:
-                    break
-            bad = np.flatnonzero(refine)
-            tm = 0.5 * (t[bad] + t[bad + 1])
-            vm = np.asarray(self.fn(_path_z(self.geo, ids, n_bad, tm)),
-                            dtype=complex)
-            t = np.insert(t, bad + 1, tm)
-            v = np.insert(v, bad + 1, vm)
-            sizes = sizes + n_bad
-        return t, v, ids, sizes
+                return out
+        bad = np.flatnonzero(refine)
+        tm = 0.5 * (t[bad] + t[bad + 1])
+        vm = np.asarray(fn(_path_z(geo, ids, n_bad, tm)), dtype=complex)
+        t = np.insert(t, bad + 1, tm)
+        v = np.insert(v, bad + 1, vm)
+        sizes = sizes + n_bad
+    for i in ids.tolist():
+        if not dead.issuperset(owners[i]):
+            fail(i, "path refinement did not converge")
+    return out
 
 
 def _rect_edges(x0, x1, y0, y1) -> list[tuple[complex, complex]]:
@@ -617,7 +582,7 @@ class _Cell:
     rect: tuple
     w: int
     unknown: int
-    small: bool
+    top: tuple          # the rect of the largest ancestor of winding w
     closable: bool
     xs: list            # split candidates, each ym in ys for each xm in xs
     ys: list
@@ -663,10 +628,11 @@ class _Frontier:
             return self.counted[MAX_CELLS]
         return None
 
-    def enter(self, key: tuple, rect: tuple, w: int):
+    def enter(self, key: tuple, rect: tuple, w: int, top: tuple):
         """A new cell's steps before its first split, in order: the
         conservation check, the cell budget, Newton, MAX_DEPTH; then it
-        joins the pending cells with its split candidates."""
+        joins the pending cells with its split candidates.  top is the
+        parent's top if w is the parent's winding, else rect."""
         s = self.s
         if self.past(key):
             return
@@ -704,16 +670,13 @@ class _Frontier:
                 f"cluster near {complex(cx, cy):.6g} not separated at depth "
                 f"{len(key)}"))
             return
-        small = math.hypot(x1 - x0, y1 - y0) \
-            < CLUSTER_SIZE * max(s.disk_radius, 1.0)
         # The axes are avoided like seeds: real-coefficient functions have
         # zeros on y = 0, odd functions at 0, and the bounding square is
         # centred there.
         seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1] + [0.0]
         seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1] + [0.0]
         heapq.heappush(self.pending, (key, _Cell(
-            key, rect, w, unknown, small,
-            small and unknown >= 2 and not seeded,
+            key, rect, w, unknown, top, unknown >= 2 and not seeded,
             _pick_fraction(x0, x1, seed_x), _pick_fraction(y0, y1, seed_y))))
 
     def round(self):
@@ -727,17 +690,16 @@ class _Frontier:
                 self.pending.clear()
                 break
             batch.append(cell)
-        rho = CLUSTER_SIZE * max(s.disk_radius, 1.0)
         split_out = iter(s.split_windings(
             [_quads(c.rect, *c.split()) for c in batch if not c.certify]))
-        cert_out = iter(_circle_windings(
-            s.fn, [(_centre(c.rect), rho) for c in batch if c.certify],
-            s.rate))
+        circles = [_cluster_circle(c.rect, c.top) for c in batch if c.certify]
+        cert_out = zip(circles, _circle_windings(s.fn, circles, s.rate))
         for c in batch:
             if c.certify:
                 c.certify = False
-                w = next(cert_out)      # an int, or the circle's error
-                z = _moment_centroid(s.jet, _centre(c.rect), rho, c.unknown) \
+                # w is an int, or the circle's error
+                (centre, rho), w = next(cert_out)
+                z = _moment_centroid(s.jet, c.rect, centre, rho, c.unknown) \
                     if w == c.unknown else None
                 if z is not None:
                     self.found.append((c.key, (z, c.unknown)))
@@ -753,23 +715,18 @@ class _Frontier:
                     ws = None
                 if ws is not None and sum(ws) == c.w:
                     for j, (q, wq) in enumerate(zip(quads, ws)):
-                        self.enter(c.key + (j,), q, wq)
+                        self.enter(c.key + (j,), q, wq,
+                                   c.top if wq == c.w else q)
                     continue
-                # A small cell around a multiple zero whose first split
-                # failed: its other split lines are most likely rounding
-                # noise too, so it first tries to close at its centroid.
+                # Around a multiple zero every split line may be rounding
+                # noise, so a cluster cell whose first split failed first
+                # tries to close at its centroid.
                 if c.closable:
                     c.closable, c.certify = False, True
                     heapq.heappush(self.pending, (c.key, c))
                     continue
             if c.tried < len(c.xs) * len(c.ys):
                 heapq.heappush(self.pending, (c.key, c))
-            elif c.small:
-                # Every split line is contaminated.  For a tight multiple
-                # zero the boundary signal drowns in rounding noise below
-                # ~1e-8; accept the cell as a single point once it is
-                # already small, otherwise give up.
-                self.found.append((c.key, (_centre(c.rect), c.unknown)))
             else:
                 self.event(c.key, RingTooCloseError(
                     "no clean split line found for cell"))
@@ -781,9 +738,15 @@ def _quads(rect: tuple, xm: float, ym: float) -> list[tuple]:
             (x0, xm, ym, y1), (xm, x1, ym, y1)]
 
 
-def _centre(rect: tuple) -> complex:
+def _cluster_circle(rect: tuple, top: tuple) -> tuple[complex, float]:
+    """(centre, radius) of a cluster cell's certificate circle: centred on
+    the cell, as large as fits in its top, and never smaller than the
+    circle through the cell's corners."""
     x0, x1, y0, y1 = rect
-    return complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+    tx0, tx1, ty0, ty1 = top
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    inside = min(cx - tx0, tx1 - cx, cy - ty0, ty1 - cy)
+    return complex(cx, cy), max(inside, 0.5 * math.hypot(x1 - x0, y1 - y0))
 
 
 def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
@@ -796,7 +759,7 @@ def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
     error, if any.  The cell budget is spent at the (MAX_CELLS + 1)-th
     smallest counted key."""
     fr = _Frontier(s)
-    fr.enter((), (x0, x1, y0, y1), w)
+    fr.enter((), (x0, x1, y0, y1), w, (x0, x1, y0, y1))
     while fr.pending:
         fr.round()
     stop = fr.stop
@@ -811,25 +774,39 @@ def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
     raise dict(fr.errors)[stop]
 
 
-def _moment_centroid(jet, c: complex, rho: float,
+def _moment_centroid(jet, rect: tuple, c: complex, rho: float,
                      unknown: int) -> complex | None:
-    """Mean of the `unknown` zeros inside the circle |z - c| = rho, whose
-    winding has certified that it holds those zeros and no other; None if
-    the estimate does not settle.
+    """The one point of multiplicity `unknown` that holds the zeros of the
+    cell rect, from the circle |z - c| = rho around the cell, whose winding
+    has certified that it holds those zeros and no other; None unless they
+    are one point in the cell.
 
-    The centroid is the moment ratio s1/s0 of Delves and Lyness, with s_k
-    the integral of z^k f'/f over the circle divided by 2 pi i, taken by the
-    trapezoid rule on N = 32, 64, ... points until two successive estimates
-    agree within 1e-3 rho."""
-    prev = None
+    With t = (z - c) / rho, s_k is the integral of t^k f'/f over the circle
+    divided by 2 pi i, taken by the trapezoid rule on N = 512 and 2N points;
+    its error is the change from N to 2N points plus a rounding floor, eps
+    times the integral of |f'/f|.  s1/s0 is the centroid of the zeros in t
+    (Delves and Lyness), and the spread s2/s0 - (s1/s0)^2 is the mean of
+    their squared offsets from it, 0 for a single point.  The point is
+    accepted when s0 rounds to `unknown`, the spread is within the errors
+    of the moments (relative to s0), and the centroid lies in the cell."""
+    t = np.exp(1j * np.pi * np.arange(1024) / 512)
     with np.errstate(all="ignore"):
-        for n in (32, 64, 128, 256, 512, 1024):
-            u = rho * np.exp(2j * np.pi * np.arange(n) / n)
-            f, df, _ = jet(c + u)
-            est = c + complex(np.mean(u * u * df / f)) / unknown
-            if prev is not None and abs(est - prev) <= 1e-3 * rho:
-                return est
-            prev = est
+        f, df, _ = jet(c + rho * t)
+        g = t * df / f * rho
+    floor = _EPS * float(np.mean(np.abs(g)))    # the same for every s_k
+    s, err = [], 0.0
+    for k in range(3):
+        gk = g * t ** k
+        s.append(complex(np.mean(gk)))
+        err += abs(s[-1] - complex(np.mean(gk[::2]))) + floor
+    s0, s1, s2 = s
+    if not abs(s0 - unknown) < 0.5:     # also false for a NaN
+        return None
+    z = c + rho * s1 / s0
+    x0, x1, y0, y1 = rect
+    if (abs(s2 / s0 - (s1 / s0) ** 2) <= err / abs(s0)
+            and x0 <= z.real <= x1 and y0 <= z.imag <= y1):
+        return z
     return None
 
 

@@ -320,8 +320,9 @@ def _integrate(g, pole, stuck, lo, hi, row, tol: float) -> list:
     orders 32 and 64.  A piece stops when they agree to tol times its width:
     their difference plus a rounding floor, eps times the integral, is its
     error, so a tol below rounding is never met.  A piece that fails at
-    orders 32 and 64 is halved.  A radius with a stuck kink is not
-    integrated."""
+    orders 32 and 64 is halved, and its radius fails at once if the floor
+    alone exceeds the piece's share of tol, since one of its halves then
+    does too.  A radius with a stuck kink is not integrated."""
     n = pole.size
     parts: list = [[] for _ in range(n)]
     errs: list = [[] for _ in range(n)]
@@ -351,11 +352,15 @@ def _integrate(g, pole, stuck, lo, hi, row, tol: float) -> list:
                            err[done].tolist()):
             parts[i].append(e)
             errs[i].append(d)
-        lo, hi, mid, row, err = (v[~done] for v in (lo, hi, mid, row, err))
+        floored = _EPS * est > tol * (hi - lo)
+        lo, hi, mid, row, err, floored = (
+            v[~done] for v in (lo, hi, mid, row, err, floored))
         if rnd == 0:
             continue
         count += np.bincount(row, minlength=n)
-        for i in np.flatnonzero((count > _MAX_PIECES) & ~over).tolist():
+        stop = (count > _MAX_PIECES) | (np.bincount(row[floored],
+                                                    minlength=n) > 0)
+        for i in np.flatnonzero(stop & ~over).tolist():
             over[i] = True
             achieved[i] = math.fsum(errs[i] + err[row == i].tolist())
         lo, hi, row = (np.concatenate(v) for v in

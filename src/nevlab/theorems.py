@@ -461,8 +461,11 @@ def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
         msg = f"{type(exc).__name__}: {exc}"
         return [CheckRow(r, math.nan, math.nan, math.nan, msg)
                 for r in ctx.radii]
-    if not all(z.valid and p.valid for z, p in divs.values()):
-        msg = "divisor computation returned a partial result"
+    partial = [name for name, (z, p) in divs.items()
+               if not (z.valid and p.valid)]
+    if partial:
+        msg = ("divisor computation returned a partial result for "
+               + ", ".join(partial))
         return [CheckRow(r, math.nan, math.nan, math.nan, msg)
                 for r in ctx.radii]
     moduli = sorted({abs(pt.location)

@@ -140,6 +140,29 @@ def test_proximity_shares_evaluator_calls_across_a_batch(monkeypatch):
     assert len(calls) <= 286
 
 
+def test_tol_below_rounding_fails_without_spending_the_budget(monkeypatch):
+    """A radius fails once one piece's rounding floor alone exceeds its
+    share of tol: the circle samples, then orders 8 and 16, then 32 and 64.
+    Halving until the 2048-piece budget ran out took 790 calls."""
+    calls = []
+    real = nevanlinna.compile_log_abs
+
+    def counted(e):
+        ln_f = real(e)
+
+        def ev(z):
+            calls.append(z.size)
+            return ln_f(z)
+        return ev
+
+    monkeypatch.setattr(nevanlinna, "compile_log_abs", counted)
+    got = proximity(parse_expr("exp(z)"), radial_grid(2, 20, 8), 1e-30)
+    assert len(calls) == 3
+    for g in got:
+        assert str(g) == "quadrature interval budget exhausted"
+        assert g.achieved > 0
+
+
 # tracemalloc peaks of the batched call over radial_grid(2, 40, 512), in
 # bytes, measured before the quadrature took one ln|num/den| program per
 # quotient and halved its intervals without copies; the batch cap was raised

@@ -289,3 +289,13 @@ def test_check_rows_batch_proximity_bit_for_bit(monkeypatch):
     errors = [w.error for w in batched.rows]
     assert None in errors
     assert "QuadratureError: quadrature interval budget exhausted" in errors
+
+
+def test_partial_divisor_rows_name_their_requests(monkeypatch):
+    """With the depth cap at 1, neither tan(z) nor its second derivative is
+    located in full; the rows say which requests came back partial."""
+    monkeypatch.setattr(locator, "MAX_DEPTH", 1)
+    report = run_check("lem_32", parse_expr("tan(z)"), params={"k": 2},
+                       radii=GRID)
+    assert {row.error for row in report.rows} == {
+        "divisor computation returned a partial result for f, fk"}
