@@ -567,21 +567,21 @@ def test_uncertified_cluster_falls_back_to_splitting(monkeypatch, error):
     Around a double zero every split line of a small enough cell is
     rounding noise, so the search then fails closed."""
     e = parse_expr("z^2 - 2*z + 1")
-    circles = set()
+    certificates = set()
     real_circle = locator._cluster_circle
 
     def cluster_circle(rect, top):
         out = real_circle(rect, top)
-        circles.add(out)
+        certificates.add(out)
         return out
 
     refused = []
     real = locator._circle_windings
 
-    def windings(fn, circles_, rate=None):
-        out = real(fn, circles_, rate)
-        for k, circle in enumerate(circles_):
-            if circle in circles:
+    def windings(fn, circles, rate=None):
+        out = real(fn, circles, rate)
+        for k, circle in enumerate(circles):
+            if circle in certificates:
                 refused.append(circle[0])
                 out[k] = error("certificate refused")
         return out
