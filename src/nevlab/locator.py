@@ -111,7 +111,6 @@ MAX_CELLS = 60000
 _PHASE_STEP = 0.5 * math.pi
 _MAG_STEP = 4.0
 _TINY = 1e-280
-_EPS = float(np.finfo(float).eps)
 _WINDING_SLACK = 0.25
 
 
@@ -793,7 +792,8 @@ def _moment_centroid(jet, rect: tuple, c: complex, rho: float,
     with np.errstate(all="ignore"):
         f, df, _ = jet(c + rho * t)
         g = t * df / f * rho
-    floor = _EPS * float(np.mean(np.abs(g)))    # the same for every s_k
+    # the same for every s_k, since |t| = 1
+    floor = float(np.finfo(float).eps * np.mean(np.abs(g)))
     s, err = [], 0.0
     for k in range(3):
         gk = g * t ** k
