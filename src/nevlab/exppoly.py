@@ -1,15 +1,16 @@
-"""Canonical exponential polynomials and decidable identity tests.
+"""Exact exponential polynomials and decidable identity tests.
 
-An ExpPoly is a finite sum  sum_k  p_k(z) * exp(lambda_k * z)  with complex
-frequencies and polynomial coefficients, kept in a canonical form (frequencies
-sorted and merged, coefficient lists stripped).  The class is closed under
-addition, multiplication and differentiation, and has a decidable zero test:
-an ExpPoly is the zero function iff its canonical form is empty.
+An ExpPoly is a finite sum  sum_k  p_k(z) * exp(lambda_k * z)  with distinct
+frequencies, its frequencies and polynomial coefficients held as exact
+Gaussian rationals; every float enters at its exact dyadic value.  The class
+is closed under addition, multiplication and differentiation, and such a sum
+vanishes iff every p_k does, so an exact ExpPoly is zero iff it has no terms.
 
-Expressions that stay inside this class (everything the parser produces from
-polynomials, exp of linear arguments and the trig desugarings) therefore get
-exact Zero/NonZero verdicts; everything else falls back to a seeded
-probabilistic sample.
+Expressions in the class (polynomials, exp of linear arguments, the trig
+desugarings, division by one exponential) get exact Zero/NonZero verdicts.
+exp(c0 + c1*z) with c0 != 0 holds the float exp(c0), which makes its form
+inexact; inexact forms and expressions outside the class get a seeded
+probabilistic verdict.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
+import math
 import random
 
 from .expr import (
-    Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, PoleSignal, QuotientForm,
-    Var, Z,
+    Add, Const, Div, Exp, Expr, IntPow, InvalidExpressionError, Mul, Neg,
+    PoleSignal, QuotientForm, Var, Z,
     add, differentiate, div, evaluate, exp_e, intpow, mul, neg, sub,
     to_quotient,
 )
@@ -33,9 +35,6 @@ __all__ = [
     "derivative_chain", "set_probabilistic_seed",
 ]
 
-FREQ_TOL = 1e-12       # frequencies closer than this are merged
-COEFF_TOL = 1e-12      # relative prune threshold for coefficients
-
 _DEFAULT_PROB_SEED = 0x5EED
 _prob_seed = _DEFAULT_PROB_SEED
 
@@ -46,214 +45,200 @@ def set_probabilistic_seed(seed: int | None):
     _prob_seed = _DEFAULT_PROB_SEED if seed is None else int(seed)
 
 
+# A frequency (re + im*i)/den is the key (re, im, den): ints, den > 0, no
+# common factor.  A coefficient is a Gaussian integer (a, b) = a + b*i.
+_ZERO_F = (0, 0, 1)
+
+
+def _fadd(f: tuple, g: tuple, n: int = 1) -> tuple[int, int, int]:
+    """The key of f + n*g; g need not be reduced."""
+    if f[2] == g[2] == 1:
+        return f[0] + n * g[0], f[1] + n * g[1], 1
+    re, im = f[0] * g[2] + n * g[0] * f[2], f[1] * g[2] + n * g[1] * f[2]
+    k = math.gcd(re, im, f[2] * g[2])
+    return re // k, im // k, f[2] * g[2] // k
+
+
 class ExpPoly:
-    """Canonical form; terms is a list of (frequency, coefficient list)."""
+    """An exact exponential polynomial: a value that no operation changes.
 
-    __slots__ = ("terms",)
+    terms maps each frequency key to its polynomial's coefficients,
+    constant term first, all over the one positive int den.  Trailing zero
+    coefficients and empty terms are stripped and den is reduced, so the
+    zero function has no terms.  exact is False when a coefficient holds the
+    float exp(c0) of an exp(c0 + c1*z), c0 != 0: such a form evaluates well
+    but decides nothing."""
 
-    def __init__(self, terms):
-        self.terms = _normalise(terms)
+    __slots__ = ("terms", "den", "exact")
 
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "ExpPoly":
-        return ExpPoly([])
-
-    @staticmethod
-    def constant(c: complex) -> "ExpPoly":
-        return ExpPoly([(0j, [complex(c)])])
-
-    @staticmethod
-    def variable() -> "ExpPoly":
-        return ExpPoly([(0j, [0j, 1 + 0j])])
-
-    # -- ring operations ---------------------------------------------------
+    def __init__(self, terms: dict, den: int = 1, exact: bool = True):
+        for f, cs in list(terms.items()):
+            while cs and cs[-1] == (0, 0):
+                cs.pop()
+            if not cs:
+                del terms[f]
+        g = den if den == 1 else math.gcd(
+            den, *(x for cs in terms.values() for c in cs for x in c))
+        if g > 1:
+            terms = {f: [(a // g, b // g) for a, b in cs]
+                     for f, cs in terms.items()}
+            den //= g
+        self.terms, self.den, self.exact = terms, den, exact
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        return ExpPoly(list(self.terms) + list(other.terms))
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        terms = {f: [(a * s, b * s) for a, b in cs]
+                 for f, cs in self.terms.items()}
+        for f, cs in other.terms.items():
+            acc = terms.setdefault(f, [])
+            acc.extend([(0, 0)] * (len(cs) - len(acc)))
+            for i, (a, b) in enumerate(cs):
+                x, y = acc[i]
+                acc[i] = (x + a * t, y + b * t)
+        return ExpPoly(terms, den, self.exact and other.exact)
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly([(f, [-c for c in cs]) for f, cs in self.terms])
+        return ExpPoly({f: [(-a, -b) for a, b in cs]
+                        for f, cs in self.terms.items()}, self.den, self.exact)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        out = []
-        for f1, c1 in self.terms:
-            for f2, c2 in other.terms:
-                conv = [0j] * (len(c1) + len(c2) - 1)
-                for i, a in enumerate(c1):
-                    for j, b in enumerate(c2):
-                        conv[i + j] += a * b
-                out.append((f1 + f2, conv))
-        return ExpPoly(out)
-
-    def scale(self, c: complex) -> "ExpPoly":
-        c = complex(c)
-        return ExpPoly([(f, [c * x for x in cs]) for f, cs in self.terms])
+        out: dict = {}
+        for f1, c1 in self.terms.items():
+            for f2, c2 in other.terms.items():
+                f = _fadd(f1, f2)
+                n = len(c1) + len(c2) - 1
+                re, im = out.setdefault(f, ([], []))
+                re.extend([0] * (n - len(re)))
+                im.extend([0] * (n - len(im)))
+                for i, (a, b) in enumerate(c1):
+                    for j, (c, d) in enumerate(c2, i):
+                        re[j] += a * c - b * d
+                        im[j] += a * d + b * c
+        return ExpPoly({f: list(zip(re, im)) for f, (re, im) in out.items()},
+                       self.den * other.den, self.exact and other.exact)
 
     def diff(self) -> "ExpPoly":
-        out = []
-        for f, cs in self.terms:
-            d = [(i + 1) * cs[i + 1] for i in range(len(cs) - 1)] + [0j]
-            out.append((f, [d[i] + f * cs[i] for i in range(len(cs))]))
-        return ExpPoly(out)
+        # (p e^{fz})' = (p' + f p)e^{fz}, over den*s where s clears the
+        # denominators of all frequencies
+        s = math.lcm(*(f[2] for f in self.terms))
+        out = {}
+        for f, cs in self.terms.items():
+            x, y = f[0] * (s // f[2]), f[1] * (s // f[2])
+            out[f] = [(a * x - b * y + k * s * p, a * y + b * x + k * s * q)
+                      for k, ((a, b), (p, q))
+                      in enumerate(zip(cs, cs[1:] + [(0, 0)]), 1)]
+        return ExpPoly(out, self.den * s, self.exact)
 
     def pow(self, n: int) -> "ExpPoly":
-        if n < 0:
-            raise ValueError("negative power of a general ExpPoly")
-        acc = ExpPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        acc = _constant(1)
+        for bit in bin(n)[2:]:
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
-    # -- queries -----------------------------------------------------------
+    def over(self, g: "ExpPoly") -> "ExpPoly":
+        """self / g for a single term g = c*exp(lambda*z), c != 0, exactly:
+        1/c = den*conj(c)/|c|^2 for c = (a + b*i)/den."""
+        (lam, ((a, b),)), = g.terms.items()
+        s = g.den
+        return ExpPoly({_fadd(f, lam, -1): [((p * a + q * b) * s,
+                                              (q * a - p * b) * s)
+                                             for p, q in cs]
+                        for f, cs in self.terms.items()},
+                       self.den * (a * a + b * b), self.exact and g.exact)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eval(self, z: complex) -> complex:
-        acc = 0j
-        for f, cs in self.terms:
-            p = 0j
-            for c in reversed(cs):
-                p = p * z + c
-            acc += p * cmath.exp(f * z)
-        return acc
-
-    def approx_eq(self, other: "ExpPoly", tol: float = 1e-9) -> bool:
-        return (self - other)._max_coeff() <= tol * max(
-            1.0, self._max_coeff(), other._max_coeff())
-
-    def _max_coeff(self) -> float:
-        return max((abs(c) for _, cs in self.terms for c in cs), default=0.0)
-
-    def __repr__(self):
-        return f"ExpPoly({self.terms!r})"
+    def rounded(self) -> list[tuple[complex, list[complex]]]:
+        """(frequency, coefficients) of each term as complex floats, each
+        rounded once from its exact value, frequencies in increasing
+        (real, imaginary) order."""
+        scale = math.lcm(*(f[2] for f in self.terms))
+        d = self.den
+        return [(complex(f[0] / f[2], f[1] / f[2]),
+                 [complex(a / d, b / d) for a, b in self.terms[f]])
+                for f in sorted(self.terms, key=lambda f: (
+                    f[0] * (scale // f[2]), f[1] * (scale // f[2])))]
 
 
-def _normalise(raw):
-    groups: list[tuple[complex, list[complex]]] = []
-    for f, cs in sorted(raw, key=lambda t: (t[0].real, t[0].imag)):
-        if groups and abs(f - groups[-1][0]) <= FREQ_TOL:
-            g = groups[-1][1]
-            if len(cs) > len(g):
-                g.extend([0j] * (len(cs) - len(g)))
-            for i, c in enumerate(cs):
-                g[i] += c
-        else:
-            groups.append((f, list(cs)))
-    big = max((abs(c) for _, cs in groups for c in cs), default=0.0)
-    cut = COEFF_TOL * big
-    out = []
-    for f, cs in groups:
-        cs = [c if abs(c) > cut else 0j for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if cs:
-            out.append((f, cs))
-    return out
+def _single(ep: ExpPoly, degree: int = 0) -> bool:
+    """ep is p(z)*exp(lambda*z) with p != 0 of at most this degree."""
+    return len(ep.terms) == 1 and \
+        len(next(iter(ep.terms.values()))) <= degree + 1
 
 
 # ---------------------------------------------------------------------------
 # conversion from expression trees
 
+_CHILDREN = {Add: lambda e: e.terms, Mul: lambda e: e.factors,
+             Neg: lambda e: (e.child,), Div: lambda e: (e.num, e.den),
+             IntPow: lambda e: (e.base,), Exp: lambda e: (e.arg,),
+             Const: lambda e: (), Var: lambda e: ()}
+
+
+def _combine(e: Expr, forms: list) -> ExpPoly | None:
+    """The form of e from the forms of its children, or None when e leaves
+    the class."""
+    t = type(e)
+    if t is Mul or t is Add:
+        acc = forms[0]
+        for p in forms[1:]:
+            acc = acc * p if t is Mul else acc + p
+        return acc
+    if t is Const:
+        return _constant(e.value)
+    if t is Neg:
+        return -forms[0]
+    if t is Var:
+        return ExpPoly({_ZERO_F: [(0, 0), (1, 0)]})
+    if t is Div:
+        return forms[0].over(forms[1]) if _single(forms[1]) else None
+    if t is IntPow:
+        if e.power >= 0:
+            return forms[0].pow(e.power)
+        return _constant(1).over(forms[0]).pow(-e.power) \
+            if _single(forms[0]) else None
+    arg = forms[0]                                  # Exp
+    cs = arg.terms.get(_ZERO_F, [])
+    if arg.terms.keys() - {_ZERO_F} or len(cs) > 2:     # not linear
+        return None
+    (a, b), lam = (cs + [(0, 0), (0, 0)])[:2]
+    try:       # exp(0) is 1 exactly; any other exp(c0) is a rounded float
+        c0 = _constant(cmath.exp(complex(a / arg.den, b / arg.den)))
+    except OverflowError:
+        return None
+    return ExpPoly({_fadd(_ZERO_F, (*lam, arg.den)): list(
+        c0.terms.get(_ZERO_F, []))}, c0.den, arg.exact and a == b == 0)
+
+
+@functools.lru_cache(maxsize=256)
+def _constant(c: complex) -> ExpPoly | None:
+    """c at its exact dyadic value; None for inf or nan."""
+    try:
+        (a, da), (b, db) = c.real.as_integer_ratio(), c.imag.as_integer_ratio()
+    except (OverflowError, ValueError):
+        return None
+    d = max(da, db)             # both are powers of two
+    return ExpPoly({_ZERO_F: [(a * (d // da), b * (d // db))]}, d)
+
+
 def to_exp_poly(e: Expr) -> ExpPoly | None:
-    """Canonical ExpPoly of an entire expression, or None when the expression
+    """Exact ExpPoly of an entire expression, or None when the expression
     leaves the class (exp of a non-linear argument, division by a
     non-constant, negative powers of sums, ...)."""
-    if isinstance(e, Const):
-        return ExpPoly.zero() if e.value == 0 else ExpPoly.constant(e.value)
-    if isinstance(e, Var):
-        return ExpPoly.variable()
-    if isinstance(e, Neg):
-        ep = to_exp_poly(e.child)
-        return None if ep is None else -ep
-    if isinstance(e, Add):
-        acc = ExpPoly.zero()
-        for t in e.terms:
-            ep = to_exp_poly(t)
-            if ep is None:
-                return None
-            acc = acc + ep
-        return acc
-    if isinstance(e, Mul):
-        acc = ExpPoly.constant(1)
-        for f in e.factors:
-            ep = to_exp_poly(f)
-            if ep is None:
-                return None
-            acc = acc * ep
-        return acc
-    if isinstance(e, Div):
-        nep = to_exp_poly(e.num)
-        dep = to_exp_poly(e.den)
-        if nep is None or dep is None:
-            return None
-        single = _single_exponential(dep)
-        if single is None:
-            return None
-        lam, c = single
-        return ExpPoly([(f - lam, [x / c for x in cs]) for f, cs in nep.terms])
-    if isinstance(e, IntPow):
-        bep = to_exp_poly(e.base)
-        if bep is None:
-            return None
-        single = _single_exponential(bep)
-        if single is not None:
-            lam, c = single
-            return ExpPoly([(e.power * lam, [c ** e.power])])
-        if e.power < 0:
-            return None
-        return bep.pow(e.power)
-    if isinstance(e, Exp):
-        aep = to_exp_poly(e.arg)
-        if aep is None or not _is_linear(aep):
-            return None
-        c0 = 0j
-        lam = 0j
-        for f, cs in aep.terms:
-            c0 = cs[0]
-            lam = cs[1] if len(cs) > 1 else 0j
-        return ExpPoly([(lam, [cmath.exp(c0)])])
-    return None
-
-
-def _single_exponential(ep: ExpPoly):
-    """(lambda, c) if ep is exactly c*exp(lambda z) with c != 0, else None."""
-    if len(ep.terms) != 1:
-        return None
-    f, cs = ep.terms[0]
-    if len(cs) != 1:
-        return None
-    return f, cs[0]
-
-
-def _is_linear(ep: ExpPoly) -> bool:
-    if ep.is_zero:
-        return True
-    if len(ep.terms) != 1:
-        return False
-    f, cs = ep.terms[0]
-    return f == 0 and len(cs) <= 2
+    forms = [to_exp_poly(c) for c in _CHILDREN[type(e)](e)]
+    return None if None in forms else _combine(e, forms)
 
 
 def exp_poly_to_expr(ep: ExpPoly) -> Expr:
     parts = []
-    for f, cs in ep.terms:
+    for f, cs in ep.rounded():
         poly = add(*(mul(Const(c), intpow(Z, j))
                      for j, c in enumerate(cs) if c != 0))
-        if f == 0:
-            parts.append(poly)
-        else:
-            parts.append(mul(poly, exp_e(mul(Const(f), Z))))
+        parts.append(poly if f == 0 else mul(poly, exp_e(mul(Const(f), Z))))
     return add(*parts)
 
 
@@ -278,31 +263,60 @@ def canonical(e: Expr) -> Expr:
     a multiple zero the expanded sum drowns in its own rounding noise while
     the factored original stays accurate, so anything short of a single
     low-degree term is returned as written."""
-    if isinstance(e, Neg):
-        return neg(canonical(e.child))
-    if isinstance(e, Mul):
-        return mul(*(canonical(f) for f in e.factors))
-    if isinstance(e, IntPow):
-        return intpow(canonical(e.base), e.power)
-    if isinstance(e, Div):
-        return div(canonical(e.num), canonical(e.den))
-    if isinstance(e, Add):
-        rebuilt = add(*(canonical(t) for t in e.terms))
-        if not isinstance(rebuilt, Add):
-            return rebuilt
-        ep = to_exp_poly(rebuilt)
-        if ep is not None and (ep.is_zero or (
-                len(ep.terms) == 1 and len(ep.terms[0][1]) <= 2)):
-            return exp_poly_to_expr(ep)
-        return rebuilt
-    return e
+    return _canonical(e, False)[0]
+
+
+_REBUILD = {Add: lambda e, k: add(*k), Mul: lambda e, k: mul(*k),
+            Neg: lambda e, k: neg(*k), Div: lambda e, k: div(*k),
+            IntPow: lambda e, k: intpow(*k, e.power)}
+
+
+def _canonical(e: Expr, need: bool) -> tuple[Expr, ExpPoly | None]:
+    """(canonical(e), the form of e).  The form is built bottom-up, once,
+    where a sum needs it (need, or e is a sum), and is None otherwise or
+    when e leaves the class."""
+    rebuild = _REBUILD.get(type(e))
+    if rebuild is None:
+        return e, to_exp_poly(e) if need else None
+    is_sum = isinstance(e, Add)
+    parts = [_canonical(c, need or is_sum) for c in _CHILDREN[type(e)](e)]
+    rebuilt = rebuild(e, [x for x, _ in parts])
+    forms = [p for _, p in parts]
+    if not (need or is_sum) or any(p is None for p in forms):
+        return rebuilt, None
+    ep = _combine(e, forms)
+    if is_sum and isinstance(rebuilt, Add) and ep is not None and (
+            not ep.terms or _single(ep, 1)):
+        return exp_poly_to_expr(ep), ep
+    return rebuilt, ep
 
 
 @functools.cache
 def canonical_quotient(e: Expr) -> QuotientForm:
     """to_quotient with both parts passed through canonical()."""
-    q = to_quotient(e)
-    return QuotientForm(canonical(q.num), canonical(q.den))
+    forms = _forms(e)
+    if not isinstance(forms.q.den, Const) and is_identically_zero(
+            forms.q.den) in (ZeroVerdict.ZERO, ZeroVerdict.PROBABLY_ZERO):
+        raise InvalidExpressionError("denominator vanishes identically")
+    return QuotientForm(forms.num[0], forms.den[0])
+
+
+class _Forms:
+    """The quotient of an expression and (canonical rewrite, form) of each
+    part, converted once; the denominator's only when asked for."""
+
+    def __init__(self, e: Expr):
+        self.q = to_quotient(e, check=False)
+        self.num = _canonical(self.q.num, True)
+
+    @functools.cached_property
+    def den(self) -> tuple[Expr, ExpPoly | None]:
+        return _canonical(self.q.den, True)
+
+
+# Bounded: the verdicts and canonical quotient of one expression come back
+# to back, and a cache for the life of the process would keep every form.
+_forms = functools.lru_cache(maxsize=64)(_Forms)
 
 
 # ---------------------------------------------------------------------------
@@ -321,61 +335,46 @@ class Constancy(enum.Enum):
     UNKNOWN = "Unknown"
 
 
-def _sample_points() -> list[complex]:
+def _samples(e: Expr) -> list[complex]:
+    """The values of e at 16 seeded points, |z| in {0.7, 1.3}, less poles."""
     rng = random.Random(_prob_seed)
-    pts = []
-    for r in (0.7, 1.3):
-        for _ in range(8):
-            theta = rng.uniform(0.0, 2.0 * cmath.pi)
-            pts.append(r * cmath.exp(1j * theta))
-    return pts
+    vals = (evaluate(e, r * cmath.exp(1j * rng.uniform(0.0, 2.0 * cmath.pi)))
+            for r in (0.7, 1.3) for _ in range(8))
+    return [v for v in vals if not isinstance(v, PoleSignal)]
 
 
 def is_identically_zero(e: Expr) -> ZeroVerdict:
-    """Exact Zero/NonZero via the canonical form when possible; otherwise a
+    """Exact Zero/NonZero when the numerator has an exact form; otherwise a
     probabilistic verdict from 16 seeded sample points (|z| in {0.7, 1.3},
     threshold 1e-9)."""
-    q = to_quotient(e, check=False)
-    ep = to_exp_poly(q.num)
-    if ep is not None:
-        return ZeroVerdict.ZERO if ep.is_zero else ZeroVerdict.NONZERO
-    worst = 0.0
-    seen = 0
-    for p in _sample_points():
-        v = evaluate(e, p)
-        if isinstance(v, PoleSignal):
-            continue
-        seen += 1
-        worst = max(worst, abs(v))
-    if seen == 0:
-        return ZeroVerdict.PROBABLY_NONZERO
-    if worst <= 1e-9:
+    num = _forms(e).num[1]
+    if num is not None and num.exact:
+        return ZeroVerdict.NONZERO if num.terms else ZeroVerdict.ZERO
+    vals = _samples(e)
+    if vals and max(abs(v) for v in vals) <= 1e-9:
         return ZeroVerdict.PROBABLY_ZERO
     return ZeroVerdict.PROBABLY_NONZERO
 
 
 def is_constant(e: Expr) -> tuple[Constancy, complex | None]:
-    """Decide constancy.  Inside the ExpPoly quotient class this is exact:
-    num/den is constant iff num'*den - num*den' vanishes identically."""
-    q = to_quotient(e, check=False)
-    nep = to_exp_poly(q.num)
-    dep = to_exp_poly(q.den)
-    if nep is not None and dep is not None and not dep.is_zero:
-        if nep.is_zero:
+    """Decide constancy.  When num and den have exact forms this is exact:
+    num/den is constant iff num'*den - num*den' vanishes identically.
+    Otherwise 16 seeded samples can only show that e is not constant."""
+    forms = _forms(e)
+    nep = forms.num[1]
+    dep = forms.den[1] if nep is not None and nep.exact else None
+    if dep is not None and dep.exact and dep.terms:
+        if not nep.terms:
             return Constancy.CONSTANT, 0j
-        w = nep.diff() * dep - nep * dep.diff()
-        if not w.is_zero:
+        if (nep.diff() * dep - nep * dep.diff()).terms:
             return Constancy.NON_CONSTANT, None
-        for p in _sample_points():
-            dv = dep.eval(p)
-            if abs(dv) > 1e-9:
-                return Constancy.CONSTANT, nep.eval(p) / dv
-        return Constancy.CONSTANT, None
-    vals = []
-    for p in _sample_points():
-        v = evaluate(e, p)
-        if not isinstance(v, PoleSignal):
-            vals.append(v)
+        # num = c*den: c is the ratio of any pair of matching coefficients
+        f, cs = next(iter(dep.terms.items()))
+        (a, b), (p, q) = cs[-1], nep.terms[f][len(cs) - 1]
+        d = (a * a + b * b) * nep.den
+        return Constancy.CONSTANT, complex((p * a + q * b) * dep.den / d,
+                                           (q * a - p * b) * dep.den / d)
+    vals = _samples(e)
     if len(vals) < 2:
         return Constancy.UNKNOWN, None
     scale = max(1.0, max(abs(v) for v in vals))

@@ -626,7 +626,9 @@ def _run(prog: _Program, z: np.ndarray) -> tuple:
 def _evaluator(prog: _Program, joint: bool):
     """Evaluator of prog: _run on arrays, generated code on one point, as
     np.complex128 with np.exp.  Returns the tuple of outputs when joint,
-    otherwise the one output."""
+    otherwise the one output.  It carries prog as .program, so a caller that
+    already holds an np.complex128 under errstate can run the generated code
+    itself."""
     def run(z):
         with np.errstate(all="ignore"):
             if np.ndim(z):
@@ -634,6 +636,7 @@ def _evaluator(prog: _Program, joint: bool):
             else:
                 out = prog.straight(np.complex128(z), np.exp)
         return out if joint else out[0]
+    run.program = prog
     return run
 
 
@@ -756,7 +759,8 @@ def format_complex(c: complex) -> str:
 
 def to_grammar(e: Expr) -> str:
     """Serialise back to the input grammar; parse_expr(to_grammar(e)) evaluates
-    identically to e."""
+    identically to e, and is e itself unless e holds a negative or non-real
+    constant, which prints as a sum or negation of literals."""
     if isinstance(e, Const):
         return format_complex(e.value)
     if isinstance(e, Var):
@@ -770,7 +774,8 @@ def to_grammar(e: Expr) -> str:
                 parts.append(f"+{_wrap_term(t)}")
         return "".join(parts)
     if isinstance(e, Neg):
-        return f"-{_wrap_term(e.child)}"
+        # a bare -a*b would read back as (-a)*b
+        return f"-{_wrap_factor(e.child)}"
     if isinstance(e, Mul):
         return "*".join(_wrap_factor(f) for f in e.factors)
     if isinstance(e, Div):

@@ -461,10 +461,16 @@ def _vanishing_factors(e: Expr) -> list[tuple[Expr, int]]:
 # Newton polishing on f / f'  (quadratic near zeros of any multiplicity)
 
 def _polish(jet, z0: complex, scale: float) -> complex | None:
+    # z stays an np.complex128 under errstate, so a compiled jet's generated
+    # code runs directly, without the evaluator's per-call checks; a jet
+    # with no program is called as it is.
+    prog = getattr(jet, "program", None)
+    point = jet if prog is None else functools.partial(prog.straight,
+                                                       exp=np.exp)
     z = np.complex128(z0)
     with np.errstate(all="ignore"):
         for _ in range(60):
-            f0, f1, f2 = jet(z)
+            f0, f1, f2 = point(z)
             if not (cmath.isfinite(f0) and cmath.isfinite(f1)
                     and cmath.isfinite(f2)):
                 return None

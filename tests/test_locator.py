@@ -773,3 +773,27 @@ def test_divisor_degree_equals_winding_number(factors, r):
     assert poles.degree == 0
     assert zeros.valid
     assert zeros.degree == winding_number(e, zeros.radius)
+
+
+@pytest.mark.parametrize("src", ["tan(z)^3*(z - 1)", "z^5 - 3*z + 1",
+                                 "sin(z)*(z^2 + 4)", "exp(z) - 2 - z"])
+def test_polish_runs_the_generated_code_bit_for_bit(src):
+    """Newton steps on the jet's own program give the bits that calls
+    through the evaluator give."""
+    e = parse_expr(src)
+    de = differentiate(e)
+    jet = compile_expr((e, de, differentiate(de)))
+    assert jet.program is not None
+
+    def through_the_evaluator(z):
+        return jet(z)
+
+    rng = random.Random(7)
+    for _ in range(60):
+        z0 = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+        got = locator._polish(jet, z0, 3.0)
+        want = locator._polish(through_the_evaluator, z0, 3.0)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (got.real.hex(), got.imag.hex()) == \
+                (want.real.hex(), want.imag.hex())
