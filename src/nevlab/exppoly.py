@@ -314,9 +314,10 @@ class _Forms:
         return _canonical(self.q.den, True)
 
 
-# Bounded: the verdicts and canonical quotient of one expression come back
-# to back, and a cache for the life of the process would keep every form.
-_forms = functools.lru_cache(maxsize=64)(_Forms)
+# Small and bounded: the verdicts and canonical quotient of one expression
+# come back to back, and a cache for the life of the process would keep
+# every form it made.
+_forms = functools.lru_cache(maxsize=16)(_Forms)
 
 
 # ---------------------------------------------------------------------------

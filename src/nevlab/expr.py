@@ -758,9 +758,11 @@ def format_complex(c: complex) -> str:
 
 
 def to_grammar(e: Expr) -> str:
-    """Serialise back to the input grammar; parse_expr(to_grammar(e)) evaluates
-    identically to e, and is e itself unless e holds a negative or non-real
-    constant, which prints as a sum or negation of literals."""
+    """Serialise back to the input grammar.  When every constant prints
+    exactly (at most 12 significant digits, no exponent), parsing the text
+    gives an expression that evaluates identically to e, and e itself unless
+    a constant is negative or non-real: those print as sums or negations of
+    literals."""
     if isinstance(e, Const):
         return format_complex(e.value)
     if isinstance(e, Var):
