@@ -226,9 +226,9 @@ def _constant(c: complex) -> ExpPoly | None:
 
 
 def to_exp_poly(e: Expr) -> ExpPoly | None:
-    """Exact ExpPoly of an entire expression, or None when the expression
-    leaves the class (exp of a non-linear argument, division by a
-    non-constant, negative powers of sums, ...)."""
+    """ExpPoly of an entire expression, inexact if it holds exp(c0 != 0),
+    or None when the expression leaves the class (exp of a non-linear
+    argument, division by a non-constant, negative powers of sums, ...)."""
     forms = [to_exp_poly(c) for c in _CHILDREN[type(e)](e)]
     return None if None in forms else _combine(e, forms)
 
