@@ -1,23 +1,26 @@
 """Exact exponential polynomials and decidable identity tests.
 
-An ExpPoly is a finite sum  sum_k  p_k(z) * exp(lambda_k * z)  with distinct
-frequencies, its frequencies and polynomial coefficients held as exact
-Gaussian rationals; every float enters at its exact dyadic value.  The class
-is closed under addition, multiplication and differentiation, and such a sum
-vanishes iff every p_k does, so an exact ExpPoly is zero iff it has no terms.
-
-Expressions in the class (polynomials, exp of linear arguments, the trig
-desugarings, division by one exponential) get exact Zero/NonZero verdicts.
-exp(c0 + c1*z) with c0 != 0 holds the float exp(c0), which makes its form
-inexact; inexact forms and expressions outside the class get a seeded
+An ExpPoly is a finite sum  sum_k  p_k(z) * exp(c_k + lambda_k * z)  over
+distinct pairs (lambda_k, c_k), with lambda_k, c_k and the coefficients of
+p_k exact Gaussian rationals; every float enters at its exact dyadic value.
+The class is closed under +, * and d/dz, and the sum vanishes iff every p_k
+does (distinct frequencies are independent, and by Lindemann-Weierstrass so
+are the exp(c) of distinct algebraic c): an ExpPoly is zero iff it has no
+terms.  Expressions in the class (polynomials, exp of linear arguments, the
+trig desugarings, division by one exponential) get exact Zero/NonZero
+verdicts, except a nonzero sum whose every frequency mixes several exp(c_k):
+in exp(z + 1) - exp(1)*exp(z) the parser folds exp(1) to a float that may be
+meant to cancel.  Such sums and expressions outside the class get a seeded
 probabilistic verdict.
 """
 
 from __future__ import annotations
 
 import cmath
+import collections
 import enum
 import functools
+from itertools import zip_longest
 import math
 import random
 
@@ -45,9 +48,11 @@ def set_probabilistic_seed(seed: int | None):
     _prob_seed = _DEFAULT_PROB_SEED if seed is None else int(seed)
 
 
-# A frequency (re + im*i)/den is the key (re, im, den): ints, den > 0, no
-# common factor.  A coefficient is a Gaussian integer (a, b) = a + b*i.
+# A Gaussian rational (re + im*i)/den is the triple (re, im, den): ints,
+# den > 0, no common factor.  A term's key is the pair (lambda, c) of triples
+# for exp(c)*exp(lambda*z).  A coefficient is a Gaussian integer (a, b).
 _ZERO_F = (0, 0, 1)
+_ZERO_K = (_ZERO_F, _ZERO_F)
 
 
 def _fadd(f: tuple, g: tuple, n: int = 1) -> tuple[int, int, int]:
@@ -59,19 +64,22 @@ def _fadd(f: tuple, g: tuple, n: int = 1) -> tuple[int, int, int]:
     return re // k, im // k, f[2] * g[2] // k
 
 
+def _kadd(k: tuple, g: tuple, n: int = 1) -> tuple:
+    """The key of the product of terms keyed k and g (quotient for n = -1)."""
+    return _fadd(k[0], g[0], n), _fadd(k[1], g[1], n)
+
+
 class ExpPoly:
     """An exact exponential polynomial: a value that no operation changes.
 
-    terms maps each frequency key to its polynomial's coefficients,
-    constant term first, all over the one positive int den.  Trailing zero
-    coefficients and empty terms are stripped and den is reduced, so the
-    zero function has no terms.  exact is False when a coefficient holds the
-    float exp(c0) of an exp(c0 + c1*z), c0 != 0: such a form evaluates well
-    but decides nothing."""
+    terms maps each key (lambda, c) to the coefficients of the polynomial
+    that multiplies exp(c)*exp(lambda*z), constant term first, all over the
+    one positive int den.  Trailing zero coefficients and empty terms are
+    stripped and den is reduced, so the zero function has no terms."""
 
-    __slots__ = ("terms", "den", "exact")
+    __slots__ = ("terms", "den")
 
-    def __init__(self, terms: dict, den: int = 1, exact: bool = True):
+    def __init__(self, terms: dict, den: int = 1):
         for f, cs in list(terms.items()):
             while cs and cs[-1] == (0, 0):
                 cs.pop()
@@ -83,7 +91,7 @@ class ExpPoly:
             terms = {f: [(a // g, b // g) for a, b in cs]
                      for f, cs in terms.items()}
             den //= g
-        self.terms, self.den, self.exact = terms, den, exact
+        self.terms, self.den = terms, den
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         den = math.lcm(self.den, other.den)
@@ -96,11 +104,11 @@ class ExpPoly:
             for i, (a, b) in enumerate(cs):
                 x, y = acc[i]
                 acc[i] = (x + a * t, y + b * t)
-        return ExpPoly(terms, den, self.exact and other.exact)
+        return ExpPoly(terms, den)
 
     def __neg__(self) -> "ExpPoly":
         return ExpPoly({f: [(-a, -b) for a, b in cs]
-                        for f, cs in self.terms.items()}, self.den, self.exact)
+                        for f, cs in self.terms.items()}, self.den)
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other)
@@ -109,7 +117,7 @@ class ExpPoly:
         out: dict = {}
         for f1, c1 in self.terms.items():
             for f2, c2 in other.terms.items():
-                f = _fadd(f1, f2)
+                f = _kadd(f1, f2)
                 n = len(c1) + len(c2) - 1
                 re, im = out.setdefault(f, ([], []))
                 re.extend([0] * (n - len(re)))
@@ -119,19 +127,19 @@ class ExpPoly:
                         re[j] += a * c - b * d
                         im[j] += a * d + b * c
         return ExpPoly({f: list(zip(re, im)) for f, (re, im) in out.items()},
-                       self.den * other.den, self.exact and other.exact)
+                       self.den * other.den)
 
     def diff(self) -> "ExpPoly":
         # (p e^{fz})' = (p' + f p)e^{fz}, over den*s where s clears the
         # denominators of all frequencies
-        s = math.lcm(*(f[2] for f in self.terms))
+        s = math.lcm(*(f[2] for f, _ in self.terms))
         out = {}
-        for f, cs in self.terms.items():
+        for (f, c), cs in self.terms.items():
             x, y = f[0] * (s // f[2]), f[1] * (s // f[2])
-            out[f] = [(a * x - b * y + k * s * p, a * y + b * x + k * s * q)
-                      for k, ((a, b), (p, q))
-                      in enumerate(zip(cs, cs[1:] + [(0, 0)]), 1)]
-        return ExpPoly(out, self.den * s, self.exact)
+            out[f, c] = [(a * x - b * y + k * s * p, a * y + b * x + k * s * q)
+                         for k, ((a, b), (p, q))
+                         in enumerate(zip(cs, cs[1:] + [(0, 0)]), 1)]
+        return ExpPoly(out, self.den * s)
 
     def pow(self, n: int) -> "ExpPoly":
         acc = _constant(1)
@@ -144,23 +152,32 @@ class ExpPoly:
     def over(self, g: "ExpPoly") -> "ExpPoly":
         """self / g for a single term g = c*exp(lambda*z), c != 0, exactly:
         1/c = den*conj(c)/|c|^2 for c = (a + b*i)/den."""
-        (lam, ((a, b),)), = g.terms.items()
+        (key, ((a, b),)), = g.terms.items()
         s = g.den
-        return ExpPoly({_fadd(f, lam, -1): [((p * a + q * b) * s,
+        return ExpPoly({_kadd(f, key, -1): [((p * a + q * b) * s,
                                               (q * a - p * b) * s)
                                              for p, q in cs]
                         for f, cs in self.terms.items()},
-                       self.den * (a * a + b * b), self.exact and g.exact)
+                       self.den * (a * a + b * b))
 
     def rounded(self) -> list[tuple[complex, list[complex]]]:
-        """(frequency, coefficients) of each term as complex floats, each
-        rounded once from its exact value, frequencies in increasing
-        (real, imaginary) order."""
-        scale = math.lcm(*(f[2] for f in self.terms))
-        d = self.den
-        return [(complex(f[0] / f[2], f[1] / f[2]),
-                 [complex(a / d, b / d) for a, b in self.terms[f]])
-                for f in sorted(self.terms, key=lambda f: (
+        """(frequency, coefficients) as complex floats, frequencies in
+        increasing (real, imaginary) order: each coefficient rounded once,
+        times the rounded exp(c) of its term, summed over the terms of its
+        frequency.  Raises OverflowError when a float overflows."""
+        d, out = self.den, {}
+        for (f, c), cs in self.terms.items():
+            vals = [complex(a / d, b / d) for a, b in cs]
+            if c != _ZERO_F:
+                w = cmath.exp(complex(c[0] / c[2], c[1] / c[2]))
+                vals = [v * w for v in vals]
+            acc = out.get(f)
+            out[f] = vals if acc is None else [x + y for x, y in
+                                               zip_longest(acc, vals,
+                                                           fillvalue=0j)]
+        scale = math.lcm(*(f[2] for f in out))
+        return [(complex(f[0] / f[2], f[1] / f[2]), out[f])
+                for f in sorted(out, key=lambda f: (
                     f[0] * (scale // f[2]), f[1] * (scale // f[2])))]
 
 
@@ -193,7 +210,7 @@ def _combine(e: Expr, forms: list) -> ExpPoly | None:
     if t is Neg:
         return -forms[0]
     if t is Var:
-        return ExpPoly({_ZERO_F: [(0, 0), (1, 0)]})
+        return ExpPoly({_ZERO_K: [(0, 0), (1, 0)]})
     if t is Div:
         return forms[0].over(forms[1]) if _single(forms[1]) else None
     if t is IntPow:
@@ -202,19 +219,15 @@ def _combine(e: Expr, forms: list) -> ExpPoly | None:
         return _constant(1).over(forms[0]).pow(-e.power) \
             if _single(forms[0]) else None
     arg = forms[0]                                  # Exp
-    cs = arg.terms.get(_ZERO_F, [])
-    if arg.terms.keys() - {_ZERO_F} or len(cs) > 2:     # not linear
+    cs = arg.terms.get(_ZERO_K, [])
+    if arg.terms.keys() - {_ZERO_K} or len(cs) > 2:     # not linear
         return None
-    (a, b), lam = (cs + [(0, 0), (0, 0)])[:2]
-    try:       # exp(0) is 1 exactly; any other exp(c0) is a rounded float
-        c0 = _constant(cmath.exp(complex(a / arg.den, b / arg.den)))
-    except OverflowError:
-        return None
-    return ExpPoly({_fadd(_ZERO_F, (*lam, arg.den)): list(
-        c0.terms.get(_ZERO_F, []))}, c0.den, arg.exact and a == b == 0)
+    (a, b), (p, q) = (cs + [(0, 0), (0, 0)])[:2]
+    d = arg.den
+    return ExpPoly({(_fadd(_ZERO_F, (p, q, d)), _fadd(_ZERO_F, (a, b, d))):
+                    [(1, 0)]})
 
 
-@functools.lru_cache(maxsize=256)
 def _constant(c: complex) -> ExpPoly | None:
     """c at its exact dyadic value; None for inf or nan."""
     try:
@@ -222,13 +235,13 @@ def _constant(c: complex) -> ExpPoly | None:
     except (OverflowError, ValueError):
         return None
     d = max(da, db)             # both are powers of two
-    return ExpPoly({_ZERO_F: [(a * (d // da), b * (d // db))]}, d)
+    return ExpPoly({_ZERO_K: [(a * (d // da), b * (d // db))]}, d)
 
 
 def to_exp_poly(e: Expr) -> ExpPoly | None:
-    """ExpPoly of an entire expression, inexact if it holds exp(c0 != 0),
-    or None when the expression leaves the class (exp of a non-linear
-    argument, division by a non-constant, negative powers of sums, ...)."""
+    """ExpPoly of an entire expression, or None when the expression leaves
+    the class (exp of a non-linear argument, division by a non-constant,
+    negative powers of sums, ...)."""
     forms = [to_exp_poly(c) for c in _CHILDREN[type(e)](e)]
     return None if None in forms else _combine(e, forms)
 
@@ -242,27 +255,29 @@ def exp_poly_to_expr(ep: ExpPoly) -> Expr:
     return add(*parts)
 
 
+def _rewrite(ep: ExpPoly | None, e: Expr) -> Expr:
+    """ep as an expression; e when ep is None or a coefficient overflows."""
+    try:
+        return e if ep is None else exp_poly_to_expr(ep)
+    except (OverflowError, InvalidExpressionError):
+        return e
+
+
 def compact(e: Expr) -> Expr:
     """Canonical rewrite when e is in the ExpPoly class, otherwise e itself."""
-    ep = to_exp_poly(e)
-    return e if ep is None else exp_poly_to_expr(ep)
+    return _rewrite(to_exp_poly(e), e)
 
 
 def canonical(e: Expr) -> Expr:
     """Collapse exponential sums that are secretly a single product term.
 
-    A sum like sin(z) - i*cos(z) is mathematically one exponential
-    -i*exp(i*z), but evaluated term by term the surviving part is absorbed
-    below the rounding error of the cancelling pair once the circle radius
-    passes ~18, and the sum collapses to an exact float zero.  Merging the
-    frequencies exposes the cancellation and the single surviving term
-    evaluates with small relative error at every point.
-
-    Only that total collapse is adopted.  A merged form that is still a sum
-    trades the tree's product structure for expanded coefficients, and near
-    a multiple zero the expanded sum drowns in its own rounding noise while
-    the factored original stays accurate, so anything short of a single
-    low-degree term is returned as written."""
+    sin(z) - i*cos(z) is one exponential -i*exp(i*z), but evaluated term by
+    term the surviving part drops below the rounding error of the cancelling
+    pair once |z| passes ~18, and the sum becomes an exact float zero; the
+    merged single term evaluates with small relative error everywhere.  Only
+    that total collapse is adopted: a merged form that is still a sum trades
+    the tree's product structure for expanded coefficients, which near a
+    multiple zero drown in their own rounding noise."""
     return _canonical(e, False)[0]
 
 
@@ -287,7 +302,7 @@ def _canonical(e: Expr, need: bool) -> tuple[Expr, ExpPoly | None]:
     ep = _combine(e, forms)
     if is_sum and isinstance(rebuilt, Add) and ep is not None and (
             not ep.terms or _single(ep, 1)):
-        return exp_poly_to_expr(ep), ep
+        return _rewrite(ep, rebuilt), ep
     return rebuilt, ep
 
 
@@ -295,8 +310,9 @@ def _canonical(e: Expr, need: bool) -> tuple[Expr, ExpPoly | None]:
 def canonical_quotient(e: Expr) -> QuotientForm:
     """to_quotient with both parts passed through canonical()."""
     forms = _forms(e)
-    if not isinstance(forms.q.den, Const) and is_identically_zero(
-            forms.q.den) in (ZeroVerdict.ZERO, ZeroVerdict.PROBABLY_ZERO):
+    den = forms.q.den
+    if not isinstance(den, Const) and _verdict(forms.den[1], den) in (
+            ZeroVerdict.ZERO, ZeroVerdict.PROBABLY_ZERO):
         raise InvalidExpressionError("denominator vanishes identically")
     return QuotientForm(forms.num[0], forms.den[0])
 
@@ -344,37 +360,49 @@ def _samples(e: Expr) -> list[complex]:
     return [v for v in vals if not isinstance(v, PoleSignal)]
 
 
+def _decided(ep: ExpPoly | None) -> ZeroVerdict | None:
+    """ZERO or NONZERO when the form ep decides it; None for no form, and for
+    a nonzero form whose every frequency mixes several exp(c), which a float
+    stand-in for one exp(c) may be meant to cancel."""
+    if ep is not None and (not ep.terms or 1 in collections.Counter(
+            f for f, _ in ep.terms).values()):
+        return ZeroVerdict.NONZERO if ep.terms else ZeroVerdict.ZERO
+    return None
+
+
+def _verdict(ep: ExpPoly | None, e: Expr) -> ZeroVerdict:
+    """The zero verdict of e, whose numerator has the form ep."""
+    verdict = _decided(ep)
+    if verdict is None:
+        vals = _samples(e)
+        verdict = ZeroVerdict.PROBABLY_ZERO if vals and max(
+            abs(v) for v in vals) <= 1e-9 else ZeroVerdict.PROBABLY_NONZERO
+    return verdict
+
+
 def is_identically_zero(e: Expr) -> ZeroVerdict:
-    """Exact Zero/NonZero when the numerator has an exact form; otherwise a
+    """Exact Zero/NonZero when the numerator's form decides it; otherwise a
     probabilistic verdict from 16 seeded sample points (|z| in {0.7, 1.3},
     threshold 1e-9)."""
-    num = _forms(e).num[1]
-    if num is not None and num.exact:
-        return ZeroVerdict.NONZERO if num.terms else ZeroVerdict.ZERO
-    vals = _samples(e)
-    if vals and max(abs(v) for v in vals) <= 1e-9:
-        return ZeroVerdict.PROBABLY_ZERO
-    return ZeroVerdict.PROBABLY_NONZERO
+    return _verdict(_forms(e).num[1], e)
 
 
 def is_constant(e: Expr) -> tuple[Constancy, complex | None]:
-    """Decide constancy.  When num and den have exact forms this is exact:
-    num/den is constant iff num'*den - num*den' vanishes identically.
+    """Decide constancy, with the constant when it is known.  When num and
+    den have forms, num/den is constant iff num'*den - num*den' vanishes
+    identically, and that is decided as is_identically_zero decides.
     Otherwise 16 seeded samples can only show that e is not constant."""
     forms = _forms(e)
     nep = forms.num[1]
-    dep = forms.den[1] if nep is not None and nep.exact else None
-    if dep is not None and dep.exact and dep.terms:
+    dep = forms.den[1] if nep is not None else None
+    if dep is not None and dep.terms:
         if not nep.terms:
             return Constancy.CONSTANT, 0j
-        if (nep.diff() * dep - nep * dep.diff()).terms:
+        flat = _decided(nep.diff() * dep - nep * dep.diff())
+        if flat is ZeroVerdict.NONZERO:
             return Constancy.NON_CONSTANT, None
-        # num = c*den: c is the ratio of any pair of matching coefficients
-        f, cs = next(iter(dep.terms.items()))
-        (a, b), (p, q) = cs[-1], nep.terms[f][len(cs) - 1]
-        d = (a * a + b * b) * nep.den
-        return Constancy.CONSTANT, complex((p * a + q * b) * dep.den / d,
-                                           (q * a - p * b) * dep.den / d)
+        if flat is ZeroVerdict.ZERO:
+            return Constancy.CONSTANT, _ratio(nep, dep)
     vals = _samples(e)
     if len(vals) < 2:
         return Constancy.UNKNOWN, None
@@ -386,19 +414,29 @@ def is_constant(e: Expr) -> tuple[Constancy, complex | None]:
     return Constancy.NON_CONSTANT, None
 
 
+def _ratio(nep: ExpPoly, dep: ExpPoly) -> complex | None:
+    """The constant nep/dep, rounded once from a pair of matching
+    coefficients; None when a term carries exp(c) or a float overflows."""
+    if any(c != _ZERO_F for _, c in (*nep.terms, *dep.terms)):
+        return None
+    f, cs = next(iter(dep.terms.items()))
+    (a, b), (p, q) = cs[-1], nep.terms[f][len(cs) - 1]
+    d = (a * a + b * b) * nep.den
+    try:
+        return complex((p * a + q * b) * dep.den / d,
+                       (q * a - p * b) * dep.den / d)
+    except OverflowError:
+        return None
+
+
 # ---------------------------------------------------------------------------
 # derivative chains
-#
-# Repeated quotient differentiation normally doubles the denominator and lets
-# the numerator pile up cancelling terms; near a multiple zero those cancel
-# catastrophically in floating point.  Differentiating n/d^p as
-# (n' d - p n d')/d^(p+1) keeps the denominator a structural power of the
-# original entire part, and compacting the numerator through its canonical
-# ExpPoly removes the cancellations exactly.
 
 def derivative_chain(f: Expr, k: int) -> list[Expr]:
-    """[f, f', ..., f^(k)] with compacted numerators and structural
-    denominator powers."""
+    """[f, f', ..., f^(k)].  Plain quotient differentiation doubles the
+    denominator and piles up numerator terms that cancel catastrophically
+    near a multiple zero; n/d^p is differentiated as (n'd - p n d')/d^(p+1)
+    instead, and each numerator is compacted through its exact form."""
     if k < 0:
         raise ValueError("negative derivative order")
     out = [f]

@@ -11,9 +11,10 @@ from nevlab.expr import (Add, Const, Z, add, compile_expr, differentiate, div,
                          evaluate, exp_e, intpow, mul, neg, parse_expr, sub,
                          to_grammar)
 from nevlab.exppoly import (Constancy, ZeroVerdict, canonical,
-                            derivative_chain, is_constant,
-                            is_identically_zero, set_probabilistic_seed,
-                            to_exp_poly)
+                            canonical_quotient, compact, derivative_chain,
+                            is_constant, is_identically_zero,
+                            set_probabilistic_seed, to_exp_poly)
+from nevlab.expr import InvalidExpressionError
 
 
 @pytest.fixture(autouse=True)
@@ -100,14 +101,64 @@ def test_close_frequencies_stay_distinct(src):
 
 
 def test_exp_of_a_nonzero_constant_is_decided_by_sampling():
-    """exp(1) is not rational: the form holds the float exp(1), so the
-    difference below is zero only up to rounding and the verdict is
+    """The parser folds exp(1) to a float, while exp(z + 1) keeps exp(1)
+    exact: the form holds both at frequency 1, and the difference is zero
+    only up to the rounding of that float, so the verdict is
     probabilistic."""
     e = parse_expr("exp(z + 1) - exp(1)*exp(z)")
-    assert not to_exp_poly(e).exact
+    assert len(to_exp_poly(e).terms) == 2
     assert is_identically_zero(e) is ZeroVerdict.PROBABLY_ZERO
     assert is_constant(e)[0] is Constancy.UNKNOWN
     assert is_constant(parse_expr("exp(z + 1)"))[0] is Constancy.NON_CONSTANT
+
+
+@pytest.mark.parametrize("src,verdict", [
+    ("exp(z + 1)*exp(z - 1) - exp(2*z)", ZeroVerdict.ZERO),
+    ("exp(z + 1)^2 - exp(2*z + 2)", ZeroVerdict.ZERO),
+    ("exp(z + 1 + i) - exp(z + 1)*exp(i*0.5)^2", ZeroVerdict.PROBABLY_ZERO),
+    ("exp(z + 1)", ZeroVerdict.NONZERO),
+    # nonzero by Lindemann-Weierstrass, but exp(1) and 1 at one frequency
+    # look like a float stand-in that fails to cancel, so it is sampled
+    ("exp(z + 1) - exp(z)", ZeroVerdict.PROBABLY_NONZERO),
+    ("exp(z + 1) - exp(1)*exp(z) + z", ZeroVerdict.NONZERO),
+])
+def test_exp_of_a_constant_is_kept_exactly(src, verdict):
+    """exp(c) of an argument c + lambda*z is a symbol of the form, so
+    products and powers of such exponentials cancel exactly; a frequency
+    that carries one exp(c) alone decides that the sum is nonzero."""
+    assert is_identically_zero(parse_expr(src)) is verdict
+
+
+def test_quotient_of_shifted_exponentials_is_constant():
+    # exp(1) carried by the form: constant, but not rounded into a value
+    assert is_constant(parse_expr("exp(z + 1)/exp(z)")) == \
+        (Constancy.CONSTANT, None)
+    assert is_constant(parse_expr("exp(2*z + 1)/exp(z)"))[0] \
+        is Constancy.NON_CONSTANT
+
+
+def test_constant_too_large_for_a_float_has_no_value():
+    # the ratio 1e400 is constant, but it has no float
+    assert is_constant(parse_expr("(10*z)^200/(0.1*z)^200")) == \
+        (Constancy.CONSTANT, None)
+
+
+def test_compact_keeps_a_tree_whose_coefficients_overflow():
+    e = intpow(mul(Const(1e200), Z), 2)
+    assert compact(e) is e
+    e = parse_expr("exp(z + 700)*exp(z + 700)")
+    assert compact(e) is e
+
+
+@pytest.mark.parametrize("den", [
+    "exp(z) - exp(z)",
+    "exp(z + 1)^2 - exp(2*z + 2)",
+    "exp(z + 1) - exp(1)*exp(z)",
+    "sin(z^2) - sin(z^2)",
+])
+def test_canonical_quotient_rejects_a_vanishing_denominator(den):
+    with pytest.raises(InvalidExpressionError, match="vanishes"):
+        canonical_quotient(parse_expr(f"z/({den})"))
 
 
 def test_floats_enter_at_their_dyadic_value():
@@ -209,8 +260,12 @@ def _leaves(coeffs, freqs):
                      freqs.map(lambda c: exp_e(mul(Const(c), Z))))
 
 
-_ENTIRE_LEAVES = _leaves(st.one_of(_GAUSS, _TINY),
-                         st.one_of(_GAUSS, _TINY.map(lambda t: 1 + t)))
+_ENTIRE_LEAVES = st.one_of(
+    _leaves(st.one_of(_GAUSS, _TINY),
+            st.one_of(_GAUSS, _TINY.map(lambda t: 1 + t))),
+    # exp(c + lambda*z): exp(c) is carried as a symbol, not as a float
+    st.builds(lambda c, f: exp_e(add(Const(c), mul(Const(f), Z))),
+              _GAUSS, _GAUSS))
 
 
 def _entire_branches(children):
@@ -261,7 +316,7 @@ def test_exp_poly_ring_agrees_with_pointwise_evaluation(a, b):
 
 
 def _same(p, q):
-    return (p.terms, p.den, p.exact) == (q.terms, q.den, q.exact)
+    return (p.terms, p.den) == (q.terms, q.den)
 
 
 def _trees(children):

@@ -112,6 +112,14 @@ def test_vacuous_instance_returns_no_rows():
     assert rep.rows == () and rep.worst_residual is None
 
 
+def test_vacuous_instance_on_a_shifted_exponential():
+    """P(exp(z + 1)) cancels exactly, exp(1) included: no rows are run."""
+    poly = DiffPolynomial.from_exponents((1, (2, 1, 2, 2)), (-1, (2, 2, 1, 2)))
+    rep = run_check("thm_1", parse_expr("exp(z + 1)"), poly, radii=GRID)
+    assert rep.verdict == "vacuous"
+    assert rep.rows == () and rep.worst_residual is None
+
+
 def test_hypothesis_violation_returns_no_rows():
     poly = DiffPolynomial.from_exponents((1, (1, 0, 2)))
     rep = run_check("thm_1", EZ, poly, radii=GRID)
