@@ -271,13 +271,18 @@ def compact(e: Expr) -> Expr:
 def canonical(e: Expr) -> Expr:
     """Collapse exponential sums that are secretly a single product term.
 
-    sin(z) - i*cos(z) is one exponential -i*exp(i*z), but evaluated term by
-    term the surviving part drops below the rounding error of the cancelling
-    pair once |z| passes ~18, and the sum becomes an exact float zero; the
-    merged single term evaluates with small relative error everywhere.  Only
-    that total collapse is adopted: a merged form that is still a sum trades
-    the tree's product structure for expanded coefficients, which near a
-    multiple zero drown in their own rounding noise."""
+    A sum like sin(z) - i*cos(z) is mathematically one exponential
+    -i*exp(i*z), but evaluated term by term the surviving part is absorbed
+    below the rounding error of the cancelling pair once the circle radius
+    passes ~18, and the sum collapses to an exact float zero.  Merging the
+    frequencies exposes the cancellation and the single surviving term
+    evaluates with small relative error at every point.
+
+    Only that total collapse is adopted.  A merged form that is still a sum
+    trades the tree's product structure for expanded coefficients, and near
+    a multiple zero the expanded sum drowns in its own rounding noise while
+    the factored original stays accurate, so anything short of a single
+    low-degree term is returned as written."""
     return _canonical(e, False)[0]
 
 
@@ -431,12 +436,17 @@ def _ratio(nep: ExpPoly, dep: ExpPoly) -> complex | None:
 
 # ---------------------------------------------------------------------------
 # derivative chains
+#
+# Repeated quotient differentiation normally doubles the denominator and lets
+# the numerator pile up cancelling terms; near a multiple zero those cancel
+# catastrophically in floating point.  Differentiating n/d^p as
+# (n' d - p n d')/d^(p+1) keeps the denominator a structural power of the
+# original entire part, and compacting the numerator through its canonical
+# ExpPoly removes the cancellations exactly.
 
 def derivative_chain(f: Expr, k: int) -> list[Expr]:
-    """[f, f', ..., f^(k)].  Plain quotient differentiation doubles the
-    denominator and piles up numerator terms that cancel catastrophically
-    near a multiple zero; n/d^p is differentiated as (n'd - p n d')/d^(p+1)
-    instead, and each numerator is compacted through its exact form."""
+    """[f, f', ..., f^(k)] with compacted numerators and structural
+    denominator powers."""
     if k < 0:
         raise ValueError("negative derivative order")
     out = [f]

@@ -143,10 +143,12 @@ def test_constant_too_large_for_a_float_has_no_value():
         (Constancy.CONSTANT, None)
 
 
-def test_compact_keeps_a_tree_whose_coefficients_overflow():
-    e = intpow(mul(Const(1e200), Z), 2)
-    assert compact(e) is e
-    e = parse_expr("exp(z + 700)*exp(z + 700)")
+@pytest.mark.parametrize("e", [
+    intpow(mul(Const(1e200), Z), 2),                 # 1e400 / den
+    parse_expr("exp(z + 700)*exp(z + 700)"),         # exp(1400)
+    mul(Const(1e300), parse_expr("exp(z + 400)")),   # 1e300 * exp(400)
+])
+def test_compact_keeps_a_tree_whose_coefficients_overflow(e):
     assert compact(e) is e
 
 
