@@ -22,10 +22,10 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .diffpoly import DiffPolynomial, poly_stats
+from .diffpoly import HYPOTHESIS_CHECKS, DiffPolynomial, poly_stats
 from .expr import Expr, InvalidExpressionError, ParseError, parse_expr
 from .exppoly import set_probabilistic_seed
-from .locator import LocatorError, divisor_pair_at, negotiate
+from .locator import PARTIAL_RESULT, LocatorError, divisor_pair_at, negotiate
 from .nevanlinna import QuadratureError, nevanlinna_rows, radial_grid
 from .theorems import (CHECKS, DEFAULT_EPSILON, DEFAULT_EQ_TOLERANCE,
                        EvalContext, run_check)
@@ -223,7 +223,7 @@ def load_spec(path: str, command: str) -> RunSpec:
             raise SpecError("'check' needs a checks list")
         checks = _parse_checks(raw["checks"])
         for cid, _ in checks:
-            if CHECKS[cid].needs_poly and polynomial is None:
+            if cid in HYPOTHESIS_CHECKS and polynomial is None:
                 raise SpecError(
                     f"check '{cid}' needs a polynomial in the spec")
     elif "checks" in raw:
@@ -315,6 +315,10 @@ def _cmd_zeros(spec: RunSpec, out: str, fmt: str, args) -> int:
         print(f"nevlab: zero location failed: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     zeros = pair[0]
+    if not zeros.valid:
+        print(f"nevlab: zero location failed: {PARTIAL_RESULT}zeros",
+              file=sys.stderr)
+        return EXIT_NUMERIC
     rows = sorted(zeros.to_rows(), key=lambda w: (w["re"], w["im"]))
     if fmt == "json":
         _dump_json(out, {"function": spec.function_src, "radius": rt,
@@ -362,7 +366,7 @@ def _cmd_check(spec: RunSpec, out: str, fmt: str, args) -> int:
     ctx = EvalContext(spec.function, spec.radii, spec.quad_tol)
     reports = []
     for cid, params in spec.checks:
-        poly = spec.polynomial if CHECKS[cid].needs_poly else None
+        poly = spec.polynomial if cid in HYPOTHESIS_CHECKS else None
         try:
             rep = run_check(cid, spec.function, poly, params,
                             epsilon=spec.epsilon,

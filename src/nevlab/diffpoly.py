@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Const, Exp, Expr, ONE, add, intpow, mul, parse_expr, to_grammar
+from .expr import (_CHILDREN, Const, Exp, Expr, ONE, add, intpow, mul,
+                   parse_expr, to_grammar)
 from .exppoly import Constancy, derivative_chain, is_constant
 
 __all__ = [
@@ -21,26 +22,8 @@ __all__ = [
 
 def contains_exponential(e: Expr) -> bool:
     """True if any exp node appears; rational expressions have none."""
-    if isinstance(e, Exp):
-        return True
-    if isinstance(e, Const):
-        return False
-    return any(contains_exponential(c) for c in _children(e))
-
-
-def _children(e: Expr):
-    from .expr import Add, Div, IntPow, Mul, Neg
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Neg):
-        return (e.child,)
-    if isinstance(e, Div):
-        return (e.num, e.den)
-    if isinstance(e, IntPow):
-        return (e.base,)
-    return ()
+    return isinstance(e, Exp) or any(
+        contains_exponential(c) for c in _CHILDREN[type(e)](e))
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,14 @@ import math
 import random
 
 from .expr import (
-    Add, Const, Div, Exp, Expr, IntPow, InvalidExpressionError, Mul, Neg,
-    PoleSignal, QuotientForm, Var, Z,
+    _CHILDREN, Add, Const, Div, Expr, IntPow, InvalidExpressionError, Mul,
+    Neg, PoleSignal, QuotientForm, Var, Z,
     add, differentiate, div, evaluate, exp_e, intpow, mul, neg, sub,
     to_quotient,
 )
 
 __all__ = [
-    "ExpPoly", "to_exp_poly", "exp_poly_to_expr", "compact",
+    "ExpPoly", "to_exp_poly", "exp_poly_to_expr",
     "canonical", "canonical_quotient",
     "ZeroVerdict", "Constancy", "is_identically_zero", "is_constant",
     "derivative_chain", "set_probabilistic_seed",
@@ -190,12 +190,6 @@ def _single(ep: ExpPoly, degree: int = 0) -> bool:
 # ---------------------------------------------------------------------------
 # conversion from expression trees
 
-_CHILDREN = {Add: lambda e: e.terms, Mul: lambda e: e.factors,
-             Neg: lambda e: (e.child,), Div: lambda e: (e.num, e.den),
-             IntPow: lambda e: (e.base,), Exp: lambda e: (e.arg,),
-             Const: lambda e: (), Var: lambda e: ()}
-
-
 def _combine(e: Expr, forms: list) -> ExpPoly | None:
     """The form of e from the forms of its children, or None when e leaves
     the class."""
@@ -255,17 +249,12 @@ def exp_poly_to_expr(ep: ExpPoly) -> Expr:
     return add(*parts)
 
 
-def _rewrite(ep: ExpPoly | None, e: Expr) -> Expr:
+def _rewrite(ep: ExpPoly | None, e: Expr | None) -> Expr | None:
     """ep as an expression; e when ep is None or a coefficient overflows."""
     try:
         return e if ep is None else exp_poly_to_expr(ep)
     except (OverflowError, InvalidExpressionError):
         return e
-
-
-def compact(e: Expr) -> Expr:
-    """Canonical rewrite when e is in the ExpPoly class, otherwise e itself."""
-    return _rewrite(to_exp_poly(e), e)
 
 
 def canonical(e: Expr) -> Expr:
@@ -283,7 +272,7 @@ def canonical(e: Expr) -> Expr:
     a multiple zero the expanded sum drowns in its own rounding noise while
     the factored original stays accurate, so anything short of a single
     low-degree term is returned as written."""
-    return _canonical(e, False)[0]
+    return _canonical(e)[0]
 
 
 _REBUILD = {Add: lambda e, k: add(*k), Mul: lambda e, k: mul(*k),
@@ -291,22 +280,20 @@ _REBUILD = {Add: lambda e, k: add(*k), Mul: lambda e, k: mul(*k),
             IntPow: lambda e, k: intpow(*k, e.power)}
 
 
-def _canonical(e: Expr, need: bool) -> tuple[Expr, ExpPoly | None]:
-    """(canonical(e), the form of e).  The form is built bottom-up, once,
-    where a sum needs it (need, or e is a sum), and is None otherwise or
-    when e leaves the class."""
+def _canonical(e: Expr) -> tuple[Expr, ExpPoly | None]:
+    """(canonical(e), the form of e), both built bottom-up in one walk; the
+    form is None when e leaves the class."""
     rebuild = _REBUILD.get(type(e))
     if rebuild is None:
-        return e, to_exp_poly(e) if need else None
-    is_sum = isinstance(e, Add)
-    parts = [_canonical(c, need or is_sum) for c in _CHILDREN[type(e)](e)]
+        return e, to_exp_poly(e)
+    parts = [_canonical(c) for c in _CHILDREN[type(e)](e)]
     rebuilt = rebuild(e, [x for x, _ in parts])
     forms = [p for _, p in parts]
-    if not (need or is_sum) or any(p is None for p in forms):
+    if None in forms:
         return rebuilt, None
     ep = _combine(e, forms)
-    if is_sum and isinstance(rebuilt, Add) and ep is not None and (
-            not ep.terms or _single(ep, 1)):
+    if isinstance(e, Add) and isinstance(rebuilt, Add) and ep is not None \
+            and (not ep.terms or _single(ep, 1)):
         return _rewrite(ep, rebuilt), ep
     return rebuilt, ep
 
@@ -327,12 +314,12 @@ class _Forms:
     part, converted once; the denominator's only when asked for."""
 
     def __init__(self, e: Expr):
-        self.q = to_quotient(e, check=False)
-        self.num = _canonical(self.q.num, True)
+        self.q = to_quotient(e)
+        self.num = _canonical(self.q.num)
 
     @functools.cached_property
     def den(self) -> tuple[Expr, ExpPoly | None]:
-        return _canonical(self.q.den, True)
+        return _canonical(self.q.den)
 
 
 # Small and bounded: the verdicts and canonical quotient of one expression
@@ -441,28 +428,37 @@ def _ratio(nep: ExpPoly, dep: ExpPoly) -> complex | None:
 # the numerator pile up cancelling terms; near a multiple zero those cancel
 # catastrophically in floating point.  Differentiating n/d^p as
 # (n' d - p n d')/d^(p+1) keeps the denominator a structural power of the
-# original entire part, and compacting the numerator through its canonical
-# ExpPoly removes the cancellations exactly.
+# original entire part, and running that recurrence on the exact forms of
+# the quotient's parts, which _forms already holds, removes the
+# cancellations exactly: each numerator is rounded once, from its form.
 
 def derivative_chain(f: Expr, k: int) -> list[Expr]:
-    """[f, f', ..., f^(k)] with compacted numerators and structural
-    denominator powers."""
+    """[f, f', ..., f^(k)].  For the quotient N/D of f, f^(j) is N_j/D^(j+1)
+    with N_0 = N and N_(j+1) = N_j' D - (j+1) N_j D', or N_j/D with
+    N_(j+1) = N_j' when D is a constant.  Where a form is missing, or a
+    coefficient of N_j overflows a float, N_j is that recurrence's tree."""
     if k < 0:
         raise ValueError("negative derivative order")
+    forms = _forms(f)
+    num, den = forms.q.num, forms.q.den
+    ep, dep = forms.num[1], forms.den[1]
+    entire = isinstance(den, Const)
+    if not entire:
+        ddep = None if dep is None else dep.diff()
+        dden = _rewrite(ddep, differentiate(den))
+        ep = None if dep is None else ep
     out = [f]
-    q = to_quotient(f, check=False)
-    if isinstance(q.den, Const):
-        cur = f
-        for _ in range(k):
-            cur = compact(differentiate(cur))
-            out.append(cur)
-        return out
-    num, den = q.num, q.den
-    dden = compact(differentiate(den))
-    p = 1
-    for _ in range(k):
-        num = compact(sub(mul(differentiate(num), den),
-                          mul(Const(p), num, dden)))
-        p += 1
-        out.append(div(num, intpow(den, p)))
+    # _rewrite(ep, None) is None only where the tree is needed, so the tree
+    # is built there alone.
+    for p in range(1, k + 1):
+        if entire:
+            ep = None if ep is None else ep.diff()
+            num = _rewrite(ep, None) or differentiate(num)
+            out.append(div(num, den))
+        else:
+            ep = None if ep is None else \
+                ep.diff() * dep - _constant(p) * ep * ddep
+            num = _rewrite(ep, None) or sub(mul(differentiate(num), den),
+                                            mul(Const(p), num, dden))
+            out.append(div(num, intpow(den, p + 1)))
     return out

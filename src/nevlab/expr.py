@@ -114,6 +114,12 @@ Z = Var()
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
+# The children of each node, in order.
+_CHILDREN = {Add: lambda e: e.terms, Mul: lambda e: e.factors,
+             Neg: lambda e: (e.child,), Div: lambda e: (e.num, e.den),
+             IntPow: lambda e: (e.base,), Exp: lambda e: (e.arg,),
+             Const: lambda e: (), Var: lambda e: ()}
+
 
 # ---------------------------------------------------------------------------
 # smart constructors
@@ -713,29 +719,24 @@ def _q(e: Expr) -> tuple[Expr, Expr]:
     raise TypeError(f"cannot form quotient of {type(e).__name__}")
 
 
-def to_quotient(e: Expr, check: bool = True) -> QuotientForm:
+def to_quotient(e: Expr) -> QuotientForm:
     """Rewrite as num/den with entire num and den.
 
     Exp factors stay atomic (their arguments are required to be entire by the
-    class definition).  With check=True the denominator is rejected when the
-    identity test finds it to vanish identically.
+    class definition).  The denominator is not tested for vanishing
+    identically; exppoly.canonical_quotient does that.
     """
-    n, d = _q(e)
-    if check and not isinstance(d, Const):
-        from .exppoly import ZeroVerdict, is_identically_zero
-        v = is_identically_zero(d)
-        if v in (ZeroVerdict.ZERO, ZeroVerdict.PROBABLY_ZERO):
-            raise InvalidExpressionError("denominator vanishes identically")
-    return QuotientForm(n, d)
+    return QuotientForm(*_q(e))
 
 
 # ---------------------------------------------------------------------------
 # unparser
 
 def _fmt_real(x: float) -> str:
-    if x == int(x) and abs(x) < 1e15:
+    """The shortest decimal that reads back as x, without an exponent."""
+    if x.is_integer() and abs(x) < 1e15:
         return str(int(x))
-    return format(x, ".12g")
+    return np.format_float_positional(x, unique=True, trim="-")
 
 
 def format_complex(c: complex) -> str:
@@ -758,10 +759,10 @@ def format_complex(c: complex) -> str:
 
 
 def to_grammar(e: Expr) -> str:
-    """Serialise back to the input grammar.  When every constant prints
-    exactly (at most 12 significant digits, no exponent), parsing the text
-    gives an expression that evaluates identically to e, and e itself unless
-    a constant is negative or non-real: those print as sums or negations of
+    """Serialise back to the input grammar.  Each part of a constant prints
+    as the shortest decimal that reads back as it, so parsing the text gives
+    an expression that evaluates identically to e, and e itself unless a
+    constant is negative or non-real: those print as sums or negations of
     literals."""
     if isinstance(e, Const):
         return format_complex(e.value)

@@ -132,6 +132,11 @@ def _point(z: complex, mult: int) -> DivisorPoint:
     return DivisorPoint(float(z.real), float(z.imag), int(mult))
 
 
+# The error of a result built on a divisor that the search left partial
+# (valid is False), before the names of the partial divisors.
+PARTIAL_RESULT = "divisor computation returned a partial result for "
+
+
 @dataclass(frozen=True)
 class Divisor:
     """A finite multiset of points in the closed disk |z| <= radius."""

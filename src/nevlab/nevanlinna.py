@@ -21,7 +21,8 @@ import numpy as np
 
 from .exppoly import canonical_quotient
 from .expr import Div, Expr, QuotientForm, _evaluator, _lower
-from .locator import Divisor, LocatorError, clear_radius, divisor_of
+from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
+                      divisor_of)
 
 __all__ = [
     "CountingMode", "QuadratureError", "counting", "proximity",
@@ -414,16 +415,18 @@ def nevanlinna_rows(f: Expr, radii: list[float],
     so a requested radius that collides with a pole modulus is nudged and
     flagged instead of failing.  All rows share one batched proximity call."""
     rmax = max(radii) * (1 + 2e-3)
+
+    def failed(r: float, exc: Exception | str) -> RadialSample:
+        msg = exc if isinstance(exc, str) else f"{type(exc).__name__}: {exc}"
+        return RadialSample(r, math.nan, math.nan, math.nan, False, msg)
+
     try:
         _, poles = divisor_of(f, rmax, "inf")
     except LocatorError as exc:
-        return [RadialSample(r, math.nan, math.nan, math.nan, False,
-                             f"{type(exc).__name__}: {exc}") for r in radii]
+        return [failed(r, exc) for r in radii]
+    if not poles.valid:
+        return [failed(r, PARTIAL_RESULT + "poles") for r in radii]
     moduli = [abs(p.location) for p in poles.points]
-
-    def failed(r: float, exc: Exception) -> RadialSample:
-        return RadialSample(r, math.nan, math.nan, math.nan, False,
-                            f"{type(exc).__name__}: {exc}")
 
     cleared = []
     for r in radii:

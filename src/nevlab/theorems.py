@@ -22,13 +22,13 @@ import statistics
 from dataclasses import dataclass
 from typing import Callable
 
-from .diffpoly import (DiffMonomial, DiffPolynomial, contains_exponential,
-                       validate_hypotheses)
+from .diffpoly import (HYPOTHESIS_CHECKS, DiffMonomial, DiffPolynomial,
+                       contains_exponential, validate_hypotheses)
 from .exppoly import (Constancy, ZeroVerdict, derivative_chain, is_constant,
                       is_identically_zero)
 from .expr import Const, Expr, ONE, differentiate, div, mul, parse_expr, sub
-from .locator import (Divisor, LocatorError, clear_radius, divisor_pair_at,
-                      negotiate)
+from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
+                      divisor_pair_at, negotiate)
 from .nevanlinna import (CountingMode, QuadratureError, counting, proximity,
                          radial_grid)
 
@@ -380,45 +380,43 @@ def _plan_lem_36(ctx, poly, params):
 @dataclass(frozen=True)
 class _CheckSpec:
     """plan(ctx, polynomial, {name: value}) builds the check once its
-    hypotheses (`needs_poly`: on the spec's polynomial) and its params,
-    read in order, gave no violation."""
+    hypotheses (on the spec's polynomial for the checks of
+    HYPOTHESIS_CHECKS) and its params, read in order, gave no violation."""
     plan: Callable
     params: tuple
-    needs_poly: bool
 
 
 def _six(s, poly):
     return 6.0
 
 
-# The one declaration of every check: its plan, its parameters with their
-# defaults and bounds, and whether it runs on the spec's polynomial.
+# The one declaration of every check: its plan and its parameters with their
+# defaults and bounds.  A check runs on the spec's polynomial when it is in
+# HYPOTHESIS_CHECKS.
 CHECKS = {
-    "thm_a": _CheckSpec(_threshold(_FULL, _six, lambda p: _top(2, 1, 1)),
-                        (), False),
+    "thm_a": _CheckSpec(_threshold(_FULL, _six, lambda p: _top(2, 1, 1)), ()),
     "thm_b": _CheckSpec(_threshold(_FULL, _six,
                                    lambda p: _top(2, p["k"], 1)),
-                        (_Int("k", 2, 1),), False),
+                        (_Int("k", 2, 1),)),
     "thm_c": _CheckSpec(_plan_thm_c,
                         (_Int("n", 1, 0), _Int("p", 1, 1), _Int("k", 1, 1),
-                         _Rational("alpha"), _Rational("a")), False),
+                         _Rational("alpha"), _Rational("a"))),
     "thm_d": _CheckSpec(_threshold(
         _RED, lambda s, poly: 1 / (s.min_base_power - 2),
         lambda p: _top(p["l"], p["k"], p["n"])),
-        (_Int("l", 3, 3), _Int("n", 1, 1), _Int("k", 1, 1)), False),
+        (_Int("l", 3, 3), _Int("n", 1, 1), _Int("k", 1, 1))),
     "thm_e": _CheckSpec(_threshold(
-        _FULL, lambda s, poly: 1.0 / (poly.monomials[0].exponent(0) - 1)),
-        (), True),
-    "thm_f": _CheckSpec(_threshold(_RED, _const_thm_2), (), True),
-    "thm_g": _CheckSpec(_threshold(_RED, _const_thm_g), (), True),
-    "thm_1": _CheckSpec(_threshold(_FULL, _const_thm_1), (), True),
-    "thm_2": _CheckSpec(_threshold(_RED, _const_thm_2), (), True),
-    "thm_3": _CheckSpec(_threshold(_RED, _const_thm_3), (), True),
-    "lem_31": _CheckSpec(_plan_lem_31, (), False),
-    "lem_32": _CheckSpec(_plan_lem_32, (_Int("k", 2, 1),), False),
-    "lem_33": _CheckSpec(_plan_lem_33, (_Rational("b"),), True),
-    "lem_35": _CheckSpec(_plan_lem_35, (_Rational("b"),), True),
-    "lem_36": _CheckSpec(_plan_lem_36, (), True),
+        _FULL, lambda s, poly: 1.0 / (poly.monomials[0].exponent(0) - 1)), ()),
+    "thm_f": _CheckSpec(_threshold(_RED, _const_thm_2), ()),
+    "thm_g": _CheckSpec(_threshold(_RED, _const_thm_g), ()),
+    "thm_1": _CheckSpec(_threshold(_FULL, _const_thm_1), ()),
+    "thm_2": _CheckSpec(_threshold(_RED, _const_thm_2), ()),
+    "thm_3": _CheckSpec(_threshold(_RED, _const_thm_3), ()),
+    "lem_31": _CheckSpec(_plan_lem_31, ()),
+    "lem_32": _CheckSpec(_plan_lem_32, (_Int("k", 2, 1),)),
+    "lem_33": _CheckSpec(_plan_lem_33, (_Rational("b"),)),
+    "lem_35": _CheckSpec(_plan_lem_35, (_Rational("b"),)),
+    "lem_36": _CheckSpec(_plan_lem_36, ()),
 }
 
 
@@ -464,8 +462,7 @@ def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
     partial = [name for name, (z, p) in divs.items()
                if not (z.valid and p.valid)]
     if partial:
-        msg = ("divisor computation returned a partial result for "
-               + ", ".join(partial))
+        msg = PARTIAL_RESULT + ", ".join(partial)
         return [CheckRow(r, math.nan, math.nan, math.nan, msg)
                 for r in ctx.radii]
     moduli = sorted({abs(pt.location)
@@ -510,9 +507,10 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
         spec = CHECKS[check_id]
     except KeyError:
         raise ValueError(f"unknown check id '{check_id}'") from None
-    if spec.needs_poly and polynomial is None:
+    needs_poly = check_id in HYPOTHESIS_CHECKS
+    if needs_poly and polynomial is None:
         raise ValueError(f"check '{check_id}' needs a differential polynomial")
-    if not spec.needs_poly and polynomial is not None:
+    if not needs_poly and polynomial is not None:
         raise ValueError(f"check '{check_id}' does not take a polynomial")
     ctx = context if context is not None else EvalContext(f, radii, quad_tol)
 
@@ -523,7 +521,7 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
     elif kind is Constancy.UNKNOWN:
         violations.append("function is constant on all probe points")
 
-    if spec.needs_poly:
+    if needs_poly:
         violations += validate_hypotheses(polynomial, check_id)
     values = {}
     for param in spec.params:

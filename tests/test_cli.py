@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from nevlab import locator
 from nevlab.cli import main
 
 STATS_SPEC = {
@@ -195,6 +196,36 @@ def test_exit_numerical_budget(tmp_path):
     code = run(["check", "--spec", write_spec(tmp_path, spec),
                 "--out", tmp_path / "budget.json"])
     assert code == 4
+
+
+PARTIAL = "divisor computation returned a partial result for "
+
+
+def test_partial_zero_divisor_is_a_numerical_failure(tmp_path, monkeypatch,
+                                                     capsys):
+    """With the depth cap at 1, the zeros of tan(z) are not located in full;
+    the command says so and writes no report."""
+    monkeypatch.setattr(locator, "MAX_DEPTH", 1)
+    spec = {"function": "tan(z)", "radii": {"start": 2, "stop": 20,
+                                            "count": 8}}
+    out = tmp_path / "zeros.csv"
+    code = run(["zeros", "--spec", write_spec(tmp_path, spec), "--out", out])
+    assert code == 4
+    assert PARTIAL + "zeros" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_partial_pole_divisor_fails_every_nev_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(locator, "MAX_DEPTH", 1)
+    spec = {"function": "tan(z)", "radii": {"start": 2, "stop": 20,
+                                            "count": 8}}
+    out = tmp_path / "nev.json"
+    code = run(["nev", "--spec", write_spec(tmp_path, spec), "--out", out,
+                "--format", "json"])
+    assert code == 4
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 8
+    assert {(w["N"], w["error"]) for w in rows} == {(None, PARTIAL + "poles")}
 
 
 @pytest.mark.parametrize("mutate,reason", [

@@ -1,6 +1,8 @@
 """Exact exponential-polynomial reduction, identity and constancy tests."""
 
 import cmath
+import collections
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,8 +12,9 @@ from hypothesis import strategies as st
 from nevlab.expr import (Add, Const, Z, add, compile_expr, differentiate, div,
                          evaluate, exp_e, intpow, mul, neg, parse_expr, sub,
                          to_grammar)
+from nevlab import exppoly
 from nevlab.exppoly import (Constancy, ZeroVerdict, canonical,
-                            canonical_quotient, compact, derivative_chain,
+                            canonical_quotient, derivative_chain,
                             is_constant, is_identically_zero,
                             set_probabilistic_seed, to_exp_poly)
 from nevlab.expr import InvalidExpressionError
@@ -144,12 +147,18 @@ def test_constant_too_large_for_a_float_has_no_value():
 
 
 @pytest.mark.parametrize("e", [
-    intpow(mul(Const(1e200), Z), 2),                 # 1e400 / den
+    intpow(mul(Const(1e200), Z), 3),                 # f' = 3e600*z^2
     parse_expr("exp(z + 700)*exp(z + 700)"),         # exp(1400)
     mul(Const(1e300), parse_expr("exp(z + 400)")),   # 1e300 * exp(400)
 ])
-def test_compact_keeps_a_tree_whose_coefficients_overflow(e):
-    assert compact(e) is e
+def test_chain_keeps_a_tree_whose_coefficients_overflow(e):
+    assert derivative_chain(e, 1) == [e, differentiate(e)]
+
+
+def test_chain_raises_where_the_tree_overflows_too():
+    # f = (1e200*z)^2: f' = 2e400*z has no float form and no float tree
+    with pytest.raises(InvalidExpressionError, match="overflows"):
+        derivative_chain(intpow(mul(Const(1e200), Z), 2), 1)
 
 
 @pytest.mark.parametrize("den", [
@@ -204,6 +213,62 @@ def test_derivative_chain_of_tangent():
 
     for z in (0.3, 0.25 - 0.4j, 1.0 + 0.2j):
         assert evaluate(chain[3], z) == pytest.approx(reference(z), rel=1e-10)
+
+
+def test_chain_converts_its_function_once(monkeypatch):
+    """The chain runs on the forms the exact layer holds for f, so a longer
+    chain converts no more trees."""
+    calls = collections.Counter()
+    for name in ("_canonical", "to_exp_poly"):
+        def counted(e, real=getattr(exppoly, name), name=name):
+            calls[name] += 1
+            return real(e)
+        monkeypatch.setattr(exppoly, name, counted)
+    counts = []
+    for k in (1, 8):
+        calls.clear()
+        exppoly._forms.cache_clear()
+        derivative_chain(parse_expr("tan(z)"), k)
+        counts.append(dict(calls))
+    assert counts[0] and counts[0] == counts[1]
+
+
+def _complex_power(c: complex, j: int) -> complex:
+    """c**j computed exactly, then rounded once."""
+    a, b = Fraction(c.real), Fraction(c.imag)
+    x, y = Fraction(1), Fraction(0)
+    for _ in range(j):
+        x, y = x * a - y * b, x * b + y * a
+    return complex(float(x), float(y))
+
+
+@pytest.mark.parametrize("src,c", [
+    ("exp(0.1*z)", 0.1),
+    ("exp(0.3*z)", 0.3),
+    ("exp((0.1 + 0.7*i)*z)", 0.1 + 0.7j),
+])
+def test_chain_of_an_exponential_rounds_each_derivative_once(src, c):
+    chain = derivative_chain(parse_expr(src), 8)
+    for j, e in enumerate(chain):
+        assert to_exp_poly(e).rounded() == [(c, [_complex_power(c, j)])]
+
+
+def test_chain_of_a_quotient_rounds_each_numerator_once():
+    """f = exp(lz)/(z + 1) with l = 0.3: f^(j) = N_j/(z + 1)^(j+1), with
+    N_j = P_j(z) exp(lz) and P_(j+1) = (P_j' + l P_j)(z + 1) - (j+1) P_j."""
+    lam = Fraction(0.3)
+    chain = derivative_chain(parse_expr("exp(0.3*z)/(z + 1)"), 8)
+    poly = [Fraction(1)]
+    for j in range(1, 9):
+        grown = [lam * a for a in poly] + [Fraction(0)]
+        for i in range(1, len(poly)):
+            grown[i - 1] += i * poly[i]
+        poly = [a + b - j * c for a, b, c in
+                zip(grown, [Fraction(0)] + grown, poly + [0, 0])]
+        assert to_exp_poly(chain[j].num).rounded() == \
+            [(0.3, [complex(float(a)) for a in poly])]
+    # the constant of N_4, rounded once where a chain of roundings was not
+    assert to_exp_poly(chain[4].num).rounded()[0][1][0] == 17.7801
 
 
 def test_derivative_chain_starts_at_the_function():

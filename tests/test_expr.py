@@ -122,18 +122,24 @@ def test_quotient_form_of_tan_has_entire_parts():
     assert cmath.isfinite(complex(evaluate(q.den, z)))
 
 
-@pytest.mark.parametrize("src", [
+@pytest.mark.parametrize("e", [
     "z^3 - 2*z + 1",
     "exp(2*z)/(z - 1)",
     "sin(z)*exp(-z)",
     "(z + i)^2",
-])
-def test_grammar_round_trip(src):
-    e = parse_expr(src)
+    Const(1e-13),
+    Const(1e20),
+    Const(1 / 3),
+    Const(1 + 1e-15),
+    Const(0.1 - 1j / 3),
+], ids=str)
+def test_grammar_round_trip(e):
+    """The text reads back as an expression with the same values, bit for
+    bit: every constant prints as a decimal that reads back as itself."""
+    e = parse_expr(e) if isinstance(e, str) else e
     back = parse_expr(to_grammar(e))
     for z in POINTS:
-        assert evaluate(back, z) == pytest.approx(evaluate(e, z),
-                                                  rel=1e-12, abs=1e-12)
+        assert evaluate(back, z) == evaluate(e, z)
 
 
 def test_derivatives_of_tan_match_mpmath():

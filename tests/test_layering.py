@@ -1,0 +1,68 @@
+"""The package's modules import one another in one direction only.
+
+Each module imports nevlab modules at module level, and only modules before
+it in LAYERS: a function-level import hides a cycle that the module order
+would otherwise show."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+LAYERS = ("expr", "exppoly", "diffpoly", "locator", "nevanlinna", "theorems",
+          "cli")
+_PACKAGE = Path(__file__).parents[1] / "src" / "nevlab"
+
+
+def _violations(name: str, source: str) -> list[str]:
+    """Each nevlab import of module name that breaks the layering, as
+    'line: what'."""
+    tree = ast.parse(source)
+    top = set(tree.body)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            targets = [node.module] if node.module else \
+                [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and \
+                (node.module or "").startswith("nevlab"):
+            targets = [node.module.partition(".")[2] or a.name
+                       for a in node.names]
+        elif isinstance(node, ast.Import):
+            targets = [a.name.partition(".")[2] for a in node.names
+                       if a.name.startswith("nevlab.")]
+        else:
+            continue
+        for target in targets:
+            target = target.partition(".")[0]
+            if node not in top:
+                found.append(f"{node.lineno}: {target} imported in a body")
+            elif target not in LAYERS[:LAYERS.index(name)]:
+                found.append(f"{node.lineno}: {target} is not below {name}")
+    return found
+
+
+def test_the_check_sees_every_form():
+    src = ("from .expr import Z\n"
+           "from .cli import main\n"
+           "import nevlab.theorems\n"
+           "from nevlab import locator\n"
+           "def f():\n"
+           "    from .expr import Z\n")
+    assert _violations("diffpoly", src) == [
+        "2: cli is not below diffpoly",
+        "3: theorems is not below diffpoly",
+        "4: locator is not below diffpoly",
+        "6: expr imported in a body"]
+    assert _violations("expr", "import numpy as np\nimport math\n") == []
+
+
+def test_every_module_has_a_layer():
+    modules = {p.stem for p in _PACKAGE.glob("*.py")} - {"__init__"}
+    assert modules == set(LAYERS)
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_module_imports_only_lower_layers(name):
+    source = (_PACKAGE / f"{name}.py").read_text()
+    assert _violations(name, source) == []
