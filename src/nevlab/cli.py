@@ -15,6 +15,8 @@ location or quadrature).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -280,10 +282,14 @@ def _csv_value(v) -> str:
 
 def _dump_csv(path: str, header: list[str], rows: list[list],
               comments: list[str]) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    lines += [",".join(_csv_value(v) for v in row) for row in rows]
-    _write(path, "\n".join(lines) + "\n")
+    """`# ` comment lines, then the header and rows through csv.writer, which
+    quotes a field that holds a comma or a quote (an error text may)."""
+    out = io.StringIO()
+    out.writelines(f"# {c}\n" for c in comments)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_value(v) for v in row] for row in rows)
+    _write(path, out.getvalue())
 
 
 def _timestamp_lines(reproducible: bool) -> list[str]:

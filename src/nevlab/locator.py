@@ -107,6 +107,10 @@ MERGE_TOL = 1e-7
 ORIGIN_TOL = 1e-12
 MAX_DEPTH = 40
 MAX_CELLS = 60000
+# A seed-free disk of winding 1..W_MAX is read first from the moments of its
+# circle; each moment must agree at 512 and 1024 points within MOMENT_TOL.
+W_MAX = 8
+MOMENT_TOL = 1e-14
 # Phase / magnitude continuity thresholds for path refinement.
 _PHASE_STEP = 0.5 * math.pi
 _MAG_STEP = 4.0
@@ -709,10 +713,12 @@ class _Frontier:
                 c.certify = False
                 # w is an int, or the circle's error
                 (centre, rho), w = next(cert_out)
-                z = _moment_centroid(s.jet, c.rect, centre, rho, c.unknown) \
+                pts = _moment_zeros(s.jet, centre, rho, c.unknown) \
                     if w == c.unknown else None
-                if z is not None:
-                    self.found.append((c.key, (z, c.unknown)))
+                x0, x1, y0, y1 = c.rect
+                if pts is not None and x0 <= pts[0][0].real <= x1 \
+                        and y0 <= pts[0][0].imag <= y1:
+                    self.found.append((c.key, pts[0]))
                     continue
             else:
                 quads = _quads(c.rect, *c.split())
@@ -784,41 +790,114 @@ def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
     raise dict(fr.errors)[stop]
 
 
-def _moment_centroid(jet, rect: tuple, c: complex, rho: float,
-                     unknown: int) -> complex | None:
-    """The one point of multiplicity `unknown` that holds the zeros of the
-    cell rect, from the circle |z - c| = rho around the cell, whose winding
-    has certified that it holds those zeros and no other; None unless they
-    are one point in the cell.
+def _moment_zeros(jet, c: complex, rho: float, w: int,
+                  scale: float | None = None) -> list | None:
+    """The zeros inside the circle |z - c| = rho, whose winding w has
+    certified that they count w with multiplicity, as (location,
+    multiplicity) pairs read from the moments of f'/f; None unless a
+    reading holds.
 
     With t = (z - c) / rho, s_k is the integral of t^k f'/f over the circle
-    divided by 2 pi i, taken by the trapezoid rule on N = 512 and 2N points;
-    its error is the change from N to 2N points plus a rounding floor, eps
-    times the integral of |f'/f|.  s1/s0 is the centroid of the zeros in t
-    (Delves and Lyness), and the spread s2/s0 - (s1/s0)^2 is the mean of
-    their squared offsets from it, 0 for a single point.  The point is
-    accepted when s0 rounds to `unknown`, the spread is within the errors
-    of the moments (relative to s0), and the centroid lies in the cell."""
+    divided by 2 pi i, the sum of t^k over the zeros (Delves and Lyness),
+    taken by the trapezoid rule on N = 512 and 2N points; its error is the
+    change from N to 2N points plus a rounding floor, eps times the
+    integral of |f'/f|.
+
+    Reading 1, for w >= 2: the zeros are one point of multiplicity w, at
+    their centroid s1/s0, when s0 rounds to w and every central power sum
+    sum (t - s1/s0)^k, 2 <= k <= w, is within its error.  For k = 2 that is
+    the spread s2/s0 - (s1/s0)^2 within the errors of s0, s1 and s2
+    (relative to s0).  The spread alone is not enough: it is a sum of
+    complex squares, and it vanishes for the four simple zeros of
+    8z^4 - 8z^3 + 3z^2 - 4z - 4.
+
+    Reading 2, only when scale is given: the w zeros as simple points.  The
+    Hankel system [s_(i+j)] a = -[s_(w+i)] gives t^w + sum a_j t^j, whose
+    roots (by Aberth iteration) are Newton-polished on f at that scale.
+    They are accepted when they are pairwise more than MERGE_TOL*max(scale,
+    1) apart, strictly inside the circle, and each nearer its estimate than
+    half the gap to the next estimate: w distinct zeros inside a circle of
+    winding w are all its zeros, each of them simple.  With a scale, both
+    readings also need every error at most MOMENT_TOL, since a moment that
+    has not converged (a zero near the circle) hides a spread."""
     t = np.exp(1j * np.pi * np.arange(1024) / 512)
     with np.errstate(all="ignore"):
         f, df, _ = jet(c + rho * t)
         g = t * df / f * rho
     # the same for every s_k, since |t| = 1
     floor = float(np.finfo(float).eps * np.mean(np.abs(g)))
-    s, err = [], 0.0
-    for k in range(3):
-        gk = g * t ** k
+    s, err, tk = [], [], np.ones_like(t)
+    for _ in range(w + 1 if scale is None else max(3, 2 * w)):
+        gk = g * tk
         s.append(complex(np.mean(gk)))
-        err += abs(s[-1] - complex(np.mean(gk[::2]))) + floor
-    s0, s1, s2 = s
-    if not abs(s0 - unknown) < 0.5:     # also false for a NaN
+        err.append(abs(s[-1] - complex(np.mean(gk[::2]))) + floor)
+        tk = tk * t
+    if scale is not None and not max(err) <= MOMENT_TOL:
         return None
-    z = c + rho * s1 / s0
-    x0, x1, y0, y1 = rect
-    if (abs(s2 / s0 - (s1 / s0) ** 2) <= err / abs(s0)
-            and x0 <= z.real <= x1 and y0 <= z.imag <= y1):
-        return z
-    return None
+    s0, s1, s2 = s[:3]
+    one = w >= 2 and abs(s0 - w) < 0.5 \
+        and abs(s2 / s0 - (s1 / s0) ** 2) <= sum(err[:3]) / abs(s0)
+    for k in range(3, w + 1 if one else 0):
+        terms = [(math.comb(k, i) * (-s1 / s0) ** (k - i), i)
+                 for i in range(k + 1)]
+        one = abs(sum(b * s[i] for b, i in terms)) \
+            <= sum(abs(b) * err[i] for b, i in terms)
+        if not one:
+            break
+    if one:
+        return [(c + rho * s1 / s0, w)]
+    if scale is None:
+        return None
+    a = _solve([s[i:i + w] for i in range(w)], [-x for x in s[w:2 * w]])
+    est = [] if a is None else [c + rho * x for x in _aberth(a)]
+    pts = [_polish(jet, z, scale) for z in est]
+    for j, z in enumerate(pts):
+        gap = min((abs(e - est[j]) for e in est[:j] + est[j + 1:]),
+                  default=rho)
+        if z is None or not abs(z - c) < rho or not abs(z - est[j]) < gap / 2 \
+                or any(abs(z - y) <= MERGE_TOL * max(scale, 1.0)
+                       for y in pts[:j]):
+            return None
+    return [(z, 1) for z in pts] or None
+
+
+def _solve(a: list, b: list) -> list | None:
+    """x with a x = b, by Gaussian elimination with partial pivoting on
+    Python complex numbers (the systems here are at most W_MAX square);
+    None if a pivot vanishes."""
+    n = len(b)
+    m = [row + [y] for row, y in zip(a, b)]
+    for i in range(n):
+        p = max(range(i, n), key=lambda k: abs(m[k][i]))
+        if m[p][i] == 0:
+            return None
+        m[i], m[p] = m[p], m[i]
+        for row in m[i + 1:]:
+            q = row[i] / m[i][i]
+            row[i:] = [x - q * y for x, y in zip(row[i:], m[i][i:])]
+    x: list = []
+    for i in reversed(range(n)):
+        x.insert(0, (m[i][n] - sum(u * v for u, v in zip(m[i][i + 1:n], x)))
+                 / m[i][i])
+    return x
+
+
+def _aberth(a: list) -> list:
+    """The roots of t^w + sum a_j t^j by Aberth iteration, started on the
+    circle |t| = 1/2 off the axes; every root of a reading lies in |t| < 1."""
+    coef = np.array([1.0] + a[::-1], dtype=complex)
+    dcoef = coef[:-1] * np.arange(len(a), 0, -1)
+    t = 0.5 * np.exp(2j * np.pi * (np.arange(len(a)) + 0.25) / len(a))
+    off = ~np.eye(len(a), dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            n = np.polyval(coef, t) / np.polyval(dcoef, t)
+            diff = np.where(off, t[:, None] - t[None, :], np.inf)
+            step = n / (1.0 - n * (1.0 / diff).sum(axis=1))
+            t = t - step
+            if np.all(np.abs(step) <= 1e-14):
+                break
+    return t.tolist()
 
 
 def _locate_entire(e: Expr, r: float,
@@ -842,6 +921,10 @@ def _locate_entire(e: Expr, r: float,
     w_disk, *ms = _circle_windings(fn, circles, rate)
     if isinstance(w_disk, LocatorError):
         raise w_disk
+    if not inside and 1 <= w_disk <= W_MAX:
+        found = _moment_zeros(jet, 0j, r, w_disk, r)
+        if found is not None:
+            return found, w_disk, True
 
     seed_list: list[tuple[complex, int]] = []
     for z, m in zip(inside, ms):
