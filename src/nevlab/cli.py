@@ -282,13 +282,10 @@ def _csv_value(v) -> str:
 
 def _dump_csv(path: str, header: list[str], rows: list[list],
               comments: list[str]) -> None:
-    """`# ` comment lines, then the header and rows through csv.writer, which
-    quotes a field that holds a comma or a quote (an error text may)."""
-    out = io.StringIO()
+    out = io.StringIO()     # csv quotes a field with a comma or a quote
     out.writelines(f"# {c}\n" for c in comments)
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_csv_value(v) for v in row] for row in rows)
+    csv.writer(out, lineterminator="\n").writerows(
+        [header] + [[_csv_value(v) for v in row] for row in rows])
     _write(path, out.getvalue())
 
 

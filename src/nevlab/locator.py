@@ -2,13 +2,15 @@
 
 Winding numbers are measured by phase continuation along boundary paths:
 sample the function, and wherever the phase (or the magnitude) jumps too much
-between neighbours, insert midpoints until every step is tame.  Zeros are then
-isolated by rectangle subdivision driven by boundary windings and
+between neighbours, insert midpoints until every step is tame.  A seed-free
+disk of winding 1 to W_MAX is first read from the moments of f'/f on its own
+circle, as one multiple point or as that many simple points.  Otherwise
+zeros are isolated by rectangle subdivision driven by boundary windings and
 polished with a Newton iteration on f/f'.  Each iteration makes one call to
 a joint program for f, f' and f'' (compile_expr of the tuple), which shares
 their common subtrees and runs on the point as generated straight-line code.
-A Newton point is accepted only inside a seed-free cell of winding 1, so it
-is that cell's one simple zero and takes multiplicity 1 from the cell
+The search accepts a Newton point only in a seed-free cell of winding 1, so
+it is that cell's one simple zero and takes multiplicity 1 from the cell
 accounting; seeds (points known in advance) still get theirs from
 small-circle windings.  The counts are cross-checked:
 the multiplicities found inside the disk must add up to the winding of the
@@ -107,8 +109,8 @@ MERGE_TOL = 1e-7
 ORIGIN_TOL = 1e-12
 MAX_DEPTH = 40
 MAX_CELLS = 60000
-# A seed-free disk of winding 1..W_MAX is read first from the moments of its
-# circle; each moment must agree at 512 and 1024 points within MOMENT_TOL.
+# A seed-free disk of winding 1..W_MAX is first read from its circle's
+# moments, each of which must be within MOMENT_TOL (see _moment_zeros).
 W_MAX = 8
 MOMENT_TOL = 1e-14
 # Phase / magnitude continuity thresholds for path refinement.
@@ -792,34 +794,30 @@ def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
 
 def _moment_zeros(jet, c: complex, rho: float, w: int,
                   scale: float | None = None) -> list | None:
-    """The zeros inside the circle |z - c| = rho, whose winding w has
-    certified that they count w with multiplicity, as (location,
+    """The zeros inside |z - c| = rho, a circle of winding w, as (location,
     multiplicity) pairs read from the moments of f'/f; None unless a
-    reading holds.
+    reading holds.  With t = (z - c) / rho, s_k is the sum of t^k over the
+    zeros (Delves and Lyness), by the trapezoid rule on N = 512 and 2N
+    points; its error is the change from N to 2N points plus a rounding
+    floor, eps times the integral of |f'/f|.
 
-    With t = (z - c) / rho, s_k is the integral of t^k f'/f over the circle
-    divided by 2 pi i, the sum of t^k over the zeros (Delves and Lyness),
-    taken by the trapezoid rule on N = 512 and 2N points; its error is the
-    change from N to 2N points plus a rounding floor, eps times the
-    integral of |f'/f|.
+    Reading 1 (w >= 2): one point of multiplicity w at s1/s0, when s0
+    rounds to w and the spread s2/s0 - (s1/s0)^2 is within the errors of
+    s0, s1 and s2 (relative to s0).  A sum of complex squares also vanishes
+    for distinct zeros (those of z^3 - 1e-12), so with a scale each central
+    power sum of order 3 to w must be within its error too.  A cell's
+    certificate keeps the spread alone: on a small circle about a cell, the
+    rounding cloud of an expanded multiple zero (about eps^(1/m) across)
+    shows in those sums.
 
-    Reading 1, for w >= 2: the zeros are one point of multiplicity w, at
-    their centroid s1/s0, when s0 rounds to w and every central power sum
-    sum (t - s1/s0)^k, 2 <= k <= w, is within its error.  For k = 2 that is
-    the spread s2/s0 - (s1/s0)^2 within the errors of s0, s1 and s2
-    (relative to s0).  The spread alone is not enough: it is a sum of
-    complex squares, and it vanishes for the four simple zeros of
-    8z^4 - 8z^3 + 3z^2 - 4z - 4.
-
-    Reading 2, only when scale is given: the w zeros as simple points.  The
-    Hankel system [s_(i+j)] a = -[s_(w+i)] gives t^w + sum a_j t^j, whose
-    roots (by Aberth iteration) are Newton-polished on f at that scale.
-    They are accepted when they are pairwise more than MERGE_TOL*max(scale,
-    1) apart, strictly inside the circle, and each nearer its estimate than
-    half the gap to the next estimate: w distinct zeros inside a circle of
-    winding w are all its zeros, each of them simple.  With a scale, both
-    readings also need every error at most MOMENT_TOL, since a moment that
-    has not converged (a zero near the circle) hides a spread."""
+    Reading 2 (with a scale): w simple points, the roots of the monic
+    polynomial of the zeros (Newton's identities on s_1..s_w), polished by
+    Newton on f at that scale.  They are accepted when pairwise more than
+    MERGE_TOL*max(scale, 1) apart, strictly inside the circle and each
+    within half the gap from its estimate to the next: w distinct zeros in
+    a circle of winding w are all its zeros, each simple.  With a scale,
+    every error must be at most MOMENT_TOL: a zero near the circle slows
+    the rule, and a moment that has not converged hides a spread."""
     t = np.exp(1j * np.pi * np.arange(1024) / 512)
     with np.errstate(all="ignore"):
         f, df, _ = jet(c + rho * t)
@@ -827,77 +825,62 @@ def _moment_zeros(jet, c: complex, rho: float, w: int,
     # the same for every s_k, since |t| = 1
     floor = float(np.finfo(float).eps * np.mean(np.abs(g)))
     s, err, tk = [], [], np.ones_like(t)
-    for _ in range(w + 1 if scale is None else max(3, 2 * w)):
+    for _ in range(3 if scale is None else max(3, w + 1)):
         gk = g * tk
-        s.append(complex(np.mean(gk)))
-        err.append(abs(s[-1] - complex(np.mean(gk[::2]))) + floor)
+        # the bits of np.mean, without its overhead
+        s.append(complex(gk.sum() / 1024))
+        err.append(abs(s[-1] - complex(gk[::2].sum() / 512)) + floor)
         tk = tk * t
     if scale is not None and not max(err) <= MOMENT_TOL:
         return None
     s0, s1, s2 = s[:3]
     one = w >= 2 and abs(s0 - w) < 0.5 \
         and abs(s2 / s0 - (s1 / s0) ** 2) <= sum(err[:3]) / abs(s0)
-    for k in range(3, w + 1 if one else 0):
-        terms = [(math.comb(k, i) * (-s1 / s0) ** (k - i), i)
-                 for i in range(k + 1)]
-        one = abs(sum(b * s[i] for b, i in terms)) \
-            <= sum(abs(b) * err[i] for b, i in terms)
-        if not one:
-            break
-    if one:
-        return [(c + rho * s1 / s0, w)]
-    if scale is None:
-        return None
-    a = _solve([s[i:i + w] for i in range(w)], [-x for x in s[w:2 * w]])
-    est = [] if a is None else [c + rho * x for x in _aberth(a)]
+    if one and scale is not None:
+        u = -s1 / s0
+        one = all(abs(sum(math.comb(k, i) * u ** (k - i) * s[i]
+                          for i in range(k + 1)))
+                  <= sum(math.comb(k, i) * abs(u) ** (k - i) * err[i]
+                         for i in range(k + 1))
+                  for k in range(3, w + 1))
+    if one or scale is None:
+        return [(c + rho * s1 / s0, w)] if one else None
+    e = [1.0]       # k e_k = sum over i <= k of (-1)^(i-1) e_(k-i) s_i
+    for k in range(1, w + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i]
+                     for i in range(1, k + 1)) / k)
+    est = [c + rho * x
+           for x in _aberth([(-1) ** k * x for k, x in enumerate(e)])]
     pts = [_polish(jet, z, scale) for z in est]
-    for j, z in enumerate(pts):
-        gap = min((abs(e - est[j]) for e in est[:j] + est[j + 1:]),
-                  default=rho)
-        if z is None or not abs(z - c) < rho or not abs(z - est[j]) < gap / 2 \
+    for j, (z, z0) in enumerate(zip(pts, est)):
+        gap = min((abs(o - z0) for o in est[:j] + est[j + 1:]), default=rho)
+        if z is None or not (abs(z - c) < rho and abs(z - z0) < gap / 2) \
                 or any(abs(z - y) <= MERGE_TOL * max(scale, 1.0)
                        for y in pts[:j]):
             return None
-    return [(z, 1) for z in pts] or None
+    return [(z, 1) for z in pts]
 
 
-def _solve(a: list, b: list) -> list | None:
-    """x with a x = b, by Gaussian elimination with partial pivoting on
-    Python complex numbers (the systems here are at most W_MAX square);
-    None if a pivot vanishes."""
-    n = len(b)
-    m = [row + [y] for row, y in zip(a, b)]
-    for i in range(n):
-        p = max(range(i, n), key=lambda k: abs(m[k][i]))
-        if m[p][i] == 0:
-            return None
-        m[i], m[p] = m[p], m[i]
-        for row in m[i + 1:]:
-            q = row[i] / m[i][i]
-            row[i:] = [x - q * y for x, y in zip(row[i:], m[i][i:])]
-    x: list = []
-    for i in reversed(range(n)):
-        x.insert(0, (m[i][n] - sum(u * v for u, v in zip(m[i][i + 1:n], x)))
-                 / m[i][i])
-    return x
-
-
-def _aberth(a: list) -> list:
-    """The roots of t^w + sum a_j t^j by Aberth iteration, started on the
-    circle |t| = 1/2 off the axes; every root of a reading lies in |t| < 1."""
-    coef = np.array([1.0] + a[::-1], dtype=complex)
-    dcoef = coef[:-1] * np.arange(len(a), 0, -1)
-    t = 0.5 * np.exp(2j * np.pi * (np.arange(len(a)) + 0.25) / len(a))
-    off = ~np.eye(len(a), dtype=bool)
-    with np.errstate(all="ignore"):
+def _aberth(coef: list) -> list:
+    """Roots of the polynomial coef (highest degree first) by Aberth
+    iteration from the circle |t| = 1/2 off the axes, updated in turn; on a
+    division by zero or an overflow, the estimates as they are."""
+    t = [0.5 * cmath.exp(2j * math.pi * (k + 0.25) / (len(coef) - 1))
+         for k in range(len(coef) - 1)]
+    try:
         for _ in range(100):
-            n = np.polyval(coef, t) / np.polyval(dcoef, t)
-            diff = np.where(off, t[:, None] - t[None, :], np.inf)
-            step = n / (1.0 - n * (1.0 / diff).sum(axis=1))
-            t = t - step
-            if np.all(np.abs(step) <= 1e-14):
+            big = 0.0
+            for k, x in enumerate(t):
+                p = dp = 0j
+                for c in coef:
+                    p, dp = p * x + c, dp * x + p
+                step = p / (dp - p * sum(1 / (x - y) for y in t if y != x))
+                t[k], big = x - step, max(big, abs(step))
+            if big <= 1e-14:
                 break
-    return t.tolist()
+    except (ZeroDivisionError, OverflowError):
+        pass
+    return t
 
 
 def _locate_entire(e: Expr, r: float,

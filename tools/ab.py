@@ -14,7 +14,8 @@ the sides instead), each run's pass count, and per metric both sides'
 medians, the interquartile range of each side's runs and the number of
 pairs in which the change read lower.  --workload and --seed may be given
 more than once; each (workload, seed) gets its own entry, written to the
-output file as soon as its pairs are done.
+output file as soon as its pairs are done.  An existing output file of the
+same two commits keeps its other entries.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def _quartiles(xs: list[float]) -> tuple[float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0]
     q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q3
 
@@ -135,6 +138,12 @@ def main(argv: list[str] | None = None) -> int:
                       "change first when k is odd; all runs strictly one "
                       "after another",
         "environment": environment(), "workloads": {}}
+    out = Path(args.out)
+    if out.exists():
+        old = json.loads(out.read_text())
+        if (old["parent_commit"], old["change_commit"]) == \
+                (revs["parent"], revs["change"]):
+            result["workloads"] = old["workloads"]
     for workload, seed in [(w, s) for w in args.workload or ["locate"]
                            for s in args.seed or [20260823]]:
         pairs = []
@@ -165,7 +174,7 @@ def main(argv: list[str] | None = None) -> int:
                 for p in pairs),
             "runs": {f"pair{k}": {side: p[side]["lines"] for side in p}
                      for k, p in enumerate(pairs)}}
-        Path(args.out).write_text(json.dumps(result, indent=1) + "\n")
+        out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
 
