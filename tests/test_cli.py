@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 
+import csv
 import json
 import math
 
@@ -213,6 +214,22 @@ def test_partial_zero_divisor_is_a_numerical_failure(tmp_path, monkeypatch,
     assert code == 4
     assert PARTIAL + "zeros" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_csv_error_text_with_a_comma_stays_one_field(tmp_path, monkeypatch):
+    """A partial divisor's error names "f, fk"; csv quotes it, so every row
+    reads back as the header's 6 fields with the text intact."""
+    monkeypatch.setattr(locator, "MAX_DEPTH", 1)
+    spec = {"function": "tan(z)", "radii": {"start": 2, "stop": 20,
+                                            "count": 8},
+            "checks": ["lem_32"]}
+    out = tmp_path / "report.csv"
+    run(["check", "--spec", write_spec(tmp_path, spec), "--out", out,
+         "--format", "csv", "--reproducible"])
+    rows = list(csv.reader(data_lines(out)))
+    assert rows[0] == ["check_id", "r", "lhs", "rhs", "residual", "error"]
+    assert all(len(row) == 6 for row in rows)
+    assert PARTIAL + "f, fk" in {row[5] for row in rows[1:]}
 
 
 def test_partial_pole_divisor_fails_every_nev_row(tmp_path, monkeypatch):

@@ -806,3 +806,119 @@ def test_polish_runs_the_generated_code_bit_for_bit(src):
         if got is not None:
             assert (got.real.hex(), got.imag.hex()) == \
                 (want.real.hex(), want.imag.hex())
+
+
+# ---------------------------------------------------------------------------
+# a seed-free disk of winding 1..W_MAX, read from its own circle's moments
+
+def _refuse_search(monkeypatch):
+    def subdivide(*args):
+        raise AssertionError("the disk was searched")
+
+    monkeypatch.setattr(locator, "_subdivide", subdivide)
+
+
+def _disk_polynomials():
+    """(coefficients, r, close): 1 to 8 seeded random simple roots in
+    |z| <= 0.75r, pairwise at least 1e-3 apart; every third case is close:
+    its last root lies 1.5e-3 from its first."""
+    rng = random.Random(1515)
+    cases = []
+    for n in range(48):
+        deg, r = 1 + n % 8, rng.choice([0.5, 1.0, 2.0, 3.0])
+        while True:
+            roots = [cmath.rect(0.75 * r * math.sqrt(rng.random()),
+                                rng.uniform(-math.pi, math.pi))
+                     for _ in range(deg)]
+            if deg > 1 and n % 3 == 0:
+                roots[-1] = roots[0] + cmath.rect(1.5e-3, rng.uniform(0, 6))
+            if (max(map(abs, roots)) <= 0.75 * r
+                    and all(abs(a - b) >= 1e-3
+                            for i, a in enumerate(roots) for b in roots[:i])):
+                break
+        cases.append((np.poly(roots), r, deg > 1 and n % 3 == 0))
+    return cases
+
+
+@pytest.mark.parametrize("coeffs,r,close", _disk_polynomials())
+def test_disk_of_simple_zeros_closes_from_its_moments(monkeypatch, coeffs, r,
+                                                      close):
+    """The disk's zeros come out of its circle's moments, without a search,
+    and match numpy.roots of the same coefficients.  A close pair may still
+    be searched: rounding can keep each of its Newton steps above
+    _polish's 1e-13*r stop (2 of the 14 close cases here)."""
+    if not close:
+        _refuse_search(monkeypatch)
+    e = parse_expr(" + ".join(f"({format_complex(complex(c))})*z^{k}"
+                              for k, c in enumerate(coeffs[::-1])))
+    d = find_zeros(e, r)
+    assert d.valid and [p.multiplicity for p in d.points] == [1] * d.degree
+    want = [complex(w) for w in np.roots(coeffs)]
+    assert d.degree == len(want)
+    for p in d.points:
+        best = min(want, key=lambda w: abs(p.location - w))
+        assert abs(p.location - best) < 1e-10
+        want.remove(best)
+
+
+@pytest.mark.parametrize("c,b,r", [(1, 2, 7.0), (2, -1, 3.0), (1j, 3, 4.0),
+                                   (1 + 1j, 2j, 5.0), (3, 1, 3.0)])
+def test_disk_of_shifted_exponential_closes_from_its_moments(monkeypatch, c,
+                                                             b, r):
+    """exp(c z) = b at z = (Log b + 2 pi i k)/c; those in the disk, and
+    nothing else, come out of the moments."""
+    _refuse_search(monkeypatch)
+    e = parse_expr(f"exp(({format_complex(complex(c))})*z)"
+                   f" - ({format_complex(complex(b))})")
+    want = [(cmath.log(b) + 2j * math.pi * k) / c for k in range(-9, 10)]
+    want = [w for w in want if abs(w) <= r]
+    d = find_zeros(e, r)
+    assert d.valid and d.degree == len(want)
+    for p in d.points:
+        assert p.multiplicity == 1
+        assert min(abs(p.location - w) for w in want) < 1e-10
+
+
+@pytest.mark.parametrize("src,r,seeds", [
+    ("z^2 - 1.49*z - 0.995", 2.0, ()),        # a zero 0.5% inside the ring
+    ("sin(z)", 30.0, ()),                     # winding 19 > W_MAX
+    ("z^3 - z", 2.0, (1 + 0j,)),              # a seeded disk
+])
+def test_declined_disk_is_searched_as_before(monkeypatch, src, r, seeds):
+    """A disk the moments do not read is searched, and gives the divisor
+    it gives with the moment reading turned off."""
+    e = parse_expr(src)
+    searched = []
+    real = locator._subdivide
+
+    def subdivide(*args):
+        searched.append(args[1:])
+        return real(*args)
+
+    monkeypatch.setattr(locator, "_subdivide", subdivide)
+    got = find_zeros(e, r, seeds)
+    assert searched
+    monkeypatch.setattr(locator, "W_MAX", 0)
+    assert find_zeros(e, r, seeds) == got
+
+
+def test_zeros_with_no_spread_are_not_one_point(monkeypatch):
+    """The four simple zeros of 8z^4 - 8z^3 + 3z^2 - 4z - 4 have a zero
+    spread (sum of squared offsets from their centroid), like one point;
+    the higher central sums tell them apart."""
+    _refuse_search(monkeypatch)
+    coeffs = [8, -8, 3, -4, -4]
+    d = find_zeros(parse_expr("8*z^4 - 8*z^3 + 3*z^2 - 4*z - 4"), 2.0)
+    assert [p.multiplicity for p in d.points] == [1, 1, 1, 1]
+    for w in np.roots(coeffs):
+        assert min(abs(p.location - w) for p in d.points) < 1e-10
+
+
+@pytest.mark.parametrize("r", np.linspace(1.3, 4.7, 25).tolist())
+def test_expanded_triple_zero_is_one_point_at_every_radius(r):
+    """Multiplied out, (z - 0.3)^3 reads as one point of multiplicity 3 from
+    the disk's moments at every radius; a clean split line through its
+    rounding cloud once failed the search at 5 of these radii."""
+    d = find_zeros(parse_expr("z^3 - 0.9*z^2 + 0.27*z - 0.027"), r)
+    p, = d.points
+    assert p.multiplicity == 3 and abs(p.location - 0.3) < 1e-10
