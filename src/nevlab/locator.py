@@ -824,13 +824,13 @@ def _moment_zeros(jet, c: complex, rho: float, w: int,
         g = t * df / f * rho
     # the same for every s_k, since |t| = 1
     floor = float(np.finfo(float).eps * np.mean(np.abs(g)))
-    s, err, tk = [], [], np.ones_like(t)
+    s, err, tk, gk = [], [], np.ones_like(t), np.empty_like(t)
     for _ in range(3 if scale is None else max(3, w + 1)):
-        gk = g * tk
+        np.multiply(g, tk, out=gk)
         # the bits of np.mean, without its overhead
         s.append(complex(gk.sum() / 1024))
         err.append(abs(s[-1] - complex(gk[::2].sum() / 512)) + floor)
-        tk = tk * t
+        tk *= t
     if scale is not None and not max(err) <= MOMENT_TOL:
         return None
     s0, s1, s2 = s[:3]
