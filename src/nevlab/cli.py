@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -282,11 +281,10 @@ def _csv_value(v) -> str:
 
 def _dump_csv(path: str, header: list[str], rows: list[list],
               comments: list[str]) -> None:
-    out = io.StringIO()     # csv quotes a field with a comma or a quote
-    out.writelines(f"# {c}\n" for c in comments)
-    csv.writer(out, lineterminator="\n").writerows(
-        [header] + [[_csv_value(v) for v in row] for row in rows])
-    _write(path, out.getvalue())
+    with open(path, "w", encoding="utf-8") as fh:  # csv quotes "a,b"
+        fh.writelines(f"# {c}\n" for c in comments)
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header] + [[_csv_value(v) for v in row] for row in rows])
 
 
 def _timestamp_lines(reproducible: bool) -> list[str]:

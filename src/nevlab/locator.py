@@ -3,12 +3,10 @@
 Winding numbers are measured by phase continuation along boundary paths:
 sample the function, and wherever the phase (or the magnitude) jumps too much
 between neighbours, insert midpoints until every step is tame.  A seed-free
-disk of winding 1 to W_MAX is first read from the moments of f'/f on its own
-circle, as one multiple point or as that many simple points.  Otherwise
-zeros are isolated by rectangle subdivision driven by boundary windings and
-polished with a Newton iteration on f/f'.  Each iteration makes one call to
-a joint program for f, f' and f'' (compile_expr of the tuple), which shares
-their common subtrees and runs on the point as generated straight-line code.
+disk of winding 1 to W_MAX is first read from its circle's moments (module
+moments).  Else zeros are isolated by rectangle subdivision driven by
+boundary windings and polished with a Newton iteration on f/f', one call to
+a joint program for f, f' and f'' (compile_expr of the tuple) per step.
 The search accepts a Newton point only in a seed-free cell of winding 1, so
 it is that cell's one simple zero and takes multiplicity 1 from the cell
 accounting; seeds (points known in advance) still get theirs from
@@ -57,7 +55,6 @@ located once and its multiplicity doubled exactly.
 from __future__ import annotations
 
 import bisect
-import cmath
 import functools
 import heapq
 import math
@@ -68,6 +65,7 @@ import numpy as np
 from .expr import (Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, QuotientForm,
                    compile_expr, differentiate, sub)
 from .exppoly import canonical_quotient
+from .moments import _cell_point, _disk_zeros, _polish
 
 __all__ = [
     "Divisor", "DivisorPoint", "LocatorError", "RingTooCloseError",
@@ -109,10 +107,7 @@ MERGE_TOL = 1e-7
 ORIGIN_TOL = 1e-12
 MAX_DEPTH = 40
 MAX_CELLS = 60000
-# A seed-free disk of winding 1..W_MAX is first read from its circle's
-# moments, each of which must be within MOMENT_TOL (see _moment_zeros).
-W_MAX = 8
-MOMENT_TOL = 1e-14
+W_MAX = 8   # the largest disk winding read from moments first
 # Phase / magnitude continuity thresholds for path refinement.
 _PHASE_STEP = 0.5 * math.pi
 _MAG_STEP = 4.0
@@ -469,35 +464,6 @@ def _vanishing_factors(e: Expr) -> list[tuple[Expr, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Newton polishing on f / f'  (quadratic near zeros of any multiplicity)
-
-def _polish(jet, z0: complex, scale: float) -> complex | None:
-    # z stays an np.complex128 under errstate, so a compiled jet's generated
-    # code runs directly, without the evaluator's per-call checks; a jet
-    # with no program is called as it is.
-    prog = getattr(jet, "program", None)
-    point = jet if prog is None else functools.partial(prog.straight,
-                                                       exp=np.exp)
-    z = np.complex128(z0)
-    with np.errstate(all="ignore"):
-        for _ in range(60):
-            f0, f1, f2 = point(z)
-            if not (cmath.isfinite(f0) and cmath.isfinite(f1)
-                    and cmath.isfinite(f2)):
-                return None
-            denom = f1 * f1 - f0 * f2
-            if denom == 0:
-                return None
-            step = np.complex128(f0 * f1) / denom
-            if not cmath.isfinite(step):
-                return None
-            z -= step
-            if abs(step) < 1e-13 * scale:
-                return complex(z)
-    return None
-
-
-# ---------------------------------------------------------------------------
 # rectangle subdivision
 
 _SPLIT_FRACTIONS = (0.5, 0.46, 0.54, 0.42, 0.58, 0.37, 0.63, 0.31, 0.69)
@@ -715,12 +681,10 @@ class _Frontier:
                 c.certify = False
                 # w is an int, or the circle's error
                 (centre, rho), w = next(cert_out)
-                pts = _moment_zeros(s.jet, centre, rho, c.unknown) \
+                z = _cell_point(s.jet, c.rect, centre, rho, c.unknown) \
                     if w == c.unknown else None
-                x0, x1, y0, y1 = c.rect
-                if pts is not None and x0 <= pts[0][0].real <= x1 \
-                        and y0 <= pts[0][0].imag <= y1:
-                    self.found.append((c.key, pts[0]))
+                if z is not None:
+                    self.found.append((c.key, (z, c.unknown)))
                     continue
             else:
                 quads = _quads(c.rect, *c.split())
@@ -792,97 +756,6 @@ def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
     raise dict(fr.errors)[stop]
 
 
-def _moment_zeros(jet, c: complex, rho: float, w: int,
-                  scale: float | None = None) -> list | None:
-    """The zeros inside |z - c| = rho, a circle of winding w, as (location,
-    multiplicity) pairs read from the moments of f'/f; None unless a
-    reading holds.  With t = (z - c) / rho, s_k is the sum of t^k over the
-    zeros (Delves and Lyness), by the trapezoid rule on N = 512 and 2N
-    points; its error is the change from N to 2N points plus a rounding
-    floor, eps times the integral of |f'/f|.
-
-    Reading 1 (w >= 2): one point of multiplicity w at s1/s0, when s0
-    rounds to w and the spread s2/s0 - (s1/s0)^2 is within the errors of
-    s0, s1 and s2 (relative to s0).  A sum of complex squares also vanishes
-    for distinct zeros (those of z^3 - 1e-12), so with a scale each central
-    power sum of order 3 to w must be within its error too.  A cell's
-    certificate keeps the spread alone: on a small circle about a cell, the
-    rounding cloud of an expanded multiple zero (about eps^(1/m) across)
-    shows in those sums.
-
-    Reading 2 (with a scale): w simple points, the roots of the monic
-    polynomial of the zeros (Newton's identities on s_1..s_w), polished by
-    Newton on f at that scale.  They are accepted when pairwise more than
-    MERGE_TOL*max(scale, 1) apart, strictly inside the circle and each
-    within half the gap from its estimate to the next: w distinct zeros in
-    a circle of winding w are all its zeros, each simple.  With a scale,
-    every error must be at most MOMENT_TOL: a zero near the circle slows
-    the rule, and a moment that has not converged hides a spread."""
-    t = np.exp(1j * np.pi * np.arange(1024) / 512)
-    with np.errstate(all="ignore"):
-        f, df, _ = jet(c + rho * t)
-        g = t * df / f * rho
-    # the same for every s_k, since |t| = 1
-    floor = float(np.finfo(float).eps * np.mean(np.abs(g)))
-    s, err, tk, gk = [], [], np.ones_like(t), np.empty_like(t)
-    for _ in range(3 if scale is None else max(3, w + 1)):
-        np.multiply(g, tk, out=gk)
-        # the bits of np.mean, without its overhead
-        s.append(complex(gk.sum() / 1024))
-        err.append(abs(s[-1] - complex(gk[::2].sum() / 512)) + floor)
-        tk *= t
-    if scale is not None and not max(err) <= MOMENT_TOL:
-        return None
-    s0, s1, s2 = s[:3]
-    one = w >= 2 and abs(s0 - w) < 0.5 \
-        and abs(s2 / s0 - (s1 / s0) ** 2) <= sum(err[:3]) / abs(s0)
-    if one and scale is not None:
-        u = -s1 / s0
-        one = all(abs(sum(math.comb(k, i) * u ** (k - i) * s[i]
-                          for i in range(k + 1)))
-                  <= sum(math.comb(k, i) * abs(u) ** (k - i) * err[i]
-                         for i in range(k + 1))
-                  for k in range(3, w + 1))
-    if one or scale is None:
-        return [(c + rho * s1 / s0, w)] if one else None
-    e = [1.0]       # k e_k = sum over i <= k of (-1)^(i-1) e_(k-i) s_i
-    for k in range(1, w + 1):
-        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i]
-                     for i in range(1, k + 1)) / k)
-    est = [c + rho * x
-           for x in _aberth([(-1) ** k * x for k, x in enumerate(e)])]
-    pts = [_polish(jet, z, scale) for z in est]
-    for j, (z, z0) in enumerate(zip(pts, est)):
-        gap = min((abs(o - z0) for o in est[:j] + est[j + 1:]), default=rho)
-        if z is None or not (abs(z - c) < rho and abs(z - z0) < gap / 2) \
-                or any(abs(z - y) <= MERGE_TOL * max(scale, 1.0)
-                       for y in pts[:j]):
-            return None
-    return [(z, 1) for z in pts]
-
-
-def _aberth(coef: list) -> list:
-    """Roots of the polynomial coef (highest degree first) by Aberth
-    iteration from the circle |t| = 1/2 off the axes, updated in turn; on a
-    division by zero or an overflow, the estimates as they are."""
-    t = [0.5 * cmath.exp(2j * math.pi * (k + 0.25) / (len(coef) - 1))
-         for k in range(len(coef) - 1)]
-    try:
-        for _ in range(100):
-            big = 0.0
-            for k, x in enumerate(t):
-                p = dp = 0j
-                for c in coef:
-                    p, dp = p * x + c, dp * x + p
-                step = p / (dp - p * sum(1 / (x - y) for y in t if y != x))
-                t[k], big = x - step, max(big, abs(step))
-            if big <= 1e-14:
-                break
-    except (ZeroDivisionError, OverflowError):
-        pass
-    return t
-
-
 def _locate_entire(e: Expr, r: float,
                    seeds: tuple[complex, ...] = ()) -> tuple[list, int, bool]:
     """All zeros of one entire factor in |z| <= r as (location, mult) pairs,
@@ -905,7 +778,7 @@ def _locate_entire(e: Expr, r: float,
     if isinstance(w_disk, LocatorError):
         raise w_disk
     if not inside and 1 <= w_disk <= W_MAX:
-        found = _moment_zeros(jet, 0j, r, w_disk, r)
+        found = _disk_zeros(jet, r, w_disk, MERGE_TOL * max(r, 1.0))
         if found is not None:
             return found, w_disk, True
 

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = ("expr", "exppoly", "diffpoly", "locator", "nevanlinna", "theorems",
-          "cli")
+LAYERS = ("expr", "exppoly", "diffpoly", "moments", "locator", "nevanlinna",
+          "theorems", "cli")
 _PACKAGE = Path(__file__).parents[1] / "src" / "nevlab"
 
 

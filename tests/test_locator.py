@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nevlab.locator as locator
+import nevlab.moments as moments
 from nevlab.expr import compile_expr, differentiate, format_complex, parse_expr
 from nevlab.locator import (Divisor, DivisorPoint, NonIntegerResidualError,
                             RadiusMismatchError, RingTooCloseError,
@@ -561,9 +562,10 @@ def test_close_simple_zeros_are_not_merged():
     assert [p.multiplicity for p in d.points] == [1, 1]
     a, b = locations(d)
     assert abs(a - 1.0) < 1e-9 and abs(b - 1.000001) < 1e-9
-    assert locator._moment_zeros(_jet(pair), 1.0, 0.7, 2) is None
-    (z, m), = locator._moment_zeros(_jet("z^2 - 2*z + 1"), 1.0, 0.7, 2)
-    assert m == 2 and abs(z - 1.0) < 1e-12
+    cell = (0.5, 1.5, -0.5, 0.5)
+    assert locator._cell_point(_jet(pair), cell, 1.0, 0.7, 2) is None
+    z = locator._cell_point(_jet("z^2 - 2*z + 1"), cell, 1.0, 0.7, 2)
+    assert abs(z - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("error", [RingTooCloseError, NonIntegerResidualError])
@@ -698,13 +700,9 @@ def _dfs_descend(s, x0, x1, y0, y1, w, depth=0, top=None):
 def _dfs_centroid(s, rect, top, unknown):
     c, rho = locator._cluster_circle(rect, top)
     w, = locator._circle_windings(s.fn, [(c, rho)], s.rate)
-    pts = locator._moment_zeros(s.jet, c, rho, unknown) if w == unknown \
-        else None
-    x0, x1, y0, y1 = rect
-    if pts is not None and x0 <= pts[0][0].real <= x1 \
-            and y0 <= pts[0][0].imag <= y1:
-        return pts[0][0]
-    return None
+    if w != unknown:
+        return None
+    return locator._cell_point(s.jet, rect, c, rho, unknown)
 
 
 def _search_outcome(e, r, seeds, descend):
@@ -883,6 +881,9 @@ def test_disk_of_shifted_exponential_closes_from_its_moments(monkeypatch, c,
     ("z^2 - 1.49*z - 0.995", 2.0, ()),        # a zero 0.5% inside the ring
     ("sin(z)", 30.0, ()),                     # winding 19 > W_MAX
     ("z^3 - z", 2.0, (1 + 0j,)),              # a seeded disk
+    # three zeros 1.7e-3 apart about 2, whose Newton steps stay above
+    # _polish's stop: the central sums decline them as one point
+    ("z^3 - 6*z^2 + 12*z - 8.000000001", 3.0, ()),
 ])
 def test_declined_disk_is_searched_as_before(monkeypatch, src, r, seeds):
     """A disk the moments do not read is searched, and gives the divisor
@@ -905,13 +906,48 @@ def test_declined_disk_is_searched_as_before(monkeypatch, src, r, seeds):
 def test_zeros_with_no_spread_are_not_one_point(monkeypatch):
     """The four simple zeros of 8z^4 - 8z^3 + 3z^2 - 4z - 4 have a zero
     spread (sum of squared offsets from their centroid), like one point;
-    the higher central sums tell them apart."""
+    the higher central sums tell them apart, also when Newton polishes
+    none of them."""
     _refuse_search(monkeypatch)
     coeffs = [8, -8, 3, -4, -4]
-    d = find_zeros(parse_expr("8*z^4 - 8*z^3 + 3*z^2 - 4*z - 4"), 2.0)
+    src = "8*z^4 - 8*z^3 + 3*z^2 - 4*z - 4"
+    d = find_zeros(parse_expr(src), 2.0)
     assert [p.multiplicity for p in d.points] == [1, 1, 1, 1]
     for w in np.roots(coeffs):
         assert min(abs(p.location - w) for p in d.points) < 1e-10
+    monkeypatch.setattr(moments, "_polish", lambda *args: None)
+    assert moments._disk_zeros(_jet(src), 2.0, 4, 2e-7) is None
+    (z, m), = moments._disk_zeros(_jet("z^3 - 3*z^2 + 3*z - 1"), 2.0, 3, 2e-7)
+    assert m == 3 and abs(z - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("src,r,c,w", [
+    ("z^8 - 0.00000001", 10.0, 1e-8, 8),     # zeros 0.077 apart
+    ("z^3 - 0.000000000000001", 2.0, 1e-15, 3),     # 1.7e-5 apart
+])
+def test_cluster_below_the_moment_resolution_is_simple_points(src, r, c, w):
+    """The zeros of z^w - c lie closer together than the disk's moments
+    resolve (about r*eps^(1/w)), so their central sums read as rounding
+    noise; f has no rounding cloud there, so Newton tells them apart."""
+    d = find_zeros(parse_expr(src), r)
+    assert d.valid and [p.multiplicity for p in d.points] == [1] * w
+    rho = c ** (1 / w)
+    for k in range(w):
+        want = rho * cmath.exp(2j * math.pi * k / w)
+        assert min(abs(p.location - want) for p in d.points) < 1e-10 * rho
+
+
+@pytest.mark.parametrize("src,m", [("z^2 - 2*z + 1", 2),
+                                   ("z^3 - 3*z^2 + 3*z - 1", 3),
+                                   ("z^4 - 4*z^3 + 6*z^2 - 4*z + 1", 4)])
+@pytest.mark.parametrize("r", np.linspace(1.3, 4.7, 25).tolist())
+def test_rounding_cloud_is_not_read_as_simple_points(src, m, r):
+    """Multiplied out, (z - 1)^m has a cloud of rounding noise about
+    eps^(1/m) across, where Newton stops at points more than MERGE_TOL*r
+    apart; those miss the moments' centroid, so the disk reads one point
+    of multiplicity m (three simple points at r = 1.3 before that check)."""
+    p, = find_zeros(parse_expr(src), r).points
+    assert p.multiplicity == m and abs(p.location - 1.0) < 1e-10
 
 
 @pytest.mark.parametrize("r", np.linspace(1.3, 4.7, 25).tolist())

@@ -2,11 +2,12 @@
 
     python3 tools/ab.py --parent REV --change REV --out BENCH_<n>.json
                         [--workload NAME ...] [--seed N ...] [--pairs N]
-                        [--seconds S] [--what TEXT] [--work DIR]
+                        [--what TEXT] [--work DIR]
 
 Each commit is exported with ``git archive`` into its own directory (both at
 the same moment, since copies made at different times can read differently
-on peak_rss_mb), and ``bench/run.py`` runs from each copy's own checkout.
+on peak_rss_mb), and ``bench/run.py`` runs from each copy's own checkout,
+for its own default run length; the default seed is its DEFAULT_SEED.
 Pair k runs the parent first when k is even and the change first when k is
 odd; all runs go strictly one after another.  The output file keeps every
 run's printed lines (less the report_hashes dictionary, compared between
@@ -33,6 +34,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 METRICS = ("wall_s", "cpu_s", "setup_s", "peak_rss_mb")
 
+sys.path.insert(0, str(ROOT / "bench"))
+from run import DEFAULT_SEED  # noqa: E402
+
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
@@ -46,11 +50,11 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
-def run_once(copy: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(copy: Path, workload: str, seed: int) -> dict:
     """One bench/run.py run: its lines, pass count, summary and hashes."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed)],
         cwd=copy, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"ab: run in {copy} failed:\n{proc.stderr}")
@@ -116,7 +120,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", action="append", default=None)
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, action="append", default=None)
-    ap.add_argument("--seconds", type=float, default=25.0)
     ap.add_argument("--what", default="")
     ap.add_argument("--work", default=None,
                     help="directory for the two copies (default: a new "
@@ -131,9 +134,8 @@ def main(argv: list[str] | None = None) -> int:
     result = {
         "what": args.what, "parent_commit": revs["parent"],
         "change_commit": revs["change"],
-        "command": "python3 bench/run.py --workload <name> --seed <seed> "
-                   f"--seconds {args.seconds:g}, each side in its own git "
-                   "archive copy of its commit",
+        "command": "python3 bench/run.py --workload <name> --seed <seed>, "
+                   "each side in its own git archive copy of its commit",
         "pair_order": "pair k runs the parent first when k is even and the "
                       "change first when k is odd; all runs strictly one "
                       "after another",
@@ -145,15 +147,14 @@ def main(argv: list[str] | None = None) -> int:
                 (revs["parent"], revs["change"]):
             result["workloads"] = old["workloads"]
     for workload, seed in [(w, s) for w in args.workload or ["locate"]
-                           for s in args.seed or [20260823]]:
+                           for s in args.seed or [DEFAULT_SEED]]:
         pairs = []
         for k in range(args.pairs):
             order = ("parent", "change") if k % 2 == 0 else \
                 ("change", "parent")
             pair = {}
             for side in order:
-                pair[side] = run_once(copies[side], workload, seed,
-                                      args.seconds)
+                pair[side] = run_once(copies[side], workload, seed)
                 s = pair[side]["summary"]
                 print(f"{workload} seed {seed} pair {k} {side}: wall_s "
                       f"{s['metrics']['wall_s']['value']:.4f} passes "
