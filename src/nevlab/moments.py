@@ -83,7 +83,7 @@ def _disk_zeros(jet, r: float, w: int, tol: float) -> list | None:
     apart, and with power sums that match s_1..s_w within their errors plus
     1e-12*w*k (a point 1e-12*r off, as f's rounding leaves a close pair).
     A rounding cloud polishes to points about r*eps^(1/w) apart that miss
-    s_1.  Else one point of multiplicity w >= 2 at s1/s0: s0 rounds to w
+    them.  Else one point of multiplicity w >= 2 at s1/s0: s0 rounds to w
     and every central sum of order 2..w is within its error.  Zeros closer
     than about r*eps^(1/w) that Newton does not polish also read so."""
     s, err = _moments(jet, 0j, r, w + 1)

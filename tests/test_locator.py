@@ -881,8 +881,8 @@ def test_disk_of_shifted_exponential_closes_from_its_moments(monkeypatch, c,
     ("z^2 - 1.49*z - 0.995", 2.0, ()),        # a zero 0.5% inside the ring
     ("sin(z)", 30.0, ()),                     # winding 19 > W_MAX
     ("z^3 - z", 2.0, (1 + 0j,)),              # a seeded disk
-    # three zeros 1.7e-3 apart about 2, whose Newton steps stay above
-    # _polish's stop: the central sums decline them as one point
+    # three zeros 1.7e-3 apart about 2, one of which _polish does not
+    # finish: the central sums decline them as one point
     ("z^3 - 6*z^2 + 12*z - 8.000000001", 3.0, ()),
 ])
 def test_declined_disk_is_searched_as_before(monkeypatch, src, r, seeds):
