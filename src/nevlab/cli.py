@@ -5,6 +5,8 @@ are errors, because a silently ignored typo ("epsiln") would turn a strict
 verification run into a vacuous one.  All floating-point output is printed
 with 12 significant digits, and byte-identical output for identical spec and
 seed is part of the contract (--reproducible drops the one timestamp line).
+A JSON check entry is CheckReport.summary() with the check's params after
+its id, and a nev row carries the fields of RadialSample.
 
 Exit codes: 0 every requested check passed; 1 at least one check failed;
 2 hypothesis violation or nothing but vacuous instances; 3 the spec or an
@@ -20,14 +22,15 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from datetime import datetime, timezone
 
 from .diffpoly import HYPOTHESIS_CHECKS, DiffPolynomial, poly_stats
 from .expr import Expr, InvalidExpressionError, ParseError, parse_expr
 from .exppoly import set_probabilistic_seed
 from .locator import PARTIAL_RESULT, LocatorError, divisor_pair_at, negotiate
-from .nevanlinna import QuadratureError, nevanlinna_rows, radial_grid
+from .nevanlinna import (QuadratureError, RadialSample, nevanlinna_rows,
+                         radial_grid)
 from .theorems import (CHECKS, DEFAULT_EPSILON, DEFAULT_EQ_TOLERANCE,
                        EvalContext, run_check)
 
@@ -335,17 +338,14 @@ def _cmd_zeros(spec: RunSpec, out: str, fmt: str, args) -> int:
 
 def _cmd_nev(spec: RunSpec, out: str, fmt: str, args) -> int:
     rows = nevanlinna_rows(spec.function, spec.radii, spec.quad_tol)
-    table = [{"r": w.r, "m": w.m, "N": w.N, "T": w.T,
-              "perturbed_r": w.perturbed_r, "error": w.error} for w in rows]
     if fmt == "json":
         _dump_json(out, {"function": spec.function_src, "seed": spec.seed,
-                         "rows": table})
+                         "rows": [asdict(w) for w in rows]})
     else:
         comments = _timestamp_lines(args.reproducible)
         comments.append(f"function {spec.function_src}")
-        _dump_csv(out, ["r", "m", "N", "T", "perturbed_r", "error"],
-                  [[w["r"], w["m"], w["N"], w["T"], w["perturbed_r"],
-                    w["error"]] for w in table], comments)
+        _dump_csv(out, [f.name for f in fields(RadialSample)],
+                  [astuple(w) for w in rows], comments)
     return EXIT_NUMERIC if any(w.error for w in rows) else EXIT_PASS
 
 
@@ -388,14 +388,8 @@ def _cmd_check(spec: RunSpec, out: str, fmt: str, args) -> int:
     ts = _timestamp_lines(args.reproducible)
     if ts:
         payload["generated"] = ts[0].split(" ", 1)[1]
-    payload["checks"] = [
-        {"check_id": cid, "params": params, "verdict": rep.verdict,
-         "worst_residual": rep.worst_residual,
-         "violations": list(rep.violations), "stats": rep.stats,
-         "rows": [{"r": w.r, "lhs": w.lhs, "rhs": w.rhs,
-                   "residual": w.residual, "perturbed_r": w.perturbed_r,
-                   "error": w.error} for w in rep.rows]}
-        for cid, params, rep in reports]
+    payload["checks"] = [{"check_id": cid, "params": params, **rep.summary()}
+                         for cid, params, rep in reports]
 
     if fmt == "json":
         _dump_json(out, payload)

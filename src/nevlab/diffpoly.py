@@ -140,12 +140,9 @@ class DiffPolynomial:
             homogeneous=min(degrees) == max(degrees),
         )
 
-    def apply(self, f: Expr, derivatives: list[Expr] | None = None) -> Expr:
+    def apply(self, f: Expr) -> Expr:
         """Substitute f; the derivative chain is computed once and shared."""
-        if derivatives is None:
-            derivatives = derivative_chain(f, self.order)
-        if len(derivatives) <= self.order:
-            raise ValueError("derivative chain shorter than polynomial order")
+        derivatives = derivative_chain(f, self.order)
         return add(*(m.apply(derivatives) for m in self.monomials))
 
     def to_dict(self) -> dict:

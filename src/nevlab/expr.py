@@ -5,6 +5,9 @@ The working class is built from the variable z and complex constants by
 sin, cos and tan are accepted by the parser and rewritten through the
 exponential (Euler) form, so every function handled downstream is a
 quotient of entire expressions involving only polynomials and exponentials.
+The parser rejects exp, sin, cos or tan of an argument whose quotient form
+has a denominator other than a product of constants and exponentials, such
+as exp(1/z) or exp(tan(z)).
 
 Trees are immutable; structural equality and hashing come from the frozen
 dataclasses, which lets the heavier modules memoise compiled evaluators and
@@ -240,7 +243,19 @@ _NEG_I = Const(-1j)
 _FUNCS = ("exp", "sin", "cos", "tan")
 
 
+def _zero_free(e: Expr) -> bool:
+    """True for a product of nonzero constants and exponentials."""
+    if isinstance(e, (Mul, Neg, IntPow)):
+        return all(map(_zero_free, _CHILDREN[type(e)](e)))
+    return isinstance(e, Exp) or isinstance(e, Const) and e.value != 0
+
+
 def _desugar_call(name: str, w: Expr) -> Expr:
+    """name(w) in exponential form; w must be entire, which its quotient
+    form shows when the denominator cannot vanish."""
+    if not _zero_free(to_quotient(w).den):
+        raise InvalidExpressionError(
+            f"{name} of an argument that may have poles is outside the class")
     if name == "exp":
         return exp_e(w)
     plus = exp_e(mul(_I, w))

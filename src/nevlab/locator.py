@@ -288,7 +288,7 @@ def _path_z(geo: tuple, ids: np.ndarray, counts: np.ndarray,
     return base + t * scale
 
 
-def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list:
+def _path_phases(fn, paths: list, rate, owners: list | None = None) -> list:
     """Total continuous phase change of fn along each path, t in [0, 1].
 
     paths are _segment or _circle triples.  Each path keeps its own samples,
@@ -313,7 +313,7 @@ def _path_phases(fn, paths: list, rate=None, owners: list | None = None) -> list
            np.array(circle, dtype=bool))
     length = np.abs(geo[1]) * np.where(geo[2], 2.0 * math.pi, 1.0)
     ns = np.where(geo[2], 64, 16)
-    probed = np.flatnonzero(length > 0.0) if rate is not None else []
+    probed = np.flatnonzero(length > 0.0)
     if len(probed):
         s = np.linspace(0.0, 1.0, 33)
         z = _path_z(geo, probed, s.size, np.tile(s, probed.size))
@@ -413,7 +413,7 @@ def _as_int(w_raw: float, what: str) -> int:
     return int(w)
 
 
-def _circle_windings(fn, circles: list, rate=None) -> list:
+def _circle_windings(fn, circles: list, rate) -> list:
     """Winding of fn along each (center, radius) circle, measured in one
     batch: an int, or the RingTooCloseError or NonIntegerResidualError
     (not raised) of that circle."""
@@ -429,7 +429,7 @@ def _circle_windings(fn, circles: list, rate=None) -> list:
     return out
 
 
-def _circle_winding(fn, center: complex, radius: float, rate=None) -> int:
+def _circle_winding(fn, center: complex, radius: float, rate) -> int:
     w, = _circle_windings(fn, [(center, radius)], rate)
     if isinstance(w, LocatorError):
         raise w
@@ -873,8 +873,8 @@ def winding_number(f: Expr | QuotientForm, r: float) -> int:
 _OFFSETS = (0.0, 2.5e-4, -2.5e-4, 5e-4, -5e-4, 7.5e-4, -7.5e-4, 1e-3, -1e-3)
 
 
-def clear_radius(r: float, known: list[float], rmax: float | None = None,
-                 clearance: float = RING_CLEARANCE) -> tuple[float, bool]:
+def clear_radius(r: float, known: list[float],
+                 rmax: float | None = None) -> tuple[float, bool]:
     """Nudge r away from the known point moduli.
 
     Returns (usable radius, whether it was perturbed); prefers outward moves,
@@ -885,7 +885,7 @@ def clear_radius(r: float, known: list[float], rmax: float | None = None,
             continue
         if rt <= 0:
             continue
-        if all(abs(rt - a) >= clearance * rt for a in known):
+        if all(abs(rt - a) >= RING_CLEARANCE * rt for a in known):
             return rt, off != 0.0
     raise RingTooCloseError(
         f"no usable radius near {r}: points crowd every candidate ring")

@@ -27,7 +27,7 @@ from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
 __all__ = [
     "CountingMode", "QuadratureError", "counting", "proximity",
     "characteristic", "RadialSample", "radial_grid", "nevanlinna_rows",
-    "compile_log_abs",
+    "clear_radii", "row_error", "compile_log_abs",
 ]
 
 
@@ -406,6 +406,36 @@ class RadialSample:
     error: str | None = None
 
 
+def row_error(exc: LocatorError | QuadratureError) -> str:
+    """The error text of a row that exc failed."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def clear_radii(radii: list[float], locate) -> tuple[dict, list]:
+    """The divisors that locate() returns, {name: tuple of Divisors}, and
+    per radius the (radius, perturbed) nudged clear of their points' moduli
+    within the smallest radius they were located at, or the error text of
+    its row.  A failed or partial location fails every row."""
+    try:
+        divs = locate()
+    except (LocatorError, QuadratureError) as exc:
+        return {}, [row_error(exc)] * len(radii)
+    partial = [name for name, ds in divs.items()
+               if not all(d.valid for d in ds)]
+    if partial:
+        return {}, [PARTIAL_RESULT + ", ".join(partial)] * len(radii)
+    located = [d for ds in divs.values() for d in ds]
+    within = min(d.radius for d in located)
+    moduli = sorted({abs(p.location) for d in located for p in d.points})
+    cleared = []
+    for r in radii:
+        try:
+            cleared.append(clear_radius(r, moduli, rmax=within))
+        except LocatorError as exc:
+            cleared.append(row_error(exc))
+    return divs, cleared
+
+
 def nevanlinna_rows(f: Expr, radii: list[float],
                     tol: float = 1e-10) -> list[RadialSample]:
     """m, N, T of f at each requested radius.
@@ -415,38 +445,20 @@ def nevanlinna_rows(f: Expr, radii: list[float],
     so a requested radius that collides with a pole modulus is nudged and
     flagged instead of failing.  All rows share one batched proximity call."""
     rmax = max(radii) * (1 + 2e-3)
-
-    def failed(r: float, exc: Exception | str) -> RadialSample:
-        msg = exc if isinstance(exc, str) else f"{type(exc).__name__}: {exc}"
-        return RadialSample(r, math.nan, math.nan, math.nan, False, msg)
-
-    try:
-        _, poles = divisor_of(f, rmax, "inf")
-    except LocatorError as exc:
-        return [failed(r, exc) for r in radii]
-    if not poles.valid:
-        return [failed(r, PARTIAL_RESULT + "poles") for r in radii]
-    moduli = [abs(p.location) for p in poles.points]
-
-    cleared = []
-    for r in radii:
-        try:
-            cleared.append(clear_radius(r, moduli, rmax=rmax))
-        except LocatorError as exc:
-            cleared.append(exc)
+    divs, cleared = clear_radii(
+        radii, lambda: {"poles": (divisor_of(f, rmax, "inf")[1],)})
     ms = iter(proximity(f, [c[0] for c in cleared if isinstance(c, tuple)],
                         tol))
     rows = []
     for r, c in zip(radii, cleared):
         m = next(ms) if isinstance(c, tuple) else c
-        if isinstance(m, Exception):
-            rows.append(failed(r, m))
+        if isinstance(m, QuadratureError):
+            m = row_error(m)
+        if isinstance(m, str):
+            rows.append(RadialSample(r, math.nan, math.nan, math.nan,
+                                     False, m))
             continue
         rt, perturbed = c
-        try:
-            n = counting(poles.restrict(rt), rt, CountingMode.full())
-        except LocatorError as exc:
-            rows.append(failed(r, exc))
-            continue
+        n = counting(divs["poles"][0].restrict(rt), rt, CountingMode.full())
         rows.append(RadialSample(rt, m, n, m + n, perturbed))
     return rows

@@ -11,8 +11,10 @@ every row.
 All divisors a check needs are computed once at a single negotiated radius
 just beyond the largest grid point, then restricted downward per row.  Every
 row also runs at one shared working radius cleared against the union of all
-divisor moduli, so the log terms of different counting functions cancel
-exactly in identities instead of fighting over mismatched rings.
+divisor moduli by nevanlinna.clear_radii, as `nev` rows are, so the log
+terms of different counting functions cancel exactly in identities instead
+of fighting over mismatched rings.  CheckReport.summary() is the one
+serialisation of a check.
 """
 
 from __future__ import annotations
@@ -27,10 +29,9 @@ from .diffpoly import (HYPOTHESIS_CHECKS, DiffMonomial, DiffPolynomial,
 from .exppoly import (Constancy, ZeroVerdict, derivative_chain, is_constant,
                       is_identically_zero)
 from .expr import Const, Expr, ONE, differentiate, div, mul, parse_expr, sub
-from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
-                      divisor_pair_at, negotiate)
-from .nevanlinna import (CountingMode, QuadratureError, counting, proximity,
-                         radial_grid)
+from .locator import Divisor, LocatorError, divisor_pair_at, negotiate
+from .nevanlinna import (CountingMode, QuadratureError, clear_radii, counting,
+                         proximity, radial_grid, row_error)
 
 __all__ = [
     "CheckRow", "CheckReport", "EvalContext", "TooFewRowsError",
@@ -74,16 +75,17 @@ class CheckReport:
     stats: dict | None
 
     def summary(self) -> dict:
+        """The report as the JSON check entry prints it, in its key order."""
         return {
             "check_id": self.check_id,
             "verdict": self.verdict,
-            "violations": list(self.violations),
             "worst_residual": self.worst_residual,
+            "violations": list(self.violations),
             "stats": self.stats,
             "rows": [
                 {"r": w.r, "lhs": w.lhs, "rhs": w.rhs,
-                 "residual": w.residual, "error": w.error,
-                 "perturbed_r": w.perturbed_r}
+                 "residual": w.residual, "perturbed_r": w.perturbed_r,
+                 "error": w.error}
                 for w in self.rows
             ],
         }
@@ -121,13 +123,12 @@ class EvalContext:
             self._pairs[key] = divisor_pair_at(expr, rt, 0, self._atoms)
         return self._pairs[key]
 
-    def resolve(self, requests: dict) -> tuple[float, dict]:
+    def resolve(self, requests: dict) -> dict:
         """All requested divisor pairs at one shared negotiated radius."""
         def attempt(rt):
             return {name: self.pair_at(expr, rt)
                     for name, expr in requests.items()}
-        rt, _, divs = negotiate(self.div_radius, attempt)
-        return rt, divs
+        return negotiate(self.div_radius, attempt)[2]
 
     def prox(self, expr: Expr, r: float) -> float:
         if (expr, r) not in self._prox:
@@ -453,42 +454,23 @@ def map_radii(work, radii: list[float]) -> list:
 
 
 def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
-    try:
-        rt_div, divs = ctx.resolve(plan.requests)
-    except (LocatorError, QuadratureError) as exc:
-        msg = f"{type(exc).__name__}: {exc}"
-        return [CheckRow(r, math.nan, math.nan, math.nan, msg)
-                for r in ctx.radii]
-    partial = [name for name, (z, p) in divs.items()
-               if not (z.valid and p.valid)]
-    if partial:
-        msg = PARTIAL_RESULT + ", ".join(partial)
-        return [CheckRow(r, math.nan, math.nan, math.nan, msg)
-                for r in ctx.radii]
-    moduli = sorted({abs(pt.location)
-                     for pair in divs.values()
-                     for dv in pair for pt in dv.points})
-    cleared: dict = {}
-    for r in ctx.radii:
-        try:
-            cleared[r] = clear_radius(r, moduli, rmax=rt_div)
-        except LocatorError as exc:
-            cleared[r] = exc
+    divs, cleared = clear_radii(ctx.radii,
+                                lambda: ctx.resolve(plan.requests))
+    cleared = dict(zip(ctx.radii, cleared))
     ctx.row_radii = [c[0] for c in cleared.values() if isinstance(c, tuple)]
 
     def one(r: float) -> CheckRow:
+        if isinstance(cleared[r], str):
+            return CheckRow(r, math.nan, math.nan, math.nan, cleared[r])
+        rt, perturbed = cleared[r]
         try:
-            if isinstance(cleared[r], LocatorError):
-                raise cleared[r]
-            rt, perturbed = cleared[r]
             D = {name: (z.restrict(rt), p.restrict(rt))
                  for name, (z, p) in divs.items()}
             lhs, rhs, T = plan.row(rt, D, ctx)
-            residual = (lhs - rhs) / max(T, 1.0)
-            return CheckRow(rt, lhs, rhs, residual, perturbed_r=perturbed)
         except (LocatorError, QuadratureError) as exc:
-            return CheckRow(r, math.nan, math.nan, math.nan,
-                            f"{type(exc).__name__}: {exc}")
+            return CheckRow(r, math.nan, math.nan, math.nan, row_error(exc))
+        return CheckRow(rt, lhs, rhs, (lhs - rhs) / max(T, 1.0),
+                        perturbed_r=perturbed)
 
     return map_radii(one, ctx.radii)
 
@@ -497,7 +479,6 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
               params: dict | None = None, radii: list[float] | None = None,
               epsilon: float = DEFAULT_EPSILON,
               eq_tolerance: float = DEFAULT_EQ_TOLERANCE,
-              quad_tol: float = 1e-10,
               context: EvalContext | None = None) -> CheckReport:
     """Run one named check and return its report.
 
@@ -512,7 +493,7 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
         raise ValueError(f"check '{check_id}' needs a differential polynomial")
     if not needs_poly and polynomial is not None:
         raise ValueError(f"check '{check_id}' does not take a polynomial")
-    ctx = context if context is not None else EvalContext(f, radii, quad_tol)
+    ctx = context if context is not None else EvalContext(f, radii)
 
     violations: list[str] = []
     kind, _ = is_constant(f)

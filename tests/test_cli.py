@@ -6,8 +6,9 @@ import math
 
 import pytest
 
-from nevlab import locator
+from nevlab import cli, locator
 from nevlab.cli import main
+from nevlab.theorems import run_check
 
 STATS_SPEC = {
     "polynomial": {"monomials": [
@@ -103,6 +104,15 @@ def test_radial_table(tmp_path):
         assert n == 0.0
 
 
+def test_exp_of_a_function_with_poles_is_a_spec_error(tmp_path):
+    """exp(tan(z)) is not meromorphic: nev printed T rows for it that fell
+    from r = 2 to r = 2.71, where T of a meromorphic f only rises."""
+    spec = {"function": "exp(tan(z))",
+            "radii": {"start": 2, "stop": 20, "count": 8}}
+    assert run(["nev", "--spec", write_spec(tmp_path, spec),
+                "--out", tmp_path / "nev.csv"]) == 3
+
+
 def test_check_pass_with_sidecars(tmp_path):
     out = tmp_path / "report.json"
     code = run(["check", "--spec", write_spec(tmp_path, CHECK_SPEC),
@@ -126,6 +136,30 @@ def test_check_csv_has_fixed_columns(tmp_path):
     assert rows[0] == "check_id,r,lhs,rhs,residual,error"
     assert all(ln.count(",") == 5 for ln in rows)
     assert len(rows) == 1 + 16
+
+
+def test_json_check_entries_are_the_report_summaries(tmp_path, monkeypatch):
+    """Each JSON check entry is its check id, its params and the
+    CheckReport.summary() of the same run, in the report's key order."""
+    reports = []
+
+    def recorded(*args, **kwargs):
+        reports.append(run_check(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "run_check", recorded)
+    out = tmp_path / "report.json"
+    assert run(["check", "--spec", write_spec(tmp_path, CHECK_SPEC),
+                "--out", out, "--reproducible"]) == 0
+    got = json.loads(out.read_text())["checks"]
+    want = [{"check_id": rep.check_id, "params": params, **rep.summary()}
+            for rep, params in zip(reports, [{}, {"k": 2}])]
+    assert json.dumps(got) == json.dumps(cli._round12(want))
+    assert [list(c) for c in got] == [[
+        "check_id", "params", "verdict", "worst_residual", "violations",
+        "stats", "rows"]] * 2
+    assert {tuple(w) for c in got for w in c["rows"]} == {
+        ("r", "lhs", "rhs", "residual", "perturbed_r", "error")}
 
 
 def test_reproducible_runs_are_byte_identical(tmp_path):

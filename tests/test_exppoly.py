@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nevlab.diffpoly import DiffPolynomial
 from nevlab.expr import (Add, Const, Z, add, compile_expr, differentiate, div,
                          evaluate, exp_e, intpow, mul, neg, parse_expr, sub,
                          to_grammar)
@@ -177,6 +178,23 @@ def test_floats_enter_at_their_dyadic_value():
     assert is_identically_zero(parse_expr("(0.1 + 0.2)*z - 0.3*z")) \
         is ZeroVerdict.NONZERO
     assert is_identically_zero(parse_expr("(0.5 + 0.25)*z - 0.75*z")) \
+        is ZeroVerdict.ZERO
+
+
+@pytest.mark.xfail(reason="the smart constructors fold 1/49 and 1/3 to "
+                          "doubles before the exact layer reads the tree "
+                          "(ROADMAP item 2)")
+@pytest.mark.parametrize("src", ["49*(z/49) - z", "(z/3)^2*9 - z^2"])
+def test_folded_reciprocals_cancel(src):
+    assert is_identically_zero(parse_expr(src)) is ZeroVerdict.ZERO
+
+
+@pytest.mark.xfail(reason="derivative_chain rounds c^2 to a double before "
+                          "the exact layer reads the tree (ROADMAP item 2)")
+def test_wronskian_of_an_exponential_cancels():
+    """f f'' - f'^2 = 0 for f = exp(c z), here with c = 0.1."""
+    poly = DiffPolynomial.from_exponents((1, (1, 0, 1)), (-1, (0, 2)))
+    assert is_identically_zero(poly.apply(parse_expr("exp(0.1*z)"))) \
         is ZeroVerdict.ZERO
 
 

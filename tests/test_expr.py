@@ -73,6 +73,26 @@ def test_overflowing_constant_rejected(src):
         parse_expr(src)
 
 
+@pytest.mark.parametrize("src", ["exp(1/z)", "exp(tan(z))", "sin(1/(z - 3))",
+                                 "cos(z^-1)", "tan(exp(z)/z)"])
+def test_call_on_an_argument_with_poles_rejected(src):
+    """exp, sin, cos and tan of a non-entire argument are outside the
+    class: not meromorphic, so no T(r) of theirs means anything."""
+    with pytest.raises(InvalidExpressionError):
+        parse_expr(src)
+
+
+@pytest.mark.parametrize("src,fn", [
+    ("exp(z/exp(z))", lambda z: cmath.exp(z / cmath.exp(z))),
+    ("sin(z/(-2*exp(z))^3)",
+     lambda z: cmath.sin(z / (-2 * cmath.exp(z)) ** 3)),
+])
+def test_call_on_an_argument_over_exponentials_accepted(src, fn):
+    """A denominator of constants and exponentials never vanishes."""
+    for z in POINTS:
+        assert ev(src, z) == pytest.approx(fn(z), rel=1e-12)
+
+
 @pytest.mark.parametrize("src", ["", "z +", "exp(", "2z", "w", "z ^ z", "(z"])
 def test_parse_errors(src):
     with pytest.raises(ParseError):

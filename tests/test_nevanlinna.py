@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nevlab import nevanlinna
+from nevlab import locator, nevanlinna
 from nevlab.expr import compile_expr, parse_expr
 from nevlab.locator import Divisor, DivisorPoint
 from nevlab.nevanlinna import (_BATCH_RADII, CountingMode, QuadratureError,
@@ -381,6 +381,23 @@ def test_rows_for_tangent():
         assert w.error is None
         assert w.T == pytest.approx(2 * w.r / math.pi, abs=1.0)
         assert w.N > 0
+
+
+def test_rows_clear_within_the_located_pole_radius():
+    """Poles on every candidate ring of rmax but the last make negotiation
+    locate the pole divisor at rmax (1 - 1e-3), below rmax; poles on the
+    first seven candidate rings of r = 5 leave 5.005 and 4.995.  The row
+    clears within the located radius, so it runs at 4.995 instead of
+    failing to restrict the divisor to 5.005."""
+    radii = radial_grid(2, 5, 4)
+    rmax = 1.002 * max(radii)
+    poles = [rmax * (1 + o) for o in locator._OFFSETS[:-1]] \
+        + [5 * (1 + o) for o in locator._OFFSETS[:7]]
+    f = parse_expr("1/(" + "*".join(f"(z - {a!r})" for a in poles) + ")")
+    rows = nevanlinna_rows(f, radii)
+    assert [w.error for w in rows] == [None] * 4
+    assert rows[-1].r == pytest.approx(4.995, rel=1e-12)
+    assert rows[-1].perturbed_r
 
 
 def test_rows_survive_exponential_absorption():

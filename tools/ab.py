@@ -11,7 +11,8 @@ for its own default run length; the default seed is its DEFAULT_SEED.
 Pair k runs the parent first when k is even and the change first when k is
 odd; all runs go strictly one after another.  The output file keeps every
 run's printed lines (less the report_hashes dictionary, compared between
-the sides instead), each run's pass count, and per metric both sides'
+the sides instead: the names of the report files whose hashes differ in
+any pair are kept), each run's pass count, and per metric both sides'
 medians, the interquartile range of each side's runs and the number of
 pairs in which the change read lower.  --workload and --seed may be given
 more than once; each (workload, seed) gets its own entry, written to the
@@ -76,6 +77,15 @@ def _quartiles(xs: list[float]) -> tuple[float, float]:
         return xs[0], xs[0]
     q1, _, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q3
+
+
+def differing_reports(pairs: list[dict]) -> list[str]:
+    """The report files whose hash differs between the sides in any pair."""
+    out = set()
+    for p in pairs:
+        a, b = p["parent"]["hashes"] or {}, p["change"]["hashes"] or {}
+        out |= {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
+    return sorted(out)
 
 
 def summarise(pairs: list[dict]) -> dict:
@@ -173,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
             "report_hashes_equal_parent_vs_change": all(
                 p["parent"]["hashes"] == p["change"]["hashes"]
                 for p in pairs),
+            "report_files_differing": differing_reports(pairs),
             "runs": {f"pair{k}": {side: p[side]["lines"] for side in p}
                      for k, p in enumerate(pairs)}}
         out.write_text(json.dumps(result, indent=1) + "\n")
