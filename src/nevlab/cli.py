@@ -32,7 +32,7 @@ from .locator import PARTIAL_RESULT, LocatorError, divisor_pair_at, negotiate
 from .nevanlinna import (QuadratureError, RadialSample, nevanlinna_rows,
                          radial_grid)
 from .theorems import (CHECKS, DEFAULT_EPSILON, DEFAULT_EQ_TOLERANCE,
-                       EvalContext, run_check)
+                       CheckReport, EvalContext, run_check)
 
 __all__ = ["main", "load_spec", "SpecError", "RunSpec"]
 
@@ -349,18 +349,12 @@ def _cmd_nev(spec: RunSpec, out: str, fmt: str, args) -> int:
     return EXIT_NUMERIC if any(w.error for w in rows) else EXIT_PASS
 
 
-def _sidecar_path(out: str, index: int, check_id: str) -> str:
-    stem, ext = os.path.splitext(out)
-    return f"{stem}.{index:02d}_{check_id}.dat"
-
-
-def _write_sidecar(path: str, check_id: str, verdict: str,
-                   rows: tuple) -> None:
-    lines = [f"# {check_id} residuals (r, (lhs-rhs)/max(T,1)); "
-             f"verdict {verdict}"]
-    for w in rows:
-        lines.append(f"{_fmt(w.r)} {_fmt(w.residual)}")
-    _write(path, "\n".join(lines) + "\n")
+def _write_sidecar(out: str, index: int, rep: CheckReport) -> None:
+    stem, _ = os.path.splitext(out)
+    lines = [f"# {rep.check_id} residuals (r, (lhs-rhs)/max(T,1)); "
+             f"verdict {rep.verdict}"]
+    lines += [f"{_fmt(w.r)} {_fmt(w.residual)}" for w in rep.rows]
+    _write(f"{stem}.{index:02d}_{rep.check_id}.dat", "\n".join(lines) + "\n")
 
 
 def _cmd_check(spec: RunSpec, out: str, fmt: str, args) -> int:
@@ -401,10 +395,9 @@ def _cmd_check(spec: RunSpec, out: str, fmt: str, args) -> int:
                 for cid, _, rep in reports for w in rep.rows]
         _dump_csv(out, ["check_id", "r", "lhs", "rhs", "residual", "error"],
                   rows, comments)
-    for i, (cid, _, rep) in enumerate(reports):
+    for i, (_, _, rep) in enumerate(reports):
         if rep.rows:
-            _write_sidecar(_sidecar_path(out, i, cid), cid, rep.verdict,
-                           rep.rows)
+            _write_sidecar(out, i, rep)
 
     verdicts = [rep.verdict for _, _, rep in reports]
     broken = any(rep.rows and all(w.error is not None for w in rep.rows)

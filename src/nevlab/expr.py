@@ -253,19 +253,22 @@ def _zero_free(e: Expr) -> bool:
 def _desugar_call(name: str, w: Expr) -> Expr:
     """name(w) in exponential form; w must be entire, which its quotient
     form shows when the denominator cannot vanish."""
+    if name == "exp":
+        out = exp_e(w)
+    else:
+        plus = exp_e(mul(_I, w))
+        minus = exp_e(mul(_NEG_I, w))
+        if name == "sin":
+            out = div(sub(plus, minus), Const(2j))
+        elif name == "cos":
+            out = div(add(plus, minus), Const(2.0))
+        else:
+            out = div(div(sub(plus, minus), Const(2j)),
+                      div(add(plus, minus), Const(2.0)))
     if not _zero_free(to_quotient(w).den):
         raise InvalidExpressionError(
             f"{name} of an argument that may have poles is outside the class")
-    if name == "exp":
-        return exp_e(w)
-    plus = exp_e(mul(_I, w))
-    minus = exp_e(mul(_NEG_I, w))
-    if name == "sin":
-        return div(sub(plus, minus), Const(2j))
-    if name == "cos":
-        return div(add(plus, minus), Const(2.0))
-    # tan = sin/cos in exponential form
-    return div(div(sub(plus, minus), Const(2j)), div(add(plus, minus), Const(2.0)))
+    return out
 
 
 class _Parser:
