@@ -11,10 +11,8 @@ every row.
 All divisors a check needs are computed once at a single negotiated radius
 just beyond the largest grid point, then restricted downward per row.  Every
 row also runs at one shared working radius cleared against the union of all
-divisor moduli by nevanlinna.clear_radii, as `nev` rows are, so the log
-terms of different counting functions cancel exactly in identities instead
-of fighting over mismatched rings.  CheckReport.summary() is the one
-serialisation of a check.
+divisor moduli, so the log terms of different counting functions cancel
+exactly in identities instead of fighting over mismatched rings.
 """
 
 from __future__ import annotations
