@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
 from .diffpoly import HYPOTHESIS_CHECKS, DiffPolynomial, poly_stats
@@ -338,14 +338,16 @@ def _cmd_zeros(spec: RunSpec, out: str, fmt: str, args) -> int:
 
 def _cmd_nev(spec: RunSpec, out: str, fmt: str, args) -> int:
     rows = nevanlinna_rows(spec.function, spec.radii, spec.quad_tol)
+    # getattr, not asdict/astuple: those deep-copy every field of every row.
+    names = [f.name for f in fields(RadialSample)]
+    table = [[getattr(w, n) for n in names] for w in rows]
     if fmt == "json":
         _dump_json(out, {"function": spec.function_src, "seed": spec.seed,
-                         "rows": [asdict(w) for w in rows]})
+                         "rows": [dict(zip(names, row)) for row in table]})
     else:
         comments = _timestamp_lines(args.reproducible)
         comments.append(f"function {spec.function_src}")
-        _dump_csv(out, [f.name for f in fields(RadialSample)],
-                  [astuple(w) for w in rows], comments)
+        _dump_csv(out, names, table, comments)
     return EXIT_NUMERIC if any(w.error for w in rows) else EXIT_PASS
 
 
