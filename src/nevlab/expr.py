@@ -27,7 +27,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Add", "Mul", "Neg", "Div", "IntPow", "Exp",
     "PoleSignal", "QuotientForm", "ParseError", "InvalidExpressionError",
-    "const", "add", "sub", "mul", "neg", "div", "intpow", "exp_e",
+    "add", "sub", "mul", "neg", "div", "intpow", "exp_e",
     "Z", "ONE", "ZERO",
     "parse_expr", "differentiate", "evaluate", "compile_expr",
     "to_quotient", "to_grammar",
@@ -130,10 +130,6 @@ _CHILDREN = {Add: lambda e: e.terms, Mul: lambda e: e.factors,
 # These keep derivative trees small: they flatten nested sums/products, drop
 # additive zeros and multiplicative ones, and fold constant subtrees.  They
 # never reorder non-constant operands, so construction stays deterministic.
-
-def const(c) -> Const:
-    return Const(complex(c))
-
 
 def _folded(value: complex) -> Const:
     """A folded constant; overflow makes the expression invalid rather than

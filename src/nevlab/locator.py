@@ -62,8 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import (Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, QuotientForm,
-                   compile_expr, differentiate, sub)
+from .expr import (Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, compile_expr,
+                   differentiate, sub)
 from .exppoly import canonical_quotient
 from .moments import _cell_point, _disk_zeros, _polish
 
@@ -858,9 +858,9 @@ def find_zeros(e: Expr, r: float, seeds: tuple[complex, ...] = (),
 # ---------------------------------------------------------------------------
 # public winding number of a meromorphic expression
 
-def winding_number(f: Expr | QuotientForm, r: float) -> int:
+def winding_number(f: Expr, r: float) -> int:
     """Winding of f along |z| = r: zeros minus poles inside, by multiplicity."""
-    q = f if isinstance(f, QuotientForm) else canonical_quotient(f)
+    q = canonical_quotient(f)
     w = _circle_winding(compile_expr(q.num), 0j, r, _rate_of(q.num))
     if not isinstance(q.den, Const):
         w -= _circle_winding(compile_expr(q.den), 0j, r, _rate_of(q.den))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exppoly import canonical_quotient
-from .expr import Div, Expr, QuotientForm, _evaluator, _lower
+from .expr import Div, Expr, _evaluator, _lower
 from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
                       divisor_of)
 
@@ -42,13 +42,10 @@ class QuadratureError(Exception):
 # ---------------------------------------------------------------------------
 # counting functions
 
-_MODE_KINDS = ("full", "reduced", "trunc_le", "trunc_le_reduced",
-               "trunc_ge", "trunc_ge_reduced", "capped")
-
-
 @dataclass(frozen=True)
 class CountingMode:
-    """How multiplicities are weighted in a counting function.
+    """How multiplicities are weighted in a counting function: a point of
+    multiplicity m counts min(m, cap) when least <= m <= most, else 0.
 
     full            m
     reduced         1
@@ -58,63 +55,40 @@ class CountingMode:
     trunc_ge_reduced(k)  1 if m >= k else 0
     capped(k)       min(m, k)
     """
-    kind: str
-    level: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in _MODE_KINDS:
-            raise ValueError(f"unknown counting mode '{self.kind}'")
-        needs_level = self.kind not in ("full", "reduced")
-        if needs_level and (self.level is None or self.level < 1):
-            raise ValueError(f"mode '{self.kind}' needs a level >= 1")
-        if not needs_level and self.level is not None:
-            raise ValueError(f"mode '{self.kind}' takes no level")
+    least: int = 1
+    most: float = math.inf
+    cap: float = math.inf
 
     @classmethod
     def full(cls):
-        return cls("full")
+        return cls()
 
     @classmethod
     def reduced(cls):
-        return cls("reduced")
+        return cls(cap=1)
 
     @classmethod
     def trunc_le(cls, k: int):
-        return cls("trunc_le", k)
+        return cls(most=k)
 
     @classmethod
     def trunc_le_reduced(cls, k: int):
-        return cls("trunc_le_reduced", k)
+        return cls(most=k, cap=1)
 
     @classmethod
     def trunc_ge(cls, k: int):
-        return cls("trunc_ge", k)
+        return cls(least=k)
 
     @classmethod
     def trunc_ge_reduced(cls, k: int):
-        return cls("trunc_ge_reduced", k)
+        return cls(least=k, cap=1)
 
     @classmethod
     def capped(cls, k: int):
-        return cls("capped", k)
+        return cls(cap=k)
 
     def weight(self, m: int) -> int:
-        if m <= 0:
-            return 0
-        k = self.level
-        if self.kind == "full":
-            return m
-        if self.kind == "reduced":
-            return 1
-        if self.kind == "trunc_le":
-            return m if m <= k else 0
-        if self.kind == "trunc_le_reduced":
-            return 1 if m <= k else 0
-        if self.kind == "trunc_ge":
-            return m if m >= k else 0
-        if self.kind == "trunc_ge_reduced":
-            return 1 if m >= k else 0
-        return min(m, k)
+        return min(m, self.cap) if self.least <= m <= self.most else 0
 
 
 def counting(divisor: Divisor, r: float, mode: CountingMode | None = None) -> float:
@@ -195,7 +169,7 @@ _RULES = [tuple(np.concatenate(p) for p in
           for n in (8, 32)]
 
 
-def proximity(f: Expr | QuotientForm, r: float | list[float],
+def proximity(f: Expr, r: float | list[float],
               tol: float = 1e-10) -> float | list:
     """m(r, f): mean of max(0, log|f|) over the circle |z| = r.
 
@@ -205,7 +179,7 @@ def proximity(f: Expr | QuotientForm, r: float | list[float],
     gets the same bits as if it were integrated alone.  An arc narrower than
     2*pi/256 where |f| > 1, between two of the 256 sampled angles where
     |f| < 1, is not seen."""
-    q = f if isinstance(f, QuotientForm) else canonical_quotient(f)
+    q = canonical_quotient(f)
     single = np.ndim(r) == 0
     radii = [float(r)] if single else [float(x) for x in r]
     # The raw Div, not div(): its log form is the one step
@@ -374,7 +348,7 @@ def _integrate(g, pole, stuck, lo, hi, row, tol: float) -> list:
             math.fsum(parts[i]) / (2.0 * math.pi) for i in range(n)]
 
 
-def characteristic(f: Expr | QuotientForm, r: float, poles: Divisor,
+def characteristic(f: Expr, r: float, poles: Divisor,
                    tol: float = 1e-10) -> float:
     """T(r, f) = m(r, f) + N(r, poles of f)."""
     return proximity(f, r, tol) + counting(poles, r, CountingMode.full())
@@ -447,8 +421,8 @@ def nevanlinna_rows(f: Expr, radii: list[float],
     rmax = max(radii) * (1 + 2e-3)
     divs, cleared = clear_radii(
         radii, lambda: {"poles": (divisor_of(f, rmax, "inf")[1],)})
-    ms = iter(proximity(f, [c[0] for c in cleared if isinstance(c, tuple)],
-                        tol))
+    row_radii = [c[0] for c in cleared if isinstance(c, tuple)]
+    ms = iter(proximity(f, row_radii, tol) if row_radii else ())
     rows = []
     for r, c in zip(radii, cleared):
         m = next(ms) if isinstance(c, tuple) else c

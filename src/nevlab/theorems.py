@@ -199,10 +199,13 @@ class _Rational:
 # ---------------------------------------------------------------------------
 # check plans
 
+# row(rt, D, ctx, T) gives a row's two sides, (lhs, rhs), at the cleared
+# radius rt.  D maps each request, and "f" for f itself, to its (zeros,
+# poles) restricted to rt; T is T(rt, f), by which _run_rows normalises.
 @dataclass
 class _Plan:
     requests: dict
-    row: Callable          # (rt, D, ctx) -> (lhs, rhs, T)
+    row: Callable          # (rt, D, ctx, T) -> (lhs, rhs)
     stats: dict
     vacuity: Expr | None = None
     equality: bool = False
@@ -227,10 +230,9 @@ def _threshold(mode: CountingMode, constant_of, exponents=None):
         stats = dict(params if exponents else s.to_dict(), constant=c)
         applied = poly.apply(ctx.f)
 
-        def row(rt, D, ctx):
-            T = ctx.char_from(ctx.f, D["f"][1], rt)
-            return T, c * counting(D["target"][0], rt, mode), T
-        return _Plan({"f": ctx.f, "target": sub(applied, ONE)}, row, stats,
+        def row(rt, D, ctx, T):
+            return T, c * counting(D["target"][0], rt, mode)
+        return _Plan({"target": sub(applied, ONE)}, row, stats,
                      vacuity=applied)
     return build
 
@@ -260,16 +262,15 @@ def _plan_thm_c(ctx, poly, params):
     n, p, k = params["n"], params["p"], params["k"]
     mono = DiffMonomial(params["alpha"], _top(n, k, p))
     psi = DiffPolynomial((mono,)).apply(ctx.f)
-    requests = {"f": ctx.f, "psi_a": sub(psi, params["a"])}
+    requests = {"psi_a": sub(psi, params["a"])}
     cap = CountingMode.capped(k)
 
-    def row(rt, D, ctx):
-        T = ctx.char_from(ctx.f, D["f"][1], rt)
+    def row(rt, D, ctx, T):
         zf, pf = D["f"]
         rhs = (counting(pf, rt, _RED) + counting(zf, rt, _RED)
                + p * counting(zf, rt, cap)
                + counting(D["psi_a"][0], rt, _RED))
-        return (p + n) * T, rhs, T
+        return (p + n) * T, rhs
     return _Plan(requests, row, {"n": n, "p": p, "k": k}, vacuity=psi)
 
 
@@ -278,29 +279,27 @@ def _plan_thm_c(ctx, poly, params):
 def _plan_lem_31(ctx, poly, params):
     g = ctx.f
     g1 = derivative_chain(g, 1)[1]
-    requests = {"g": g, "gp": g1, "lq": div(g1, g), "ql": div(g, g1)}
+    requests = {"gp": g1, "lq": div(g1, g), "ql": div(g, g1)}
 
-    def row(rt, D, ctx):
+    def row(rt, D, ctx, T):
         lhs = (counting(D["lq"][1], rt, _FULL)
                - counting(D["ql"][1], rt, _FULL))
-        rhs = (counting(D["g"][1], rt, _RED)
-               + counting(D["g"][0], rt, _FULL)
+        rhs = (counting(D["f"][1], rt, _RED)
+               + counting(D["f"][0], rt, _FULL)
                - counting(D["gp"][0], rt, _FULL))
-        T = ctx.char_from(g, D["g"][1], rt)
-        return lhs, rhs, T
+        return lhs, rhs
     return _Plan(requests, row, {}, equality=True)
 
 
 def _plan_lem_32(ctx, poly, params):
     k = params["k"]
     fk = derivative_chain(ctx.f, k)[k]
-    requests = {"f": ctx.f, "fk": fk}
+    requests = {"fk": fk}
 
-    def row(rt, D, ctx):
+    def row(rt, D, ctx, T):
         lhs = (k - 1) * counting(D["f"][1], rt, _RED)
         rhs = counting(D["fk"][0], rt, _FULL)
-        T = ctx.char_from(ctx.f, D["f"][1], rt)
-        return lhs, rhs, T
+        return lhs, rhs
     return _Plan(requests, row, {"k": k})
 
 
@@ -317,17 +316,16 @@ def _plan_lem_33(ctx, poly, params):
     growth = s.max_degree + s.weight_excess
     applied = poly.apply(ctx.f)
     bp = _scaled(b, applied)
-    requests = {"f": ctx.f, "bp": bp}
+    requests = {"bp": bp}
     b_const = isinstance(b, Const)
     if not b_const:
         requests["b"] = b
 
-    def row(rt, D, ctx):
-        T = ctx.char_from(ctx.f, D["f"][1], rt)
+    def row(rt, D, ctx, T):
         lhs = ctx.char_from(bp, D["bp"][1], rt)
         Tb = max(0.0, math.log(abs(b.value))) if b_const \
             else ctx.char_from(b, D["b"][1], rt)
-        return lhs, growth * T + Tb, T
+        return lhs, growth * T + Tb
     return _Plan(requests, row, dict(s.to_dict(), growth_constant=growth),
                  vacuity=applied)
 
@@ -338,15 +336,14 @@ def _plan_lem_35(ctx, poly, params):
     applied = poly.apply(ctx.f)
     bp = _scaled(params["b"], applied)
     dbp = differentiate(bp)
-    requests = {"f": ctx.f, "bpm1": sub(bp, ONE), "dbp": dbp}
+    requests = {"bpm1": sub(bp, ONE), "dbp": dbp}
 
-    def row(rt, D, ctx):
-        T = ctx.char_from(ctx.f, D["f"][1], rt)
+    def row(rt, D, ctx, T):
         zf, pf = D["f"]
         rhs = (d * counting(zf, rt, _FULL) + counting(pf, rt, _RED)
                + counting(D["bpm1"][0], rt, _FULL)
                - counting(D["dbp"][0], rt, _FULL))
-        return d * T, rhs, T
+        return d * T, rhs
     return _Plan(requests, row, dict(s.to_dict()), vacuity=applied)
 
 
@@ -356,12 +353,11 @@ def _plan_lem_36(ctx, poly, params):
                        s.order)
     applied = poly.apply(ctx.f)
     dp = differentiate(applied)
-    requests = {"f": ctx.f, "pm1": sub(applied, ONE), "dp": dp}
+    requests = {"pm1": sub(applied, ONE), "dp": dp}
     ge_mode = CountingMode.trunc_ge_reduced(k + 1)
     le_mode = CountingMode.trunc_le(k)
 
-    def row(rt, D, ctx):
-        T = ctx.char_from(ctx.f, D["f"][1], rt)
+    def row(rt, D, ctx, T):
         zf, pf = D["f"]
         extra = D["dp"][0].subtract(zf + D["pm1"][0])
         rhs = (counting(pf, rt, _RED) + counting(zf, rt, _RED)
@@ -369,7 +365,7 @@ def _plan_lem_36(ctx, poly, params):
                + (d - qstar) * counting(zf, rt, le_mode)
                + counting(D["pm1"][0], rt, _RED)
                - counting(extra, rt, _FULL))
-        return d * T, rhs, T
+        return d * T, rhs
     return _Plan(requests, row, dict(s.to_dict()), vacuity=applied)
 
 
@@ -452,8 +448,8 @@ def map_radii(work, radii: list[float]) -> list:
 
 
 def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
-    divs, cleared = clear_radii(ctx.radii,
-                                lambda: ctx.resolve(plan.requests))
+    divs, cleared = clear_radii(
+        ctx.radii, lambda: ctx.resolve({"f": ctx.f, **plan.requests}))
     cleared = dict(zip(ctx.radii, cleared))
     ctx.row_radii = [c[0] for c in cleared.values() if isinstance(c, tuple)]
 
@@ -464,7 +460,8 @@ def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
         try:
             D = {name: (z.restrict(rt), p.restrict(rt))
                  for name, (z, p) in divs.items()}
-            lhs, rhs, T = plan.row(rt, D, ctx)
+            T = ctx.char_from(ctx.f, D["f"][1], rt)
+            lhs, rhs = plan.row(rt, D, ctx, T)
         except (LocatorError, QuadratureError) as exc:
             return CheckRow(r, math.nan, math.nan, math.nan, row_error(exc))
         return CheckRow(rt, lhs, rhs, (lhs - rhs) / max(T, 1.0),

@@ -206,6 +206,19 @@ def test_exit_fail(tmp_path):
     assert json.loads(out.read_text())["checks"][0]["verdict"] == "fail"
 
 
+def test_lem_36_runs_at_order_zero(tmp_path):
+    """P = f^2 has order k = 0, which lem_36's hypotheses admit; its
+    N_{k)} term then counts nothing instead of failing the spec."""
+    spec = {"function": "tan(z)",
+            "polynomial": {"monomials": [{"coeff": 1, "exponents": [2]}]},
+            "radii": {"start": 2, "stop": 20, "count": 8},
+            "checks": ["lem_36"], "seed": 7}
+    out = tmp_path / "lem36.json"
+    code = run(["check", "--spec", write_spec(tmp_path, spec), "--out", out])
+    assert code == 0
+    assert json.loads(out.read_text())["checks"][0]["verdict"] == "pass"
+
+
 def test_exit_vacuous_only(tmp_path):
     spec = dict(CHECK_SPEC, polynomial=STATS_SPEC["polynomial"],
                 checks=["thm_1"])

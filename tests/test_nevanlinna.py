@@ -301,6 +301,10 @@ def test_counting_closed_forms():
             3 * math.log(r), abs=1e-12)
         assert counting(d, r, CountingMode.trunc_ge_reduced(2)) == \
             pytest.approx(math.log(r), abs=1e-12)
+        # level 0 admits no multiplicity, or caps every one at 0
+        for mode in (CountingMode.trunc_le(0),
+                     CountingMode.trunc_le_reduced(0), CountingMode.capped(0)):
+            assert counting(d, r, mode) == 0.0
 
 
 def test_counting_rejects_larger_radius():
@@ -398,6 +402,21 @@ def test_rows_clear_within_the_located_pole_radius():
     assert [w.error for w in rows] == [None] * 4
     assert rows[-1].r == pytest.approx(4.995, rel=1e-12)
     assert rows[-1].perturbed_r
+
+
+def test_rows_skip_proximity_when_no_radius_clears(monkeypatch):
+    """A failed pole location fails every row before any quadrature, so
+    f's log-magnitude program is never compiled."""
+    calls = []
+
+    def fail(*args):
+        raise locator.RingTooCloseError("forced")
+
+    monkeypatch.setattr(nevanlinna, "divisor_of", fail)
+    monkeypatch.setattr(nevanlinna, "compile_log_abs", calls.append)
+    rows = nevanlinna_rows(parse_expr("tan(z)"), radial_grid(2, 20, 8))
+    assert {w.error for w in rows} == {"RingTooCloseError: forced"}
+    assert calls == []
 
 
 def test_rows_survive_exponential_absorption():

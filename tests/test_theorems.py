@@ -300,10 +300,14 @@ def test_check_rows_batch_proximity_bit_for_bit(monkeypatch):
 
 
 def test_partial_divisor_rows_name_their_requests(monkeypatch):
-    """With the depth cap at 1, neither tan(z) nor its second derivative is
-    located in full; the rows say which requests came back partial."""
+    """With the depth cap at 1, neither tan(z) nor its derivatives are
+    located in full; the rows say which requests came back partial.  The
+    runner requests f itself as "f", so lem_31 names it so too."""
     monkeypatch.setattr(locator, "MAX_DEPTH", 1)
     report = run_check("lem_32", parse_expr("tan(z)"), params={"k": 2},
                        radii=GRID)
     assert {row.error for row in report.rows} == {
         "divisor computation returned a partial result for f, fk"}
+    report = run_check("lem_31", parse_expr("tan(z)"), radii=GRID)
+    assert {row.error for row in report.rows} == {
+        "divisor computation returned a partial result for f, gp, lq, ql"}
