@@ -77,13 +77,23 @@ def _reject_unknown(obj: dict, allowed: set, where: str) -> None:
         raise SpecError(f"unknown key(s) in {where}: {', '.join(extra)}")
 
 
+def _positive(v, key: str) -> float:
+    """A positive JSON number, not a boolean or a string, as a float."""
+    try:
+        if not isinstance(v, bool) and isinstance(v, (int, float)) and v > 0:
+            return float(v)
+    except OverflowError:
+        pass
+    raise SpecError(f"{key} must be a positive number in the float range")
+
+
 def _parse_radii(raw, need_count: int) -> tuple[list[float], dict]:
     if not isinstance(raw, dict):
         raise SpecError("radii must be an object")
     _reject_unknown(raw, _RADII_KEYS, "radii")
     try:
-        start = float(raw["start"])
-        stop = float(raw["stop"])
+        start = _positive(raw["start"], "radii.start")
+        stop = _positive(raw["stop"], "radii.stop")
         count = raw["count"]
     except KeyError as exc:
         raise SpecError(f"radii needs {exc.args[0]}") from None
@@ -174,13 +184,11 @@ def load_spec(path: str, command: str) -> RunSpec:
     if not isinstance(tol, dict):
         raise SpecError("tolerances must be an object")
     _reject_unknown(tol, _TOL_KEYS, "tolerances")
-    eps = tol.get("epsilon", DEFAULT_EPSILON)
-    eqt = tol.get("eq_tolerance", DEFAULT_EQ_TOLERANCE)
-    qtol = tol.get("quadrature_tol", 1e-10)
-    for name, v in (("epsilon", eps), ("eq_tolerance", eqt),
-                    ("quadrature_tol", qtol)):
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0:
-            raise SpecError(f"tolerances.{name} must be a positive number")
+    eps, eqt, qtol = (
+        _positive(tol.get(name, default), f"tolerances.{name}")
+        for name, default in (("epsilon", DEFAULT_EPSILON),
+                              ("eq_tolerance", DEFAULT_EQ_TOLERANCE),
+                              ("quadrature_tol", 1e-10)))
 
     seed = raw.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -234,8 +242,7 @@ def load_spec(path: str, command: str) -> RunSpec:
         raise SpecError(f"'{command}' does not take checks")
 
     return RunSpec(function, function_src, polynomial, polynomial_src,
-                   radii, radii_src, checks, float(eps), float(eqt),
-                   float(qtol), seed)
+                   radii, radii_src, checks, eps, eqt, qtol, seed)
 
 
 # ---------------------------------------------------------------------------

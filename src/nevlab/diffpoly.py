@@ -10,14 +10,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (_CHILDREN, Const, Exp, Expr, ONE, add, intpow, mul,
+from .expr import (_CHILDREN, Const, Exp, Expr, add, intpow, mul,
                    parse_expr, to_grammar)
 from .exppoly import Constancy, derivative_chain, is_constant
 
 __all__ = [
     "DiffMonomial", "DiffPolynomial", "PolyStats", "poly_stats",
     "validate_hypotheses", "contains_exponential", "HYPOTHESIS_CHECKS",
+    "as_expr",
 ]
+
+
+def as_expr(v, what: str) -> Expr:
+    """v as an expression: a grammar string is parsed and a number is a
+    constant; a boolean, another type or an integer beyond the float range
+    raises ValueError naming `what`."""
+    if isinstance(v, (str, Expr)):
+        return parse_expr(v) if isinstance(v, str) else v
+    try:
+        if not isinstance(v, bool) and isinstance(v, (int, float, complex)):
+            return Const(v)
+    except OverflowError:
+        pass
+    raise ValueError(
+        f"{what} must be a number, a grammar string or an expression")
 
 
 def contains_exponential(e: Expr) -> bool:
@@ -112,14 +128,10 @@ class DiffPolynomial:
     def from_exponents(*monos) -> "DiffPolynomial":
         """Build from (coeff, exponents) pairs; coeff may be a number, a
         grammar string or an expression."""
-        out = []
-        for coeff, exponents in monos:
-            if isinstance(coeff, str):
-                coeff = parse_expr(coeff)
-            elif not isinstance(coeff, Expr):
-                coeff = Const(coeff)
-            out.append(DiffMonomial(coeff, tuple(exponents)))
-        return DiffPolynomial(tuple(out))
+        return DiffPolynomial(tuple(
+            DiffMonomial(as_expr(coeff, f"monomial #{i} coeff"),
+                         tuple(exponents))
+            for i, (coeff, exponents) in enumerate(monos)))
 
     @property
     def order(self) -> int:

@@ -906,39 +906,26 @@ def negotiate(r: float, attempt) -> tuple[float, bool, object]:
     raise RingTooCloseError(f"all candidate radii near {r} failed: {last}")
 
 
-def _as_target_expr(f: Expr, target) -> tuple[Expr, bool]:
-    is_inf = (isinstance(target, str) and target.lower() in ("inf", "infinity")) \
-        or (isinstance(target, float) and math.isinf(target))
-    if is_inf:
-        return f, True
-    tc = complex(target)
-    return (f if tc == 0 else sub(f, Const(tc))), False
-
-
 def divisor_pair_at(f: Expr, r: float, target,
                     memo: dict | None = None) -> tuple[Divisor, Divisor]:
     """(zeros of f - target, poles of f) at exactly radius r, no retries."""
-    h, is_inf = _as_target_expr(f, target)
-    q = canonical_quotient(h)
+    tc = complex(target)
+    q = canonical_quotient(f if tc == 0 else sub(f, Const(tc)))
     if isinstance(q.den, Const):
         dden = Divisor(r, ())
     else:
         dden = find_zeros(q.den, r, memo=memo)
     dnum = find_zeros(q.num, r, seeds=dden.locations, memo=memo)
-    zeros = dnum.subtract(dden)
-    poles = dden.subtract(dnum)
-    if is_inf:
-        return poles, poles
-    return zeros, poles
+    return dnum.subtract(dden), dden.subtract(dnum)
 
 
 def divisor_of(f: Expr, r: float, target) -> tuple[Divisor, Divisor]:
-    """(zeros of f - target, poles of f) in |z| <= r as reduced divisors.
+    """(zeros of f - target, poles of f) in |z| <= r as reduced divisors,
+    target a complex number.
 
-    target may be a complex number or the string "inf" / math.inf, in which
-    case both slots carry the pole divisor.  Cancellation between numerator
-    and denominator is removed by pointwise subtraction, so the result is the
-    divisor of the function itself, not of a particular representation.  The
-    radius is nudged over the perturbation schedule if a ring is hit."""
+    Cancellation between numerator and denominator is removed by pointwise
+    subtraction, so the result is the divisor of the function itself, not of
+    a particular representation.  The radius is nudged over the perturbation
+    schedule if a ring is hit."""
     _, _, pair = negotiate(r, lambda rt: divisor_pair_at(f, rt, target))
     return pair

@@ -22,12 +22,12 @@ import numpy as np
 from .exppoly import canonical_quotient
 from .expr import Div, Expr, _evaluator, _lower
 from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
-                      divisor_of)
+                      divisor_pair_at, negotiate)
 
 __all__ = [
     "CountingMode", "QuadratureError", "counting", "proximity",
     "characteristic", "RadialSample", "radial_grid", "nevanlinna_rows",
-    "clear_radii", "row_error", "compile_log_abs",
+    "row_error", "compile_log_abs", "default_radii", "EvalContext",
 ]
 
 
@@ -94,8 +94,9 @@ class CountingMode:
 def counting(divisor: Divisor, r: float, mode: CountingMode | None = None) -> float:
     """Integrated counting function at radius r over a located divisor.
 
-    Each point a with 0 < |a| <= r contributes w(mult) * log(r / |a|) and a
-    point at the origin contributes w(mult) * log(r)."""
+    Each point a with 0 < |a| <= r contributes w(mult) * log(r / |a|), a
+    point at the origin w(mult) * log(r), and a point beyond r nothing, so a
+    divisor located at a larger radius needs no restrict."""
     if mode is None:
         mode = CountingMode.full()
     if r > divisor.radius * (1 + 1e-9):
@@ -385,54 +386,114 @@ def row_error(exc: LocatorError | QuadratureError) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def clear_radii(radii: list[float], locate) -> tuple[dict, list]:
-    """The divisors that locate() returns, {name: tuple of Divisors}, and
-    per radius the (radius, perturbed) nudged clear of their points' moduli
-    within the smallest radius they were located at, or the error text of
-    its row.  A failed or partial location fails every row."""
-    try:
-        divs = locate()
-    except (LocatorError, QuadratureError) as exc:
-        return {}, [row_error(exc)] * len(radii)
-    partial = [name for name, ds in divs.items()
-               if not all(d.valid for d in ds)]
-    if partial:
-        return {}, [PARTIAL_RESULT + ", ".join(partial)] * len(radii)
-    located = [d for ds in divs.values() for d in ds]
-    within = min(d.radius for d in located)
-    moduli = sorted({abs(p.location) for d in located for p in d.points})
-    cleared = []
-    for r in radii:
+def default_radii() -> list[float]:
+    return radial_grid(2.0, 40.0, 32)
+
+
+# Divisors are located this far, relatively, beyond the largest row radius.
+_DIVISOR_PAD = 4e-3
+
+
+class EvalContext:
+    """Caches divisor pairs and proximity values across rows and checks,
+    and the entire factors located for them, so a factor shared by several
+    requests (cos(z) for tan(z)) is located once per radius and context.
+
+    A proximity miss integrates its expression at every row radius not yet
+    cached, in one batched call; each value has the bits of the single-radius
+    call.  Keyed by expression, a lookup hashes the expression once."""
+
+    def __init__(self, f: Expr, radii: list[float] | None = None,
+                 quad_tol: float = 1e-10):
+        self.f = f
+        self.radii = default_radii() if radii is None else sorted(
+            float(r) for r in radii)
+        self.quad_tol = quad_tol
+        self.div_radius = max(self.radii) * (1 + _DIVISOR_PAD)
+        self._pairs: dict = {}
+        self._prox: dict = {}              # {expr: {radius: m or error}}
+        self._atoms: dict = {}
+        self.row_radii: list[float] = []   # working radii of the rows
+
+    def pair_at(self, expr: Expr, rt: float) -> tuple[Divisor, Divisor]:
+        key = (expr, rt)
+        if key not in self._pairs:
+            self._pairs[key] = divisor_pair_at(expr, rt, 0, self._atoms)
+        return self._pairs[key]
+
+    def resolve(self, requests: dict) -> dict:
+        """All requested divisor pairs at one shared negotiated radius."""
+        def attempt(rt):
+            return {name: self.pair_at(expr, rt)
+                    for name, expr in requests.items()}
+        return negotiate(self.div_radius, attempt)[2]
+
+    def prox(self, expr: Expr, r: float) -> float:
+        done = self._prox.setdefault(expr, {})
+        if r not in done:
+            radii = [rt for rt in dict.fromkeys([r] + self.row_radii)
+                     if rt not in done]
+            done.update(zip(radii, proximity(expr, radii, self.quad_tol)))
+        m = done[r]
+        if isinstance(m, QuadratureError):
+            raise m
+        return m
+
+    def rows(self, requests: dict, row, failed, each) -> list:
+        """The one row loop: each(work) maps work over the rows' radii, and
+        the requests, {name: expr}, are located at one negotiated radius.
+        work(r) is row(rt, perturbed, D, m): rt is r cleared of every
+        located modulus within the located radius, D maps each name to its
+        (zeros, poles) as located and m = m(rt, f), batched over the rows.
+        It is failed(r, text) if the location fails or is partial, no
+        radius near r clears, or row or m raises a LocatorError or
+        QuadratureError."""
         try:
-            cleared.append(clear_radius(r, moduli, rmax=within))
-        except LocatorError as exc:
-            cleared.append(row_error(exc))
-    return divs, cleared
+            divs = self.resolve(requests)
+            partial = [name for name, ds in divs.items()
+                       if not all(d.valid for d in ds)]
+            text = PARTIAL_RESULT + ", ".join(partial) if partial else None
+        except (LocatorError, QuadratureError) as exc:
+            text = row_error(exc)
+        if text:
+            return each(lambda r: failed(r, text))
+        located = [d for ds in divs.values() for d in ds]
+        within = min(d.radius for d in located)
+        moduli = sorted({abs(p.location) for d in located for p in d.points})
+        cleared = {}
+        for r in self.radii:
+            try:
+                cleared[r] = clear_radius(r, moduli, rmax=within)
+            except LocatorError as exc:
+                cleared[r] = row_error(exc)
+        self.row_radii = [c[0] for c in cleared.values()
+                          if isinstance(c, tuple)]
+
+        def work(r):
+            if isinstance(cleared[r], str):
+                return failed(r, cleared[r])
+            rt, perturbed = cleared[r]
+            try:
+                return row(rt, perturbed, divs, self.prox(self.f, rt))
+            except (LocatorError, QuadratureError) as exc:
+                return failed(r, row_error(exc))
+        return each(work)
 
 
 def nevanlinna_rows(f: Expr, radii: list[float],
                     tol: float = 1e-10) -> list[RadialSample]:
-    """m, N, T of f at each requested radius.
+    """m, N, T of f at each requested radius, in the order given.
 
-    The pole divisor is located once just beyond the largest radius and then
-    restricted; each row runs at a nearby radius cleared of divisor points,
-    so a requested radius that collides with a pole modulus is nudged and
-    flagged instead of failing.  All rows share one batched proximity call."""
-    rmax = max(radii) * (1 + 2e-3)
-    divs, cleared = clear_radii(
-        radii, lambda: {"poles": (divisor_of(f, rmax, "inf")[1],)})
-    row_radii = [c[0] for c in cleared if isinstance(c, tuple)]
-    ms = iter(proximity(f, row_radii, tol) if row_radii else ())
-    rows = []
-    for r, c in zip(radii, cleared):
-        m = next(ms) if isinstance(c, tuple) else c
-        if isinstance(m, QuadratureError):
-            m = row_error(m)
-        if isinstance(m, str):
-            rows.append(RadialSample(r, math.nan, math.nan, math.nan,
-                                     False, m))
-            continue
-        rt, perturbed = c
-        n = counting(divs["poles"][0].restrict(rt), rt, CountingMode.full())
-        rows.append(RadialSample(rt, m, n, m + n, perturbed))
-    return rows
+    f's divisors are located once just beyond the largest radius; each row
+    runs at a nearby radius cleared of their points, so a requested radius
+    that collides with a zero or pole modulus is nudged and flagged instead
+    of failing.  All rows share one batched proximity call."""
+    def row(rt, perturbed, D, m):
+        n = counting(D["poles"][1], rt, CountingMode.full())
+        return RadialSample(rt, m, n, m + n, perturbed)
+
+    def failed(r, text):
+        return RadialSample(r, math.nan, math.nan, math.nan, False, text)
+
+    return EvalContext(f, radii, tol).rows(
+        {"poles": f}, row, failed, lambda work: [work(r) for r in radii])

@@ -8,11 +8,11 @@ the median residual over the top quartile of radii against a small epsilon.
 Identity checks instead require |lhs - rhs| below an absolute tolerance on
 every row.
 
-All divisors a check needs are computed once at a single negotiated radius
-just beyond the largest grid point, then restricted downward per row.  Every
-row also runs at one shared working radius cleared against the union of all
-divisor moduli, so the log terms of different counting functions cancel
-exactly in identities instead of fighting over mismatched rings.
+Rows come from nevanlinna.EvalContext.rows, as `nev` rows do: all divisors
+a check needs are located once at one negotiated radius just beyond the
+largest grid point, and each row runs at a radius cleared against all their
+moduli, so the log terms of different counting functions cancel exactly in
+identities instead of fighting over mismatched rings.
 """
 
 from __future__ import annotations
@@ -23,13 +23,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .diffpoly import (HYPOTHESIS_CHECKS, DiffMonomial, DiffPolynomial,
-                       contains_exponential, validate_hypotheses)
+                       as_expr, contains_exponential, validate_hypotheses)
 from .exppoly import (Constancy, ZeroVerdict, derivative_chain, is_constant,
                       is_identically_zero)
-from .expr import Const, Expr, ONE, differentiate, div, mul, parse_expr, sub
-from .locator import Divisor, LocatorError, divisor_pair_at, negotiate
-from .nevanlinna import (CountingMode, QuadratureError, clear_radii, counting,
-                         proximity, radial_grid, row_error)
+from .expr import Const, Expr, ONE, differentiate, div, mul, sub
+from .nevanlinna import CountingMode, EvalContext, counting, default_radii
 
 __all__ = [
     "CheckRow", "CheckReport", "EvalContext", "TooFewRowsError",
@@ -47,10 +45,6 @@ _RED = CountingMode.reduced()
 
 class TooFewRowsError(ValueError):
     """A verdict needs at least MIN_ROWS rows to mean anything."""
-
-
-def default_radii() -> list[float]:
-    return radial_grid(2.0, 40.0, 32)
 
 
 @dataclass(frozen=True)
@@ -87,60 +81,6 @@ class CheckReport:
                 for w in self.rows
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# shared evaluation context
-
-class EvalContext:
-    """Caches divisor pairs and proximity values across rows and checks,
-    and the entire factors located for them, so a factor shared by several
-    requests (cos(z) for tan(z)) is located once per radius and context.
-
-    A proximity miss integrates its expression at every row radius of the
-    current check not yet cached, in one batched call; each value has the
-    bits of the single-radius call."""
-
-    def __init__(self, f: Expr, radii: list[float] | None = None,
-                 quad_tol: float = 1e-10):
-        self.f = f
-        if radii is None:
-            self.radii = default_radii()
-        else:
-            self.radii = sorted(float(r) for r in radii)
-        self.quad_tol = quad_tol
-        self.div_radius = max(self.radii) * (1 + 4e-3)
-        self._pairs: dict = {}
-        self._prox: dict = {}
-        self._atoms: dict = {}
-        self.row_radii: list[float] = []   # working radii of the check's rows
-
-    def pair_at(self, expr: Expr, rt: float) -> tuple[Divisor, Divisor]:
-        key = (expr, rt)
-        if key not in self._pairs:
-            self._pairs[key] = divisor_pair_at(expr, rt, 0, self._atoms)
-        return self._pairs[key]
-
-    def resolve(self, requests: dict) -> dict:
-        """All requested divisor pairs at one shared negotiated radius."""
-        def attempt(rt):
-            return {name: self.pair_at(expr, rt)
-                    for name, expr in requests.items()}
-        return negotiate(self.div_radius, attempt)[2]
-
-    def prox(self, expr: Expr, r: float) -> float:
-        if (expr, r) not in self._prox:
-            radii = [rt for rt in dict.fromkeys([r] + self.row_radii)
-                     if (expr, rt) not in self._prox]
-            for rt, m in zip(radii, proximity(expr, radii, self.quad_tol)):
-                self._prox[(expr, rt)] = m
-        m = self._prox[(expr, r)]
-        if isinstance(m, QuadratureError):
-            raise m
-        return m
-
-    def char_from(self, expr: Expr, poles: Divisor, r: float) -> float:
-        return self.prox(expr, r) + counting(poles, r, _FULL)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +121,8 @@ class _Rational:
     default: object = 1
 
     def read(self, params: dict) -> tuple[Expr, list[str]]:
-        v = params.get(self.name, self.default)
-        if isinstance(v, str):
-            v = parse_expr(v)
-        elif isinstance(v, (int, float, complex)):
-            v = Const(v)
-        elif not isinstance(v, Expr):
-            raise ValueError(
-                f"{self.name} must be an expression, string or number")
+        v = as_expr(params.get(self.name, self.default),
+                    f"parameter '{self.name}'")
         if contains_exponential(v):
             return v, [f"{self.name} must be a rational function"]
         if is_identically_zero(v) is ZeroVerdict.ZERO:
@@ -201,7 +135,7 @@ class _Rational:
 
 # row(rt, D, ctx, T) gives a row's two sides, (lhs, rhs), at the cleared
 # radius rt.  D maps each request, and "f" for f itself, to its (zeros,
-# poles) restricted to rt; T is T(rt, f), by which _run_rows normalises.
+# poles) as located, beyond rt; T is T(rt, f), by which _run_rows normalises.
 @dataclass
 class _Plan:
     requests: dict
@@ -322,9 +256,9 @@ def _plan_lem_33(ctx, poly, params):
         requests["b"] = b
 
     def row(rt, D, ctx, T):
-        lhs = ctx.char_from(bp, D["bp"][1], rt)
+        lhs = ctx.prox(bp, rt) + counting(D["bp"][1], rt, _FULL)
         Tb = max(0.0, math.log(abs(b.value))) if b_const \
-            else ctx.char_from(b, D["b"][1], rt)
+            else ctx.prox(b, rt) + counting(D["b"][1], rt, _FULL)
         return lhs, growth * T + Tb
     return _Plan(requests, row, dict(s.to_dict(), growth_constant=growth),
                  vacuity=applied)
@@ -358,12 +292,15 @@ def _plan_lem_36(ctx, poly, params):
     le_mode = CountingMode.trunc_le(k)
 
     def row(rt, D, ctx, T):
-        zf, pf = D["f"]
-        extra = D["dp"][0].subtract(zf + D["pm1"][0])
+        pf = D["f"][1]
+        # subtract and + merge within a tolerance scaled by the radius
+        zf, pm1, dp = (d.restrict(rt)
+                       for d in (D["f"][0], D["pm1"][0], D["dp"][0]))
+        extra = dp.subtract(zf + pm1)
         rhs = (counting(pf, rt, _RED) + counting(zf, rt, _RED)
                + nu * counting(zf, rt, ge_mode)
                + (d - qstar) * counting(zf, rt, le_mode)
-               + counting(D["pm1"][0], rt, _RED)
+               + counting(pm1, rt, _RED)
                - counting(extra, rt, _FULL))
         return d * T, rhs
     return _Plan(requests, row, dict(s.to_dict()), vacuity=applied)
@@ -448,26 +385,17 @@ def map_radii(work, radii: list[float]) -> list:
 
 
 def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
-    divs, cleared = clear_radii(
-        ctx.radii, lambda: ctx.resolve({"f": ctx.f, **plan.requests}))
-    cleared = dict(zip(ctx.radii, cleared))
-    ctx.row_radii = [c[0] for c in cleared.values() if isinstance(c, tuple)]
-
-    def one(r: float) -> CheckRow:
-        if isinstance(cleared[r], str):
-            return CheckRow(r, math.nan, math.nan, math.nan, cleared[r])
-        rt, perturbed = cleared[r]
-        try:
-            D = {name: (z.restrict(rt), p.restrict(rt))
-                 for name, (z, p) in divs.items()}
-            T = ctx.char_from(ctx.f, D["f"][1], rt)
-            lhs, rhs = plan.row(rt, D, ctx, T)
-        except (LocatorError, QuadratureError) as exc:
-            return CheckRow(r, math.nan, math.nan, math.nan, row_error(exc))
+    def row(rt, perturbed, D, m):
+        T = m + counting(D["f"][1], rt, _FULL)
+        lhs, rhs = plan.row(rt, D, ctx, T)
         return CheckRow(rt, lhs, rhs, (lhs - rhs) / max(T, 1.0),
                         perturbed_r=perturbed)
 
-    return map_radii(one, ctx.radii)
+    def failed(r, text):
+        return CheckRow(r, math.nan, math.nan, math.nan, text)
+
+    return ctx.rows({"f": ctx.f, **plan.requests}, row, failed,
+                    lambda work: map_radii(work, ctx.radii))
 
 
 def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,

@@ -343,6 +343,59 @@ def test_overflowing_number_literal_is_a_spec_error(tmp_path):
     assert run(["check", "--spec", path, "--out", tmp_path / "o.json"]) == 3
 
 
+def _radii(key, value):
+    def mutate(spec):
+        spec["radii"][key] = value
+    return "check", mutate
+
+
+def _coeff(value):
+    def mutate(spec):
+        spec["polynomial"]["monomials"][0]["coeff"] = value
+    return "stats", mutate
+
+
+def _param(check, key, value):
+    def mutate(spec):
+        spec["checks"] = [{"id": check, "params": {key: value}}]
+    return "check", mutate
+
+
+@pytest.mark.parametrize("case,key", [
+    (_radii("start", "abc"), "radii.start"),
+    (_radii("start", [1]), "radii.start"),
+    (_radii("start", None), "radii.start"),
+    (_radii("start", True), "radii.start"),
+    (_radii("start", "2"), "radii.start"),
+    (_radii("start", 10**400), "radii.start"),
+    (_radii("stop", "20"), "radii.stop"),
+    (_radii("stop", False), "radii.stop"),
+    (_coeff([1]), "coeff"),
+    (_coeff(None), "coeff"),
+    (_coeff({"a": 1}), "coeff"),
+    (_coeff(True), "coeff"),
+    (_coeff(10**400), "coeff"),
+    (_param("thm_c", "a", True), "'a'"),
+    (_param("thm_c", "alpha", False), "'alpha'"),
+    (_param("thm_c", "a", 10**400), "'a'"),
+    (_param("lem_33", "b", True), "'b'"),
+])
+def test_spec_numbers_are_fail_closed(tmp_path, capsys, case, key):
+    """Each number of the spec is a JSON number (radii) or a number or a
+    grammar string (coefficients and rational parameters); a boolean, a
+    string that stands for a number, null, a list, an object or an integer
+    beyond the float range exits 3 with a message that names the key."""
+    command, mutate = case
+    spec = json.loads(json.dumps(CHECK_SPEC))
+    mutate(spec)
+    if command == "stats":
+        spec = {"polynomial": spec["polynomial"]}
+    code = run([command, "--spec", write_spec(tmp_path, spec),
+                "--out", tmp_path / "o.json"])
+    assert code == 3
+    assert key in capsys.readouterr().err
+
+
 def test_param_type_error_is_a_spec_error(tmp_path):
     spec = dict(CHECK_SPEC, checks=[{"id": "thm_b", "params": {"k": "two"}}])
     del spec["polynomial"]

@@ -211,13 +211,6 @@ def test_random_polynomials_match_companion_roots():
             remaining.remove(best)
 
 
-def test_pole_target_duplicates_divisor():
-    a, b = divisor_of(parse_expr("tan(z)"), 2.0, "inf")
-    assert a.degree == b.degree == 2
-    assert {round(w.real, 6) for w in a.locations} == {
-        round(math.pi / 2, 6), round(-math.pi / 2, 6)}
-
-
 def test_divisors_of_tangent_shifted_by_i():
     """tangent minus i never vanishes: its numerator collapses to one
     exponential, so only the cos poles remain, even out at radius 40."""

@@ -387,14 +387,17 @@ def test_rows_for_tangent():
         assert w.N > 0
 
 
-def test_rows_clear_within_the_located_pole_radius():
+def test_rows_clear_within_the_located_pole_radius(monkeypatch):
     """Poles on every candidate ring of rmax but the last make negotiation
     locate the pole divisor at rmax (1 - 1e-3), below rmax; poles on the
     first seven candidate rings of r = 5 leave 5.005 and 4.995.  The row
     clears within the located radius, so it runs at 4.995 instead of
-    failing to restrict the divisor to 5.005."""
+    counting beyond the divisor at 5.005.  An outward candidate can pass
+    the located radius only when the divisor padding is about 2e-3 or less,
+    so the padding is narrowed to 2e-3 here."""
+    monkeypatch.setattr(nevanlinna, "_DIVISOR_PAD", 2e-3)
     radii = radial_grid(2, 5, 4)
-    rmax = 1.002 * max(radii)
+    rmax = (1 + nevanlinna._DIVISOR_PAD) * max(radii)
     poles = [rmax * (1 + o) for o in locator._OFFSETS[:-1]] \
         + [5 * (1 + o) for o in locator._OFFSETS[:7]]
     f = parse_expr("1/(" + "*".join(f"(z - {a!r})" for a in poles) + ")")
@@ -412,7 +415,7 @@ def test_rows_skip_proximity_when_no_radius_clears(monkeypatch):
     def fail(*args):
         raise locator.RingTooCloseError("forced")
 
-    monkeypatch.setattr(nevanlinna, "divisor_of", fail)
+    monkeypatch.setattr(nevanlinna.EvalContext, "resolve", fail)
     monkeypatch.setattr(nevanlinna, "compile_log_abs", calls.append)
     rows = nevanlinna_rows(parse_expr("tan(z)"), radial_grid(2, 20, 8))
     assert {w.error for w in rows} == {"RingTooCloseError: forced"}

@@ -11,7 +11,7 @@ from nevlab.diffpoly import DiffPolynomial
 from nevlab.exppoly import canonical_quotient
 from nevlab.expr import parse_expr
 from nevlab.locator import divisor_pair_at
-from nevlab.nevanlinna import radial_grid
+from nevlab.nevanlinna import nevanlinna_rows, radial_grid
 from nevlab.theorems import (CheckRow, EvalContext, TooFewRowsError,
                              default_radii, run_check, verdict)
 
@@ -280,13 +280,13 @@ def test_check_rows_batch_proximity_bit_for_bit(monkeypatch):
     monkeypatch.setattr(nevanlinna, "_MAX_PIECES", 8)
     tan = parse_expr("tan(z)")
     calls = []
-    real = theorems.proximity
+    real = nevanlinna.proximity
 
     def counted(expr, r, tol=1e-10):
         calls.append(r)
         return real(expr, r, tol)
 
-    monkeypatch.setattr(theorems, "proximity", counted)
+    monkeypatch.setattr(nevanlinna, "proximity", counted)
     batched = run_check("lem_32", tan, params={"k": 2}, radii=GRID)
     assert len(calls) == 1 and len(calls[0]) == len(GRID)
 
@@ -297,6 +297,18 @@ def test_check_rows_batch_proximity_bit_for_bit(monkeypatch):
     errors = [w.error for w in batched.rows]
     assert None in errors
     assert "QuadratureError: quadrature interval budget exhausted" in errors
+
+
+def test_nev_and_check_rows_share_one_radius():
+    """nev rows and check rows go through one row loop: the same padding,
+    the same negotiation and the same clearing against f's zeros and poles.
+    The zero 3 lies on the last requested ring, so both nudge it alike."""
+    f = parse_expr("(z - 3)/(z + 10)")
+    grid = radial_grid(2, 3, 8, "linear")
+    nev = nevanlinna_rows(f, grid)[-1]
+    check = run_check("lem_32", f, radii=grid).rows[-1]
+    assert (nev.r, nev.perturbed_r) == (check.r, check.perturbed_r)
+    assert check.perturbed_r and check.r != 3.0
 
 
 def test_partial_divisor_rows_name_their_requests(monkeypatch):

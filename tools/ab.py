@@ -14,9 +14,11 @@ run's printed lines (less the report_hashes dictionary, compared between
 the sides instead: the names of the report files whose hashes differ in
 any pair are kept), each run's pass count, and per metric both sides'
 medians, the interquartile range of each side's runs and the number of
-pairs in which the change read lower.  --workload and --seed may be given
-more than once; each (workload, seed) gets its own entry, written to the
-output file as soon as its pairs are done.  An existing output file of the
+pairs in which the change read lower.  peak_rss_mb grows with a run's pass
+count, so its medians are also given per pass count that both sides
+reached.  --workload and --seed may be given more than once; each
+(workload, seed) gets its own entry, written to the output file as soon as
+its pairs are done.  An existing output file of the
 same two commits keeps its other entries.
 """
 
@@ -86,6 +88,25 @@ def differing_reports(pairs: list[dict]) -> list[str]:
         a, b = p["parent"]["hashes"] or {}, p["change"]["hashes"] or {}
         out |= {k for k in a.keys() | b.keys() if a.get(k) != b.get(k)}
     return sorted(out)
+
+
+def rss_by_passes(pairs: list[dict]) -> dict:
+    """For each pass count that both sides reached, each side's median
+    peak_rss_mb over its runs of that count, and the number of those runs.
+    A run's peak_rss_mb grows with its pass count, so only readings at equal
+    counts compare."""
+    seen: dict = {"parent": {}, "change": {}}
+    for p in pairs:
+        for side in seen:
+            seen[side].setdefault(p[side]["passes"], []).append(
+                p[side]["summary"]["metrics"]["peak_rss_mb"]["value"])
+    out = {}
+    for n in sorted(seen["parent"].keys() & seen["change"].keys()):
+        out[str(n)] = {}
+        for side, by in seen.items():
+            out[str(n)][f"{side}_median"] = round(statistics.median(by[n]), 6)
+            out[str(n)][f"{side}_runs"] = len(by[n])
+    return out
 
 
 def summarise(pairs: list[dict]) -> dict:
@@ -173,6 +194,7 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
         result["workloads"][f"{workload} seed {seed}"] = {
             "pairs": len(pairs), "summary": summarise(pairs),
+            "peak_rss_mb_by_passes": rss_by_passes(pairs),
             "passes_parent": [p["parent"]["passes"] for p in pairs],
             "passes_change": [p["change"]["passes"] for p in pairs],
             "failed_per_run": [[side, p[side]["summary"]["failed"],
