@@ -46,6 +46,9 @@ DEFAULT_SEED = 0x5EED
 
 _TOP_KEYS = {"function", "polynomial", "radii", "checks", "tolerances", "seed"}
 _RADII_KEYS = {"start", "stop", "count", "spacing"}
+# The most radii a run takes: far past any grid that runs in useful time,
+# and far below what the grid's allocation can refuse (README).
+_COUNT_MOST = 100000
 _POLY_KEYS = {"monomials"}
 _MONOMIAL_KEYS = {"coeff", "exponents"}
 _CHECK_KEYS = {"id", "params"}
@@ -104,6 +107,8 @@ def _parse_radii(raw, need_count: int) -> tuple[list[float], dict]:
         raise SpecError("radii need 0 < start < stop")
     if count < need_count:
         raise SpecError(f"radii.count must be at least {need_count}")
+    if count > _COUNT_MOST:
+        raise SpecError(f"radii.count must be at most {_COUNT_MOST}")
     if spacing not in ("log", "linear"):
         raise SpecError("radii.spacing must be 'log' or 'linear'")
     return radial_grid(start, stop, count, spacing), dict(raw)

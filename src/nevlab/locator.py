@@ -2,11 +2,16 @@
 
 Winding numbers are measured by phase continuation along boundary paths:
 sample the function, and wherever the phase (or the magnitude) jumps too much
-between neighbours, insert midpoints until every step is tame.  A seed-free
-disk of winding 1 to W_MAX is first read from its circle's moments (module
-moments).  Else zeros are isolated by rectangle subdivision driven by
-boundary windings and polished with a Newton iteration on f/f', one call to
-a joint program for f, f' and f'' (compile_expr of the tuple) per step.
+between neighbours, insert midpoints until every step is tame.  Each entire
+atom takes the first of these routes that holds.  Its disk winding is
+measured first.  Then an atom that is a polynomial in one exponential
+exp(lambda z) is read from its exact form (module lattice), when the
+multiplicities read add up to the winding; that needs no seed windings.
+Then a seed-free disk of winding 1 to W_MAX is read from its circle's
+moments (module moments).  Else zeros are isolated by rectangle subdivision
+driven by boundary windings and polished with a Newton iteration on f/f',
+one call to a joint program for f, f' and f'' (compile_expr of the tuple)
+per step.
 The search accepts a Newton point only in a seed-free cell of winding 1, so
 it is that cell's one simple zero and takes multiplicity 1 from the cell
 accounting; seeds (points known in advance) still get theirs from
@@ -55,6 +60,7 @@ located once and its multiplicity doubled exactly.
 from __future__ import annotations
 
 import bisect
+import cmath
 import functools
 import heapq
 import math
@@ -65,6 +71,7 @@ import numpy as np
 from .expr import (Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, compile_expr,
                    differentiate, sub)
 from .exppoly import canonical_quotient
+from .lattice import lattice_zeros
 from .moments import _cell_point, _disk_zeros, _polish
 
 __all__ = [
@@ -762,21 +769,30 @@ def _locate_entire(e: Expr, r: float,
     plus the disk winding of the factor.
 
     seeds are externally known candidate locations (typically the zeros of a
-    denominator that may be cancelled); their multiplicities are measured by
-    small-circle windings and only the remainder is searched for."""
+    denominator that may be cancelled); unless the lattice reading is
+    accepted, their multiplicities are measured by small-circle windings and
+    only the remainder is searched for."""
     fn = compile_expr(e)
-    de = differentiate(e)
-    jet = compile_expr((e, de, differentiate(de)))
     rate = _rate_of(e)
     inside = [z for z in seeds if abs(z) <= r * (1 + 10 * RING_CLEARANCE)]
-    circles = [(0j, r)]
+    circles = []
     for z in inside:
         others = [abs(z - w) for w in inside if w is not z] + [abs(r - abs(z))]
         circles.append((z, max(1e-3 * min(others, default=1.0), 1e-9)))
-    # One batch; failures are raised in the order of the circles.
-    w_disk, *ms = _circle_windings(fn, circles, rate)
+    # A lattice reading needs no seed windings, so the seed circles join the
+    # disk's batch only when there is none.  Failures are raised in the
+    # order of the circles.
+    lattice = lattice_zeros(e, r)
+    w_disk, *ms = _circle_windings(
+        fn, [(0j, r)] + (circles if lattice is None else []), rate)
     if isinstance(w_disk, LocatorError):
         raise w_disk
+    if lattice is not None:
+        if sum(m for _, m in lattice) == w_disk:
+            return lattice, w_disk, True
+        ms = _circle_windings(fn, circles, rate)
+    de = differentiate(e)
+    jet = compile_expr((e, de, differentiate(de)))
     if not inside and 1 <= w_disk <= W_MAX:
         found = _disk_zeros(jet, r, w_disk, MERGE_TOL * max(r, 1.0))
         if found is not None:
@@ -906,10 +922,17 @@ def negotiate(r: float, attempt) -> tuple[float, bool, object]:
     raise RingTooCloseError(f"all candidate radii near {r} failed: {last}")
 
 
+def _finite_target(target) -> complex:
+    tc = complex(target)
+    if not cmath.isfinite(tc):
+        raise ValueError(f"target {target!r} is not a finite complex number")
+    return tc
+
+
 def divisor_pair_at(f: Expr, r: float, target,
                     memo: dict | None = None) -> tuple[Divisor, Divisor]:
     """(zeros of f - target, poles of f) at exactly radius r, no retries."""
-    tc = complex(target)
+    tc = _finite_target(target)
     q = canonical_quotient(f if tc == 0 else sub(f, Const(tc)))
     if isinstance(q.den, Const):
         dden = Divisor(r, ())
@@ -926,6 +949,8 @@ def divisor_of(f: Expr, r: float, target) -> tuple[Divisor, Divisor]:
     Cancellation between numerator and denominator is removed by pointwise
     subtraction, so the result is the divisor of the function itself, not of
     a particular representation.  The radius is nudged over the perturbation
-    schedule if a ring is hit."""
+    schedule if a ring is hit.  A non-finite target raises ValueError
+    before anything is located."""
+    _finite_target(target)
     _, _, pair = negotiate(r, lambda rt: divisor_pair_at(f, rt, target))
     return pair

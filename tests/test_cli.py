@@ -251,9 +251,11 @@ PARTIAL = "divisor computation returned a partial result for "
 
 def test_partial_zero_divisor_is_a_numerical_failure(tmp_path, monkeypatch,
                                                      capsys):
-    """With the depth cap at 1, the zeros of tan(z) are not located in full;
-    the command says so and writes no report."""
+    """With the depth cap at 1 and the lattice reading off, the zeros of
+    tan(z) are not located in full; the command says so and writes no
+    report."""
     monkeypatch.setattr(locator, "MAX_DEPTH", 1)
+    monkeypatch.setattr(locator, "lattice_zeros", lambda e, r: None)
     spec = {"function": "tan(z)", "radii": {"start": 2, "stop": 20,
                                             "count": 8}}
     out = tmp_path / "zeros.csv"
@@ -267,6 +269,7 @@ def test_csv_error_text_with_a_comma_stays_one_field(tmp_path, monkeypatch):
     """A partial divisor's error names "f, fk"; csv quotes it, so every row
     reads back as the header's 6 fields with the text intact."""
     monkeypatch.setattr(locator, "MAX_DEPTH", 1)
+    monkeypatch.setattr(locator, "lattice_zeros", lambda e, r: None)
     spec = {"function": "tan(z)", "radii": {"start": 2, "stop": 20,
                                             "count": 8},
             "checks": ["lem_32"]}
@@ -281,6 +284,7 @@ def test_csv_error_text_with_a_comma_stays_one_field(tmp_path, monkeypatch):
 
 def test_partial_pole_divisor_fails_every_nev_row(tmp_path, monkeypatch):
     monkeypatch.setattr(locator, "MAX_DEPTH", 1)
+    monkeypatch.setattr(locator, "lattice_zeros", lambda e, r: None)
     spec = {"function": "tan(z)", "radii": {"start": 2, "stop": 20,
                                             "count": 8}}
     out = tmp_path / "nev.json"
@@ -394,6 +398,19 @@ def test_spec_numbers_are_fail_closed(tmp_path, capsys, case, key):
                 "--out", tmp_path / "o.json"])
     assert code == 3
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["nev", "check", "zeros"])
+@pytest.mark.parametrize("count", [10**30, cli._COUNT_MOST + 1])
+def test_radii_count_has_an_upper_bound(tmp_path, capsys, command, count):
+    """A count past the bound exits 3 before any radius is made; a count of
+    10^30 used to reach numpy's allocation and exit 1 with a traceback."""
+    spec = dict(CHECK_SPEC, radii={"start": 2, "stop": 20, "count": count})
+    code = run([command, "--spec", write_spec(tmp_path, spec),
+                "--out", tmp_path / "o.json"])
+    assert code == 3
+    assert f"radii.count must be at most {cli._COUNT_MOST}" in \
+        capsys.readouterr().err
 
 
 def test_param_type_error_is_a_spec_error(tmp_path):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = ("expr", "exppoly", "diffpoly", "moments", "locator", "nevanlinna",
+LAYERS = ("expr", "exppoly", "diffpoly", "moments", "lattice", "locator", "nevanlinna",
           "theorems", "cli")
 _PACKAGE = Path(__file__).parents[1] / "src" / "nevlab"
 

@@ -360,10 +360,17 @@ def test_array_refinement_matches_the_per_path_loop(src):
             assert phase == pytest.approx(want, rel=0, abs=2.1e-10)
 
 
+def _no_lattice(monkeypatch):
+    """Turn the lattice reading of one-frequency atoms off, so that sin(z)
+    and tan(z) reach the disk moments and the search."""
+    monkeypatch.setattr(locator, "lattice_zeros", lambda e, r: None)
+
+
 def _record_segments(monkeypatch):
     """Log (evaluator id, undirected endpoints, result) for every segment
-    that _path_phases measures; circles are skipped.  The disk's moment
-    reading is turned off, so every disk is searched."""
+    that _path_phases measures; circles are skipped.  The disk's lattice
+    and moment readings are turned off, so every disk is searched."""
+    _no_lattice(monkeypatch)
     monkeypatch.setattr(locator, "W_MAX", 0)
     log = []
     real = locator._path_phases
@@ -456,8 +463,9 @@ def test_failed_edge_leaves_no_memo_entry():
 def _log_splits(monkeypatch):
     """Wrap _Search.split_windings to log (search, parent cell, failed) for
     every split.  A split fails when an edge fails, or when the quadrant
-    windings are not integers adding up to the parent's.  The disk's moment
-    reading is turned off, so every disk is searched."""
+    windings are not integers adding up to the parent's.  The disk's lattice
+    and moment readings are turned off, so every disk is searched."""
+    _no_lattice(monkeypatch)
     monkeypatch.setattr(locator, "W_MAX", 0)
     log = []
     real = locator._Search.split_windings
@@ -880,7 +888,9 @@ def test_disk_of_shifted_exponential_closes_from_its_moments(monkeypatch, c,
 ])
 def test_declined_disk_is_searched_as_before(monkeypatch, src, r, seeds):
     """A disk the moments do not read is searched, and gives the divisor
-    it gives with the moment reading turned off."""
+    it gives with the moment reading turned off.  The lattice reading is
+    off, so sin(z) is not read from its exact form."""
+    _no_lattice(monkeypatch)
     e = parse_expr(src)
     searched = []
     real = locator._subdivide
@@ -951,3 +961,19 @@ def test_expanded_triple_zero_is_one_point_at_every_radius(r):
     d = find_zeros(parse_expr("z^3 - 0.9*z^2 + 0.27*z - 0.027"), r)
     p, = d.points
     assert p.multiplicity == 3 and abs(p.location - 0.3) < 1e-10
+
+
+@pytest.mark.parametrize("target", ["inf", float("nan"), complex(1, math.inf),
+                                    "-inf"])
+def test_non_finite_target_is_refused_before_location(monkeypatch, target):
+    """divisor_of and divisor_pair_at name a non-finite target in a
+    ValueError and locate nothing; divisor_of used to try all 9 radii and
+    raise RingTooCloseError."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a divisor was located")
+
+    monkeypatch.setattr(locator, "find_zeros", refuse)
+    e = parse_expr("tan(z)")
+    for call in (divisor_of, divisor_pair_at):
+        with pytest.raises(ValueError, match="target .* is not a finite"):
+            call(e, 2.0, target)
