@@ -134,22 +134,23 @@ def _roots(p: list) -> list[complex] | None:
     s = max(abs(x) for c in p for x in c).bit_length()
     coef = [complex(a / 2 ** s, b / 2 ** s) for a, b in p]
     out = []
-    for w in _aberth(coef):
-        for _ in range(50):
-            v = dv = 0j
-            for c in coef:
-                v, dv = v * w + c, dv * w + v
-            if dv == 0:
+    try:
+        for w in _aberth(coef):
+            for _ in range(50):
+                v = dv = 0j
+                for c in coef:
+                    v, dv = v * w + c, dv * w + v
+                step = v / dv
+                w -= step
+                if abs(step) <= 1e-14 * abs(w):
+                    break
+            else:
                 return None
-            step = v / dv
-            w -= step
-            if abs(step) <= 1e-14 * abs(w):
-                break
-        else:
-            return None
-        if not (cmath.isfinite(w) and w != 0):
-            return None
-        out.append(w)
+            if not (cmath.isfinite(w) and w != 0):
+                return None
+            out.append(w)
+    except (OverflowError, ZeroDivisionError):
+        return None
     return out
 
 

@@ -403,8 +403,9 @@ def test_spec_numbers_are_fail_closed(tmp_path, capsys, case, key):
 @pytest.mark.parametrize("command", ["nev", "check", "zeros"])
 @pytest.mark.parametrize("count", [10**30, cli._COUNT_MOST + 1])
 def test_radii_count_has_an_upper_bound(tmp_path, capsys, command, count):
-    """A count past the bound exits 3 before any radius is made; a count of
-    10^30 used to reach numpy's allocation and exit 1 with a traceback."""
+    """A count past the bound exits 3, with a message that states the
+    bound, before any radius is made; 10^30 is past what numpy can
+    allocate."""
     spec = dict(CHECK_SPEC, radii={"start": 2, "stop": 20, "count": count})
     code = run([command, "--spec", write_spec(tmp_path, spec),
                 "--out", tmp_path / "o.json"])

@@ -967,8 +967,8 @@ def test_expanded_triple_zero_is_one_point_at_every_radius(r):
                                     "-inf"])
 def test_non_finite_target_is_refused_before_location(monkeypatch, target):
     """divisor_of and divisor_pair_at name a non-finite target in a
-    ValueError and locate nothing; divisor_of used to try all 9 radii and
-    raise RingTooCloseError."""
+    ValueError and locate nothing, rather than fail every radius of the
+    negotiation with RingTooCloseError."""
     def refuse(*args, **kwargs):
         raise AssertionError("a divisor was located")
 
