@@ -280,6 +280,16 @@ _REBUILD = {Add: lambda e, k: add(*k), Mul: lambda e, k: mul(*k),
             IntPow: lambda e, k: intpow(*k, e.power)}
 
 
+# The decisions on one function keep meeting the same subtrees (its
+# derivatives' trees, the factors f^(j)^q of P[f]), so _canonical converts
+# each distinct subtree once, through its recursive calls too.  The entries
+# are pure functions of structure and no ExpPoly is changed after it is
+# built, so sharing one is safe.  512 entries raised peak memory on the
+# exact benchmark by under 1 MB; 4096 raised it by 5.5 MB.
+_CANONICAL_MEMO = 512
+
+
+@functools.lru_cache(maxsize=_CANONICAL_MEMO)
 def _canonical(e: Expr) -> tuple[Expr, ExpPoly | None]:
     """(canonical(e), the form of e), both built bottom-up in one walk; the
     form is None when e leaves the class."""
@@ -323,8 +333,9 @@ class _Forms:
 
 
 # Small and bounded: the verdicts and canonical quotient of one expression
-# come back to back, and a cache for the life of the process would keep
-# every form it made.
+# come back to back.  A cache for the life of the process would keep every
+# form it made; the subtrees they share are held by _canonical's own
+# bounded memo.
 _forms = functools.lru_cache(maxsize=16)(_Forms)
 
 

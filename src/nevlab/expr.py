@@ -9,9 +9,10 @@ The parser rejects exp, sin, cos or tan of an argument whose quotient form
 has a denominator other than a product of constants and exponentials, such
 as exp(1/z) or exp(tan(z)).
 
-Trees are immutable; structural equality and hashing come from the frozen
-dataclasses, which lets the heavier modules memoise compiled evaluators and
-derivative chains.
+Trees are immutable by convention.  Equality is structural, and each node
+hashes once, when it is built, from its children's stored hashes, so the
+heavier modules memoise compiled evaluators, derivative chains and exact
+forms at the cost of one hash per lookup.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 import types
 from dataclasses import dataclass
 
@@ -44,23 +46,52 @@ class ParseError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
 class Expr:
+    """A tree node, immutable by convention.  Its hash is computed once, at
+    construction, from its children's stored hashes: hash of the tuple of
+    its fields, as a frozen dataclass would give.  Equality is structural;
+    it is settled at once by identity or by unequal hashes."""
+
+    __slots__ = ("_hash",)
+    _key = staticmethod(lambda e: ())        # the fields, as one value
+
+    def __init__(self):
+        self._hash = hash(())
+
+    def __init_subclass__(cls):
+        if cls.__slots__:
+            cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and \
+            self._key(self) == other._key(other)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__) + ")"
+
     def __str__(self) -> str:
         return to_grammar(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: complex
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", complex(self.value))
+    def __init__(self, value: complex):
+        self.value = value = complex(value)
+        self._hash = hash((value,))
 
     def __eq__(self, other):
         # 0.0 == -0.0, yet the sign of a zero part reaches results, so two
         # constants are equal only when their parts also agree in that sign.
-        # The dataclass hash, hash((value,)), stays consistent with this.
+        # The hash, hash((value,)), stays consistent with this.
         if other.__class__ is not Const:
             return NotImplemented
         a, b = self.value, other.value
@@ -69,42 +100,59 @@ class Const(Expr):
             (a.real != 0.0 or sign(1.0, a.real) == sign(1.0, b.real))
             and (a.imag != 0.0 or sign(1.0, a.imag) == sign(1.0, b.imag)))
 
+    __hash__ = Expr.__hash__
 
-@dataclass(frozen=True)
+
 class Var(Expr):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    terms: tuple[Expr, ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]):
+        self.terms = terms
+        self._hash = hash((terms,))
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    factors: tuple[Expr, ...]
+    __slots__ = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        self.factors = factors
+        self._hash = hash((factors,))
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    child: Expr
+    __slots__ = ("child",)
+
+    def __init__(self, child: Expr):
+        self.child = child
+        self._hash = hash((child,))
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    num: Expr
-    den: Expr
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Expr, den: Expr):
+        self.num, self.den = num, den
+        self._hash = hash((num, den))
 
 
-@dataclass(frozen=True)
 class IntPow(Expr):
-    base: Expr
-    power: int
+    __slots__ = ("base", "power")
+
+    def __init__(self, base: Expr, power: int):
+        self.base, self.power = base, power
+        self._hash = hash((base, power))
 
 
-@dataclass(frozen=True)
 class Exp(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, arg: Expr):
+        self.arg = arg
+        self._hash = hash((arg,))
 
 
 @dataclass(frozen=True)
@@ -441,8 +489,9 @@ def differentiate(e: Expr) -> Expr:
 # subtrees.  _lower turns a tuple of trees into one straight-line program
 # that computes each structurally distinct subtree once, in topological
 # order (sums and products as chains of binary steps), with one output slot
-# per tree; the frozen-dataclass equality and hash do the deduplication, so
-# f, f' and f'' lowered together share their common subtrees.  Operands keep
+# per tree; the nodes' structural equality and stored hash do the
+# deduplication, so f, f' and f'' lowered together share their common
+# subtrees.  Operands keep
 # their order in the tree, so every value comes from the same float
 # operations that a walk of the tree would make, whichever program it is
 # lowered into.

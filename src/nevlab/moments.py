@@ -111,7 +111,8 @@ def _disk_zeros(jet, r: float, w: int, tol: float) -> list | None:
 
 
 def _aberth(coef: list) -> list:
-    """Roots of coef (highest degree first) by Aberth iteration, in turn."""
+    """Roots of coef (highest degree first) by Aberth iteration, in turn,
+    until no step exceeds 1e-14 of the largest root estimate (or of 1)."""
     t = [0.5 * cmath.exp(2j * math.pi * (k + 0.25) / (len(coef) - 1))
          for k in range(len(coef) - 1)]
     try:
@@ -123,7 +124,7 @@ def _aberth(coef: list) -> list:
                     p, dp = p * x + c, dp * x + p
                 step = p / (dp - p * sum(1 / (x - y) for y in t if y != x))
                 t[k], big = x - step, max(big, abs(step))
-            if big <= 1e-14:
+            if big <= 1e-14 * max(1.0, max(map(abs, t))):
                 break
     except (ZeroDivisionError, OverflowError):
         pass

@@ -18,7 +18,6 @@ identities instead of fighting over mismatched rings.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Callable
 
@@ -373,7 +372,11 @@ def verdict(rows: list[CheckRow], epsilon: float = DEFAULT_EPSILON,
     top = ordered[-q:]
     if any(w.error is not None for w in top):
         return "fail"
-    med = statistics.median(w.residual for w in top)
+    # the median, as statistics.median takes it, without that module's
+    # import of fractions and decimal
+    res = sorted(w.residual for w in top)
+    i = len(res) // 2
+    med = res[i] if len(res) % 2 else (res[i - 1] + res[i]) / 2
     if math.isnan(med):
         return "fail"
     return "pass" if med <= epsilon else "fail"

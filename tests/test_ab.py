@@ -1,6 +1,7 @@
 """tools/ab.py's summaries of A/B benchmark runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -36,3 +37,30 @@ def test_rss_by_passes_keeps_every_shared_count_in_order():
     assert list(got) == ["9", "12", "16"]
     assert got["12"] == {"parent_median": 12.0, "parent_runs": 1,
                          "change_median": 12.5, "change_runs": 1}
+
+
+def test_without_workload_every_benchmark_workload_runs(tmp_path,
+                                                        monkeypatch):
+    """No --workload runs each workload BENCHMARK.json declares, in its
+    order, and writes one entry for each."""
+    ran = []
+
+    def run_once(copy, workload, seed):
+        ran.append((copy.name, workload))
+        metrics = {m: {"value": 1.0} for m in ab.METRICS}
+        return {"lines": [], "passes": 2, "hashes": None,
+                "summary": {"metrics": metrics, "failed": 0,
+                            "attempted": 1, "correct": True}}
+
+    monkeypatch.setattr(ab, "_git", lambda *args: args[-1])
+    monkeypatch.setattr(ab, "export", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(ab, "environment", dict)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "ab.json"
+    assert ab.main(["--parent", "p", "--change", "c", "--out", str(out),
+                    "--pairs", "1", "--work", str(tmp_path / "w")]) == 0
+    names = ab.benchmark_workloads()
+    assert names == ["suite", "nev_dense", "locate", "exact"]
+    assert ran == [(side, w) for w in names for side in ("parent", "change")]
+    assert list(json.loads(out.read_text())["workloads"]) == [
+        f"{w} seed {ab.DEFAULT_SEED}" for w in names]

@@ -237,6 +237,7 @@ def test_chain_converts_its_function_once(monkeypatch):
     """The chain runs on the forms the exact layer holds for f, so a longer
     chain converts no more trees."""
     calls = collections.Counter()
+    memo = exppoly._canonical
     for name in ("_canonical", "to_exp_poly"):
         def counted(e, real=getattr(exppoly, name), name=name):
             calls[name] += 1
@@ -246,6 +247,7 @@ def test_chain_converts_its_function_once(monkeypatch):
     for k in (1, 8):
         calls.clear()
         exppoly._forms.cache_clear()
+        memo.cache_clear()
         derivative_chain(parse_expr("tan(z)"), k)
         counts.append(dict(calls))
     assert counts[0] and counts[0] == counts[1]
@@ -437,3 +439,77 @@ def test_grammar_round_trip_is_the_identity_on_trees(e):
                                add(Z, neg(mul(Const(2), Z, exp_e(Z))))])
 def test_negated_products_print_with_parentheses(e):
     assert parse_expr(to_grammar(e)) == e
+
+
+# ---------------------------------------------------------------------------
+# division by one term: the Div and negative IntPow branches of _combine
+
+def _form(src):
+    return to_exp_poly(parse_expr(src))
+
+
+@pytest.mark.parametrize("src,same", [
+    ("z/exp(2*z)", "z*exp(-2*z)"),
+    ("(z^2 + 1)/exp((1 + 2*i)*z)", "(z^2 + 1)*exp((0-1-2*i)*z)"),
+    ("z/exp(z + 1)", "z*exp(-z - 1)"),
+    ("exp(z)^-2", "exp(-2*z)"),
+    ("exp(2*z + 1)^-3", "exp(-6*z - 3)"),
+])
+def test_division_by_one_exponential_is_the_negated_frequency(src, same):
+    assert _same(_form(src), _form(same))
+
+
+def test_division_by_one_term_inverts_its_coefficient_exactly():
+    """1/c for c = (a + b*i)/den is den*conj(c)/|c|^2, as Gaussian
+    rationals: 1/(3 e^z) is (1/3) e^-z, 1/((1 + 2i) e^z) is
+    (1 - 2i)/5 e^-z and ((1 + 2i) e^z)^-2 is (-3 - 4i)/25 e^-2z."""
+    zero = exppoly._ZERO_F
+    third = exppoly.ExpPoly({exppoly._ZERO_K: [(1, 0)]}, 3)
+    assert _same(_form("(z^2 + 1)/(3*exp(z))"),
+                 _form("(z^2 + 1)*exp(-z)") * third)
+    assert _same(_form("1/((1 + 2*i)*exp(z))"),
+                 exppoly.ExpPoly({((-1, 0, 1), zero): [(1, -2)]}, 5))
+    assert _same(_form("((1 + 2*i)*exp(z))^-2"),
+                 exppoly.ExpPoly({((-2, 0, 1), zero): [(-3, -4)]}, 25))
+    assert _same(_form("(i*exp(z))^-3"), _form("i*exp(-3*z)"))
+
+
+@pytest.mark.parametrize("src", ["z/(z + 1)", "exp(z)/(z*exp(z))",
+                                 "1/(exp(z) + 1)", "(exp(z) + 1)^-1",
+                                 "(z*exp(z))^-2"])
+def test_division_by_more_than_one_constant_term_leaves_the_class(src):
+    assert _form(src) is None
+
+
+# ---------------------------------------------------------------------------
+# _canonical's memo
+
+_QUOTIENTS = st.recursive(_leaves(_GAUSS, _GAUSS), _trees, max_leaves=8)
+
+
+def _decisions(e):
+    """canonical_quotient's text (or its error) and both verdicts of e, with
+    the caches above _canonical's memo cleared."""
+    exppoly.canonical_quotient.cache_clear()
+    exppoly._forms.cache_clear()
+    try:
+        q = canonical_quotient(e)
+        text = (to_grammar(q.num), to_grammar(q.den))
+    except InvalidExpressionError as exc:
+        text = str(exc)
+    constancy, value = is_constant(e)
+    return text, is_identically_zero(e), constancy, repr(value)
+
+
+@_PROPERTIES
+@given(_QUOTIENTS, st.lists(_QUOTIENTS, max_size=3))
+def test_canonical_memo_changes_no_decision(e, others):
+    """The same text and verdicts from a cold memo, from one warmed by
+    unrelated trees, and from one warmed by e itself."""
+    exppoly._canonical.cache_clear()
+    cold = _decisions(e)
+    exppoly._canonical.cache_clear()
+    for other in others:
+        _decisions(other)
+    assert _decisions(e) == cold
+    assert _decisions(e) == cold

@@ -11,10 +11,11 @@ import pytest
 
 from nevlab.diffpoly import DiffPolynomial
 from nevlab.exppoly import canonical_quotient
-from nevlab.expr import (ONE, Z, Const, InvalidExpressionError, ParseError,
-                         PoleSignal, _lower, add, compile_expr, differentiate,
-                         div, evaluate, exp_e, intpow, mul, neg, parse_expr,
-                         sub, to_grammar, to_quotient)
+from nevlab.expr import (ONE, Z, Add, Const, Div, Exp, IntPow,
+                         InvalidExpressionError, Mul, Neg, ParseError,
+                         PoleSignal, Var, _lower, add, compile_expr,
+                         differentiate, div, evaluate, exp_e, intpow, mul, neg,
+                         parse_expr, sub, to_grammar, to_quotient)
 
 POINTS = [0.3 + 0.4j, -1.2 + 0.9j, 2.0 - 0.5j, 0.9j, -0.7 - 2.1j]
 
@@ -279,3 +280,35 @@ def test_signed_zero_constants_get_their_own_programs():
     assert positive == Const(complex(0.0, -1.0))
     compile_expr(positive)(0.5)
     assert _bits([compile_expr(negative)(0.5)]) == _bits([negative.value])
+
+
+@pytest.mark.parametrize("src", ["tan(z)^3*(z - 1)", "sin(z) - i*cos(z)",
+                                 "exp((1 + i)*z)/(z^2 + 4) - z^-2"])
+def test_trees_built_apart_are_equal_and_hash_equal(src):
+    """Nodes compare by structure, not identity: two trees built separately
+    (parsed twice, differentiated from each) are equal and hash equal."""
+    a, b = parse_expr(src), parse_expr(src)
+    da = differentiate(a)
+    db = differentiate.__wrapped__(b)           # built anew, not from the cache
+    for x, y in ((a, b), (da, db)):
+        assert x is not y
+        assert x == y and not x != y and hash(x) == hash(y)
+    assert {a: 1}[b] == 1 and a != da
+
+
+def test_node_equality_is_by_class_and_fields():
+    assert Const(0.0) != Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+    assert Const(2) == Const(2.0 + 0j)
+    assert Z == Var() and hash(Z) == hash(Var())
+    assert Neg(Z) != Exp(Z) and IntPow(Z, 2) != IntPow(Z, 3)
+    assert Div(Z, ONE) != Div(ONE, Z)
+    assert Add((Z, ONE)) != Mul((Z, ONE))
+    assert Mul((Const(-0.0), Z)) != Mul((Const(0.0), Z))
+    assert Z != "z" and Const(1.0) != 1.0
+
+
+def test_node_repr_names_its_fields():
+    assert repr(parse_expr("2*z - exp(z)^-3")) == (
+        "Add(terms=(Mul(factors=(Const(value=(2+0j)), Var())), "
+        "Neg(child=IntPow(base=Exp(arg=Var()), power=-3))))")
+    assert str(Div(Z, Add((Z, ONE)))) == "z/(z+1)"

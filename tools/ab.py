@@ -16,10 +16,11 @@ any pair are kept), each run's pass count, and per metric both sides'
 medians, the interquartile range of each side's runs and the number of
 pairs in which the change read lower.  peak_rss_mb grows with a run's pass
 count, so its medians are also given per pass count that both sides
-reached.  --workload and --seed may be given more than once; each
-(workload, seed) gets its own entry, written to the output file as soon as
-its pairs are done.  An existing output file of the
-same two commits keeps its other entries.
+reached.  --workload and --seed may be given more than once; without
+--workload every workload that BENCHMARK.json declares runs, in its order.
+Each (workload, seed) gets its own entry, written to the output file as
+soon as its pairs are done.  An existing output file of the same two
+commits keeps its other entries.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ from run import DEFAULT_SEED  # noqa: E402
 def _git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True,
                           capture_output=True, text=True).stdout.strip()
+
+
+def benchmark_workloads() -> list[str]:
+    """The workload names that BENCHMARK.json declares, in its order."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return [w["name"] for w in spec["workloads"]]
 
 
 def export(rev: str, dest: Path) -> None:
@@ -148,7 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--parent", required=True)
     ap.add_argument("--change", default="HEAD")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workload", action="append", default=None)
+    ap.add_argument("--workload", action="append", default=None,
+                    help="a workload to run (default: every workload in "
+                         "BENCHMARK.json)")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, action="append", default=None)
     ap.add_argument("--what", default="")
@@ -177,7 +186,8 @@ def main(argv: list[str] | None = None) -> int:
         if (old["parent_commit"], old["change_commit"]) == \
                 (revs["parent"], revs["change"]):
             result["workloads"] = old["workloads"]
-    for workload, seed in [(w, s) for w in args.workload or ["locate"]
+    for workload, seed in [(w, s)
+                           for w in args.workload or benchmark_workloads()
                            for s in args.seed or [DEFAULT_SEED]]:
         pairs = []
         for k in range(args.pairs):
