@@ -17,7 +17,7 @@ from .exppoly import Constancy, derivative_chain, is_constant
 __all__ = [
     "DiffMonomial", "DiffPolynomial", "PolyStats", "poly_stats",
     "validate_hypotheses", "contains_exponential", "HYPOTHESIS_CHECKS",
-    "as_expr",
+    "as_expr", "as_int",
 ]
 
 
@@ -36,6 +36,16 @@ def as_expr(v, what: str) -> Expr:
         f"{what} must be a number, a grammar string or an expression")
 
 
+def as_int(v, what: str) -> int:
+    """v as an int: an int, or a float with an integral value; a boolean,
+    NaN, an infinity, another float or another type raises ValueError
+    naming `what`."""
+    if isinstance(v, bool) or not (
+            isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ValueError(f"{what} must be an integer")
+    return int(v)
+
+
 def contains_exponential(e: Expr) -> bool:
     """True if any exp node appears; rational expressions have none."""
     return isinstance(e, Exp) or any(
@@ -49,7 +59,7 @@ class DiffMonomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        ex = tuple(int(q) for q in self.exponents)
+        ex = tuple(as_int(q, "monomial exponent") for q in self.exponents)
         object.__setattr__(self, "exponents", ex)
         if not ex or all(q == 0 for q in ex):
             raise ValueError("monomial needs at least one positive exponent")

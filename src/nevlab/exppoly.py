@@ -308,9 +308,10 @@ def _canonical(e: Expr) -> tuple[Expr, ExpPoly | None]:
     return rebuilt, ep
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_CANONICAL_MEMO)
 def canonical_quotient(e: Expr) -> QuotientForm:
-    """to_quotient with both parts passed through canonical()."""
+    """to_quotient with both parts passed through canonical(); memoised,
+    bounded like _canonical, since a process may make many quotients."""
     forms = _forms(e)
     den = forms.q.den
     if not isinstance(den, Const) and _verdict(forms.den[1], den) in (

@@ -21,7 +21,8 @@ import cmath
 import functools
 import math
 
-from .expr import _CHILDREN, Exp, Expr
+from .diffpoly import contains_exponential
+from .expr import Expr
 from .exppoly import _ZERO_F, to_exp_poly
 from .moments import _aberth
 
@@ -154,10 +155,6 @@ def _roots(p: list) -> list[complex] | None:
     return out
 
 
-def _has_exp(e: Expr) -> bool:
-    return isinstance(e, Exp) or any(map(_has_exp, _CHILDREN[type(e)](e)))
-
-
 @functools.cache
 def _reading(e: Expr) -> tuple[complex, list] | None:
     """(lambda, [(Log w_j, multiplicity)]) of a one-frequency atom, or None
@@ -204,7 +201,7 @@ def lattice_zeros(e: Expr, r: float) -> list[tuple[complex, int]] | None:
     r, when e has an Exp node and is a one-frequency polynomial in
     exp(lambda z) with constant coefficients; else None.  An atom with no
     Exp node is refused before its form is built."""
-    read = _reading(e) if _has_exp(e) else None
+    read = _reading(e) if contains_exponential(e) else None
     if read is None:
         return None
     lam, logs = read

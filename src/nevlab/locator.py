@@ -8,10 +8,11 @@ measured first.  Then an atom that is a polynomial in one exponential
 exp(lambda z) is read from its exact form (module lattice), when the
 multiplicities read add up to the winding; that needs no seed windings.
 Then a seed-free disk of winding 1 to W_MAX is read from its circle's
-moments (module moments).  Else zeros are isolated by rectangle subdivision
-driven by boundary windings and polished with a Newton iteration on f/f',
-one call to a joint program for f, f' and f'' (compile_expr of the tuple)
-per step.
+moments (module moments).  Else zeros are isolated by a depth-first
+rectangle subdivision driven by boundary windings, one split measured at a
+time and the first error ending the search, and polished with a Newton
+iteration on f/f', one call to a joint program for f, f' and f''
+(compile_expr of the tuple) per step.
 The search accepts a Newton point only in a seed-free cell of winding 1, so
 it is that cell's one simple zero and takes multiplicity 1 from the cell
 accounting; seeds (points known in advance) still get theirs from
@@ -32,17 +33,6 @@ call per refinement round however many paths are open.  Each path keeps its
 own samples, caps and agreement test, so its phase does not depend on the
 rest of the batch.
 
-The subdivision is a frontier search.  Each cell is keyed by its quadrant
-path from the root, so tuple order is the pre-order of a depth-first
-search.  Each round, the pending cells of smallest key (up to _BATCH_CELLS)
-propose their next split, and all their new edges are measured in one
-batch; a failing edge fails only the splits that need it.  Found points and
-errors are tagged with their cell's key, and the search ends as the
-depth-first search would: the first event in key order wins, the points
-before it are kept in key order, and cells past the earliest event known
-are not expanded.  The MAX_CELLS budget runs out at the (MAX_CELLS + 1)-th
-smallest counted key.
-
 Split lines avoid the coordinate axes as they avoid seed points, since
 real-coefficient and odd functions have zeros there.  Around a multiple zero
 every split line near it is rounding noise, so a seed-free cell of two or
@@ -59,10 +49,8 @@ located once and its multiplicity doubled exactly.
 
 from __future__ import annotations
 
-import bisect
 import cmath
 import functools
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -295,16 +283,15 @@ def _path_z(geo: tuple, ids: np.ndarray, counts: np.ndarray,
     return base + t * scale
 
 
-def _path_phases(fn, paths: list, rate, owners: list | None = None) -> list:
+def _path_phases(fn, paths: list, rate, joint: bool = False) -> list:
     """Total continuous phase change of fn along each path, t in [0, 1].
 
     paths are _segment or _circle triples.  Each path keeps its own samples,
     caps and two-refinement agreement test, so its result does not depend on
     the other paths.  An entry of the result is the phase as a float, the
     RingTooCloseError (not raised) of a path that failed, or None for a path
-    dropped unfinished.  owners[i] lists the groups that need path i (by
-    default each path is its own group): a failing path fails its groups,
-    and a path whose groups have all failed is dropped.
+    dropped unfinished: when joint, the paths are needed together, so the
+    round in which one fails drops every path still open.
 
     All open paths refine together, with one evaluator call per round and
     the per-path bookkeeping done on arrays; a path still open after 64
@@ -314,7 +301,6 @@ def _path_phases(fn, paths: list, rate, owners: list | None = None) -> list:
     n = len(paths)
     if not n:
         return []
-    owners = owners or [[i] for i in range(n)]
     base, scale, circle = zip(*paths)
     geo = (np.array(base, dtype=complex), np.array(scale, dtype=complex),
            np.array(circle, dtype=bool))
@@ -338,12 +324,6 @@ def _path_phases(fn, paths: list, rate, owners: list | None = None) -> list:
     v = np.asarray(fn(_path_z(geo, ids, sizes, t)), dtype=complex)
     out: list = [None] * n
     prev = np.full(n, math.nan)         # the last clean total
-    dead: set = set()                   # failed groups
-
-    def fail(i: int, why: str):
-        out[i] = RingTooCloseError(why)
-        dead.update(owners[i])
-
     for _ in range(64):
         ends = np.cumsum(sizes)
         starts = ends - sizes
@@ -382,13 +362,14 @@ def _path_phases(fn, paths: list, rate, owners: list | None = None) -> list:
         capped = ~vanishes & ~done & (sizes + n_bad > 600000)
         keep = ~(done | vanishes | capped)
         if not keep.all():
-            if (vanishes | capped).any():
-                for k in np.flatnonzero(vanishes).tolist():
-                    fail(ids[k], "function vanishes or blows up on path")
-                for k in np.flatnonzero(capped).tolist():
-                    fail(ids[k], "path refinement did not converge")
-                keep &= [not dead.issuperset(owners[i])
-                         for i in ids.tolist()]
+            for k in np.flatnonzero(vanishes).tolist():
+                out[ids[k]] = RingTooCloseError(
+                    "function vanishes or blows up on path")
+            for k in np.flatnonzero(capped).tolist():
+                out[ids[k]] = RingTooCloseError(
+                    "path refinement did not converge")
+            if joint and (vanishes | capped).any():
+                return out
             mask = np.repeat(keep, sizes)
             t, v, refine = t[mask], v[mask], refine[mask]
             ids, sizes, n_bad = ids[keep], sizes[keep], n_bad[keep]
@@ -401,8 +382,7 @@ def _path_phases(fn, paths: list, rate, owners: list | None = None) -> list:
         v = np.insert(v, bad + 1, vm)
         sizes = sizes + n_bad
     for i in ids.tolist():
-        if not dead.issuperset(owners[i]):
-            fail(i, "path refinement did not converge")
+        out[i] = RingTooCloseError("path refinement did not converge")
     return out
 
 
@@ -474,10 +454,6 @@ def _vanishing_factors(e: Expr) -> list[tuple[Expr, int]]:
 # rectangle subdivision
 
 _SPLIT_FRACTIONS = (0.5, 0.46, 0.54, 0.42, 0.58, 0.37, 0.63, 0.31, 0.69)
-# Cells whose splits are measured together in one round.  A batch takes the
-# pending cells in key order up to this many, which bounds the samples in
-# flight however wide the frontier grows.
-_BATCH_CELLS = 16
 
 
 @dataclass
@@ -495,53 +471,34 @@ class _Search:
     # would keep the path's sample arrays alive through its traceback.
     phases: dict[tuple[complex, complex], float] = field(default_factory=dict)
 
-    def split_windings(self, groups: list[list[tuple]]) -> list:
-        """Raw boundary winding of each (x0, x1, y0, y1) rectangle of each
-        group, or the RingTooCloseError (not raised) of a failing edge.
+    def rect_windings(self, rects: list[tuple]) -> list[float]:
+        """Raw boundary winding of each (x0, x1, y0, y1) rectangle.
 
         Every edge not yet in the memo is measured in one batch; an edge
-        shared by several groups is measured once, in the direction of the
-        first group that has it, and an edge met again in reverse takes the
-        negated phase.  A failing edge fails only the groups that have it."""
-        edges = [[e for q in rects for e in _rect_edges(*q)]
-                 for rects in groups]
-        todo: dict = {}
-        for g, es in enumerate(edges):
-            for a, b in es:
-                if (a, b) in self.phases or (b, a) in self.phases:
-                    continue
-                own = todo.get((a, b)) or todo.get((b, a))
-                if own is None:
-                    todo[(a, b)] = [g]
-                elif own[-1] != g:
-                    own.append(g)
-        failed: list = [None] * len(groups)
-        for (key, own), phase in zip(todo.items(), _path_phases(
+        shared by two rectangles is measured once, and an edge met again in
+        reverse takes the negated phase.  Raises the RingTooCloseError of
+        the first failing edge; the edges finished before it stay in the
+        memo."""
+        edges = [e for q in rects for e in _rect_edges(*q)]
+        todo: list = []
+        for a, b in edges:
+            if not any(k in self.phases or k in todo
+                       for k in ((a, b), (b, a))):
+                todo.append((a, b))
+        failed = None
+        for key, phase in zip(todo, _path_phases(
                 self.fn, [_segment(a, b) for a, b in todo], self.rate,
-                list(todo.values()))):
+                joint=True)):
             if isinstance(phase, float):
                 self.phases[key] = phase
             elif phase is not None:
-                for g in own:
-                    failed[g] = failed[g] or phase
-        out = []
-        for es, err in zip(edges, failed):
-            if err is not None:
-                out.append(err)
-                continue
-            ph = [self.phases[(a, b)] if (a, b) in self.phases
-                  else -self.phases[(b, a)] for a, b in es]
-            out.append([sum(ph[k:k + 4]) / (2.0 * math.pi)
-                        for k in range(0, len(ph), 4)])
-        return out
-
-    def rect_windings(self, rects: list[tuple]) -> list[float]:
-        """Raw boundary winding of each rectangle, as one group of
-        split_windings; raises the group's RingTooCloseError."""
-        out, = self.split_windings([rects])
-        if isinstance(out, RingTooCloseError):
-            raise out
-        return out
+                failed = failed or phase
+        if failed is not None:
+            raise failed
+        ph = [self.phases[(a, b)] if (a, b) in self.phases
+              else -self.phases[(b, a)] for a, b in edges]
+        return [sum(ph[k:k + 4]) / (2.0 * math.pi)
+                for k in range(0, len(ph), 4)]
 
     def seed_mult_in(self, x0, x1, y0, y1) -> int:
         return sum(m for z, m in self.seeds
@@ -564,163 +521,6 @@ def _pick_fraction(lo: float, hi: float, coords: list[float]) -> list[float]:
     return out or [lo + 0.5 * width]
 
 
-@dataclass
-class _Cell:
-    """A cell still to be split; key is its quadrant path from the root."""
-    key: tuple
-    rect: tuple
-    w: int
-    unknown: int
-    top: tuple          # the rect of the largest ancestor of winding w
-    closable: bool
-    xs: list            # split candidates, each ym in ys for each xm in xs
-    ys: list
-    tried: int = 0
-    certify: bool = False
-
-    def split(self) -> tuple[float, float]:
-        """The next (xm, ym) candidate."""
-        i, j = divmod(self.tried, len(self.ys))
-        return self.xs[i], self.ys[j]
-
-
-class _Frontier:
-    """Events of one subdivision, each tagged with its cell's key.
-
-    Keys are quadrant paths from the root, so tuple order is the pre-order
-    of a depth-first search, and that search's outcome is the first event
-    in key order: points at smaller keys are kept, the rest discarded."""
-
-    def __init__(self, s: _Search):
-        self.s = s
-        self.pending: list = []     # heap of (key, _Cell)
-        self.found: list = []       # (key, (location, multiplicity))
-        self.errors: list = []      # (key, exception)
-        self.counted: list = []     # sorted keys of the cells counted
-        self.stop = None            # key of the earliest event known
-
-    def past(self, key: tuple) -> bool:
-        """Whether key comes after the earliest event known."""
-        return self.stop is not None and key > self.stop
-
-    def halt(self, key: tuple):
-        if self.stop is None or key < self.stop:
-            self.stop = key
-
-    def event(self, key: tuple, exc: LocatorError):
-        self.errors.append((key, exc))
-        self.halt(key)
-
-    def budget(self) -> tuple | None:
-        """Key of the cell that exhausts MAX_CELLS, if one is known."""
-        if len(self.counted) > MAX_CELLS:
-            return self.counted[MAX_CELLS]
-        return None
-
-    def enter(self, key: tuple, rect: tuple, w: int, top: tuple):
-        """A new cell's steps before its first split, in order: the
-        conservation check, the cell budget, Newton, MAX_DEPTH; then it
-        joins the pending cells with its split candidates.  top is the
-        parent's top if w is the parent's winding, else rect."""
-        s = self.s
-        if self.past(key):
-            return
-        x0, x1, y0, y1 = rect
-        unknown = w - s.seed_mult_in(*rect)
-        if unknown < 0:
-            self.event(key, ConservationError(
-                "cell winding below its seeded multiplicity"))
-            return
-        if unknown == 0 or s.outside_disk(*rect):
-            # Everything here lies beyond the disk; callers never count it.
-            return
-        bisect.insort(self.counted, key)
-        over = self.budget()
-        if over is not None:
-            self.halt(over)
-            if key >= over:
-                return
-        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-        seeded = any(x0 < z.real <= x1 and y0 < z.imag <= y1
-                     for z, _ in s.seeds)
-        if unknown == 1 and not seeded:
-            z = _polish(s.jet, complex(cx, cy), s.disk_radius)
-            if z is not None:
-                # Accept only if the iteration stayed in this cell; its
-                # winding is 1, so the point is the cell's one simple zero,
-                # and anything outside is some other cell's zero.
-                pad_x, pad_y = 1e-9 * (x1 - x0), 1e-9 * (y1 - y0)
-                if (x0 - pad_x <= z.real <= x1 + pad_x
-                        and y0 - pad_y <= z.imag <= y1 + pad_y):
-                    self.found.append((key, (z, None)))
-                    return
-        if len(key) >= MAX_DEPTH:
-            self.event(key, MaxDepthExceededError(
-                f"cluster near {complex(cx, cy):.6g} not separated at depth "
-                f"{len(key)}"))
-            return
-        # The axes are avoided like seeds: real-coefficient functions have
-        # zeros on y = 0, odd functions at 0, and the bounding square is
-        # centred there.
-        seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1] + [0.0]
-        seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1] + [0.0]
-        heapq.heappush(self.pending, (key, _Cell(
-            key, rect, w, unknown, top, unknown >= 2 and not seeded,
-            _pick_fraction(x0, x1, seed_x), _pick_fraction(y0, y1, seed_y))))
-
-    def round(self):
-        """Measure the proposals of the next batch of cells, then act on
-        each cell's outcome in key order."""
-        s = self.s
-        batch = []
-        while self.pending and len(batch) < _BATCH_CELLS:
-            key, cell = heapq.heappop(self.pending)
-            if self.past(key):
-                self.pending.clear()
-                break
-            batch.append(cell)
-        split_out = iter(s.split_windings(
-            [_quads(c.rect, *c.split()) for c in batch if not c.certify]))
-        circles = [_cluster_circle(c.rect, c.top) for c in batch if c.certify]
-        cert_out = zip(circles, _circle_windings(s.fn, circles, s.rate))
-        for c in batch:
-            if c.certify:
-                c.certify = False
-                # w is an int, or the circle's error
-                (centre, rho), w = next(cert_out)
-                z = _cell_point(s.jet, c.rect, centre, rho, c.unknown) \
-                    if w == c.unknown else None
-                if z is not None:
-                    self.found.append((c.key, (z, c.unknown)))
-                    continue
-            else:
-                quads = _quads(c.rect, *c.split())
-                c.tried += 1
-                ws = next(split_out)    # raw windings, or the error
-                try:
-                    ws = None if isinstance(ws, LocatorError) else \
-                        [_as_int(wq, "cell") for wq in ws]
-                except NonIntegerResidualError:
-                    ws = None
-                if ws is not None and sum(ws) == c.w:
-                    for j, (q, wq) in enumerate(zip(quads, ws)):
-                        self.enter(c.key + (j,), q, wq,
-                                   c.top if wq == c.w else q)
-                    continue
-                # Around a multiple zero every split line may be rounding
-                # noise, so a cluster cell whose first split failed first
-                # tries to close at its centroid.
-                if c.closable:
-                    c.closable, c.certify = False, True
-                    heapq.heappush(self.pending, (c.key, c))
-                    continue
-            if c.tried < len(c.xs) * len(c.ys):
-                heapq.heappush(self.pending, (c.key, c))
-            else:
-                self.event(c.key, RingTooCloseError(
-                    "no clean split line found for cell"))
-
-
 def _quads(rect: tuple, xm: float, ym: float) -> list[tuple]:
     x0, x1, y0, y1 = rect
     return [(x0, xm, y0, ym), (xm, x1, y0, ym),
@@ -738,29 +538,72 @@ def _cluster_circle(rect: tuple, top: tuple) -> tuple[complex, float]:
     return complex(cx, cy), max(inside, 0.5 * math.hypot(x1 - x0, y1 - y0))
 
 
-def _subdivide(s: _Search, x0, x1, y0, y1, w: int):
-    """Locate the zeros in a cell of winding w, into s.found and s.cells.
+def _subdivide(s: _Search, x0, x1, y0, y1, w: int, depth: int = 0,
+               top: tuple | None = None):
+    """Locate the zeros in a cell of winding w, depth-first, into s.found
+    and s.cells; top is the rect of the cell's largest ancestor of winding
+    w (the cell itself by default).
 
-    A frontier search: each round, the pending cells of smallest key propose
-    their next split (or centroid certificate), all measured in one batch.
-    The outcome is the one a depth-first search gives: the points before
-    the first event in key order, in that order, and then that event's
-    error, if any.  The cell budget is spent at the (MAX_CELLS + 1)-th
-    smallest counted key."""
-    fr = _Frontier(s)
-    fr.enter((), (x0, x1, y0, y1), w, (x0, x1, y0, y1))
-    while fr.pending:
-        fr.round()
-    stop = fr.stop
-    if stop is None:
-        s.found = [p for _, p in sorted(fr.found)]
-        s.cells = len(fr.counted)
+    The cell's steps, in order: the conservation check, the cell budget,
+    Newton, MAX_DEPTH; then each split candidate until one gives integer
+    quadrant windings that add up to w, after which each quadrant is
+    searched in turn."""
+    rect = (x0, x1, y0, y1)
+    top = top or rect
+    unknown = w - s.seed_mult_in(*rect)
+    if unknown < 0:
+        raise ConservationError("cell winding below its seeded multiplicity")
+    if unknown == 0 or s.outside_disk(*rect):
+        # Everything here lies beyond the disk; callers never count it.
         return
-    s.found = [p for k, p in sorted(fr.found) if k < stop]
-    s.cells = bisect.bisect_right(fr.counted, stop)
-    if stop == fr.budget():
+    s.cells += 1
+    if s.cells > MAX_CELLS:
         raise MaxDepthExceededError("subdivision cell budget exhausted")
-    raise dict(fr.errors)[stop]
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    seeded = any(x0 < z.real <= x1 and y0 < z.imag <= y1 for z, _ in s.seeds)
+    if unknown == 1 and not seeded:
+        z = _polish(s.jet, complex(cx, cy), s.disk_radius)
+        if z is not None:
+            # Accept only if the iteration stayed in this cell; its winding
+            # is 1, so the point is the cell's one simple zero, and anything
+            # outside is some other cell's zero.
+            pad_x, pad_y = 1e-9 * (x1 - x0), 1e-9 * (y1 - y0)
+            if (x0 - pad_x <= z.real <= x1 + pad_x
+                    and y0 - pad_y <= z.imag <= y1 + pad_y):
+                s.found.append((z, None))
+                return
+    if depth >= MAX_DEPTH:
+        raise MaxDepthExceededError(
+            f"cluster near {complex(cx, cy):.6g} not separated at depth "
+            f"{depth}")
+    # The axes are avoided like seeds: real-coefficient functions have zeros
+    # on y = 0, odd functions at 0, and the bounding square is centred there.
+    seed_x = [z.real for z, _ in s.seeds if x0 < z.real <= x1] + [0.0]
+    seed_y = [z.imag for z, _ in s.seeds if y0 < z.imag <= y1] + [0.0]
+    closable = unknown >= 2 and not seeded
+    for xm in _pick_fraction(x0, x1, seed_x):
+        for ym in _pick_fraction(y0, y1, seed_y):
+            quads = _quads(rect, xm, ym)
+            try:
+                ws = [_as_int(wq, "cell") for wq in s.rect_windings(quads)]
+            except (RingTooCloseError, NonIntegerResidualError):
+                ws = None
+            if ws is not None and sum(ws) == w:
+                for q, wq in zip(quads, ws):
+                    _subdivide(s, *q, wq, depth + 1, top if wq == w else q)
+                return
+            # Around a multiple zero every split line may be rounding noise,
+            # so a cluster cell whose first split failed first tries to close
+            # at its centroid.
+            if closable:
+                closable = False
+                centre, rho = _cluster_circle(rect, top)
+                if _circle_windings(s.fn, [(centre, rho)], s.rate) == [unknown]:
+                    z = _cell_point(s.jet, rect, centre, rho, unknown)
+                    if z is not None:
+                        s.found.append((z, unknown))
+                        return
+    raise RingTooCloseError("no clean split line found for cell")
 
 
 def _locate_entire(e: Expr, r: float,

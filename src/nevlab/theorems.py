@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .diffpoly import (HYPOTHESIS_CHECKS, DiffMonomial, DiffPolynomial,
-                       as_expr, contains_exponential, validate_hypotheses)
+                       as_expr, as_int, contains_exponential,
+                       validate_hypotheses)
 from .exppoly import (Constancy, ZeroVerdict, derivative_chain, is_constant,
                       is_identically_zero)
 from .expr import Const, Expr, ONE, differentiate, div, mul, sub
@@ -100,11 +101,8 @@ class _Int:
     least: int
 
     def read(self, params: dict) -> tuple[int, list[str]]:
-        v = params.get(self.name, self.default)
-        if isinstance(v, bool) or not (
-                isinstance(v, int) or isinstance(v, float) and v.is_integer()):
-            raise ValueError(f"parameter '{self.name}' must be an integer")
-        v = int(v)
+        v = as_int(params.get(self.name, self.default),
+                   f"parameter '{self.name}'")
         if v > _INT_MOST:
             raise ValueError(
                 f"parameter '{self.name}' must be at most {_INT_MOST}")

@@ -68,6 +68,8 @@ def test_sum_of_monomial_actions():
     (1, (0, 0)),
     (1, (-1, 2)),
     ("exp(z)", (2,)),
+    (1, (2.7, 0.5)),                # read as (2, 0) by int()
+    (1, (True, 1)),                 # read as (1, 1) by int()
 ])
 def test_invalid_monomials_rejected(bad):
     with pytest.raises(ValueError):

@@ -513,3 +513,14 @@ def test_canonical_memo_changes_no_decision(e, others):
         _decisions(other)
     assert _decisions(e) == cold
     assert _decisions(e) == cold
+
+
+def test_canonical_quotient_memo_is_bounded():
+    """A process keeps at most _CANONICAL_MEMO quotients, however many
+    distinct expressions it decides."""
+    memo = exppoly.canonical_quotient
+    assert memo.cache_info().maxsize == exppoly._CANONICAL_MEMO
+    memo.cache_clear()
+    for k in range(exppoly._CANONICAL_MEMO + 8):
+        canonical_quotient(parse_expr(f"exp({k + 1}*z) + z"))
+    assert memo.cache_info().currsize == exppoly._CANONICAL_MEMO

@@ -9,6 +9,7 @@ import pytest
 import nevlab.lattice as lattice
 import nevlab.locator as locator
 from nevlab.cli import main
+from nevlab.diffpoly import contains_exponential
 from nevlab.expr import parse_expr
 from nevlab.lattice import _square_free, lattice_zeros
 from nevlab.locator import find_zeros
@@ -115,7 +116,7 @@ def test_every_benchmark_atom_matches_the_search(monkeypatch, located_atoms):
     read = [(e, r, s) for e, r, s in located_atoms
             if lattice_zeros(e, r) is not None]
     assert len(read) >= 11
-    assert all(not lattice._has_exp(e) for e, r, s in located_atoms
+    assert all(not contains_exponential(e) for e, r, s in located_atoms
                if (e, r, s) not in read)
     on = [find_zeros(e, r, s) for e, r, s in read]
     monkeypatch.setattr(locator, "lattice_zeros", lambda e, r: None)

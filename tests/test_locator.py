@@ -375,8 +375,8 @@ def _record_segments(monkeypatch):
     log = []
     real = locator._path_phases
 
-    def recording(fn, paths, rate=None, owners=None):
-        out = real(fn, paths, rate, owners)
+    def recording(fn, paths, rate=None, joint=False):
+        out = real(fn, paths, rate, joint)
         for (a, d, circle), phase in zip(paths, out):
             if not circle:
                 ends = frozenset((round(z.real, 12), round(z.imag, 12))
@@ -461,33 +461,33 @@ def test_failed_edge_leaves_no_memo_entry():
 
 
 def _log_splits(monkeypatch):
-    """Wrap _Search.split_windings to log (search, parent cell, failed) for
+    """Wrap _Search.rect_windings to log (search, parent cell, failed) for
     every split.  A split fails when an edge fails, or when the quadrant
     windings are not integers adding up to the parent's.  The disk's lattice
     and moment readings are turned off, so every disk is searched."""
     _no_lattice(monkeypatch)
     monkeypatch.setattr(locator, "W_MAX", 0)
     log = []
-    real = locator._Search.split_windings
+    real = locator._Search.rect_windings
 
-    def windings(self, groups):
-        out = real(self, groups)
-        for rects, ws in zip(groups, out):
-            if len(rects) != 4:
-                continue
-            (x0, _, y0, _), (_, x1, _, _), _, (_, _, _, y1) = rects
-            parent = (x0, x1, y0, y1)
-            if isinstance(ws, RingTooCloseError):
-                log.append((self, parent, True))
-                continue
-            # the parent's edges are in the memo
-            w = real(self, [[parent]])[0][0]
-            bad = (any(abs(q - round(q)) > 0.25 for q in ws)
-                   or round(sum(ws)) != round(w))
-            log.append((self, parent, bad))
-        return out
+    def windings(self, rects):
+        if len(rects) != 4:
+            return real(self, rects)
+        (x0, _, y0, _), (_, x1, _, _), _, (_, _, _, y1) = rects
+        parent = (x0, x1, y0, y1)
+        try:
+            ws = real(self, rects)
+        except RingTooCloseError:
+            log.append((self, parent, True))
+            raise
+        # the parent's edges are in the memo
+        w = real(self, [parent])[0]
+        bad = (any(abs(q - round(q)) > 0.25 for q in ws)
+               or round(sum(ws)) != round(w))
+        log.append((self, parent, bad))
+        return ws
 
-    monkeypatch.setattr(locator._Search, "split_windings", windings)
+    monkeypatch.setattr(locator._Search, "rect_windings", windings)
     return log
 
 
@@ -644,8 +644,8 @@ def test_every_zero_found_with_its_multiplicity(e, roots, mults):
 
 
 # ---------------------------------------------------------------------------
-# the depth-first search the frontier replaced, kept as the oracle of its
-# outcomes
+# the depth-first search as first written, kept as the oracle of
+# _subdivide's outcomes
 
 def _dfs_descend(s, x0, x1, y0, y1, w, depth=0, top=None):
     top = top or (x0, x1, y0, y1)
@@ -738,26 +738,23 @@ _PAIR = "z^3 + (2.001 - 2*i)*z^2 + (-4 - 8.002*i)*z + (-8.004 - 8.004*i)"
     ("exp(3*z) - 1", 3.0, ()),
     ("exp(z) - 1 - z", 3.0, ()),             # a double zero at 0
     ("z^3 - 3*z^2 + 3*z - 1", 2.0, ()),      # an expanded triple zero at 1
-    # Under a depth cap, the frontier finds 2 + 2*i (and, over-seeded
-    # there, a ConservationError) before the earlier depth error.
+    # Under a depth cap, the depth error at the pair ends the search before
+    # it reaches 2 + 2*i (and, over-seeded there, a ConservationError).
     (_PAIR, 3.5, ()),
     (_PAIR, 3.5, ((2 + 2j, 2),)),
     (poly_expr(_random_poly(random.Random(88), 7)[0]), 2.5, ()),
 ])
 @pytest.mark.parametrize("max_cells,max_depth", [
     (60000, 40), (3, 40), (9, 40), (25, 40), (60000, 2), (60000, 4)])
-# one cell per round; the default; a whole level per round, breadth-first
-@pytest.mark.parametrize("batch", [1, locator._BATCH_CELLS, 1000])
-def test_frontier_outcome_is_the_depth_first_one(monkeypatch, src, r, seeds,
-                                                 max_cells, max_depth, batch):
-    """The frontier search ends as the recursive depth-first search did:
-    the same points in the same order, the same cell count, and the same
-    error, also when the cell budget or the depth cap cuts it short."""
+def test_search_outcome_is_the_depth_first_one(monkeypatch, src, r, seeds,
+                                               max_cells, max_depth):
+    """The search ends as the recursive depth-first search did: the same
+    points in the same order, the same cell count, and the same error,
+    also when the cell budget or the depth cap cuts it short."""
     monkeypatch.setattr(locator, "MAX_CELLS", max_cells)
     monkeypatch.setattr(locator, "MAX_DEPTH", max_depth)
     e = parse_expr(src) if isinstance(src, str) else src
     want = _search_outcome(e, r, seeds, _dfs_descend)
-    monkeypatch.setattr(locator, "_BATCH_CELLS", batch)
     assert _search_outcome(e, r, seeds, locator._subdivide) == want
 
 

@@ -68,6 +68,33 @@ def test_square_times_second_derivative_squared():
     assert rep.stats["constant"] == pytest.approx(1.0)
 
 
+def test_thm_g_rows_match_their_closed_form():
+    """thm_g on f = e^z with P = f^3 (f')^2, so P[f] = e^{5z}: the lhs is
+    T(r, f) = r/pi, and the rhs is c = 1/(d - nu - 4 + q_0) = 1/2 times the
+    reduced count of the simple zeros 2 pi i k/5 of e^{5z} - 1, the one at
+    0 counted as ln r and each pair +-k as 2 ln(5r/(2 pi k))."""
+    rep = run_check("thm_g", EZ, DiffPolynomial.from_exponents((1, (3, 2))),
+                    radii=radial_grid(2, 40, 8))
+    assert rep.verdict == "pass" and rep.stats["constant"] == 0.5
+    assert len(rep.rows) == 8
+    for w in rep.rows:
+        assert w.error is None
+        ks = range(1, int(5 * w.r / (2 * math.pi)) + 1)
+        rhs = 0.5 * (math.log(w.r) + 2 * sum(
+            math.log(5 * w.r / (2 * math.pi * k)) for k in ks))
+        assert w.lhs == pytest.approx(w.r / math.pi, rel=1e-12)
+        assert w.rhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_thm_g_needs_enough_degree_over_weight_excess():
+    """P = f f' has d - nu = 1 < 5 - q_0 = 4."""
+    rep = run_check("thm_g", EZ, DiffPolynomial.from_exponents((1, (1, 1))),
+                    radii=GRID)
+    assert rep.verdict == "hypothesis_violation"
+    assert rep.violations == ("needs degree minus weight excess >= 5 - q_0",)
+    assert rep.rows == ()
+
+
 def test_monomial_check_specialises_the_general_one():
     """On a single monomial the dedicated check and the general one agree."""
     poly = DiffPolynomial.from_exponents((1, (2, 0, 2)))
