@@ -644,7 +644,7 @@ def test_every_zero_found_with_its_multiplicity(e, roots, mults):
 
 
 # ---------------------------------------------------------------------------
-# the depth-first search as first written, kept as the oracle of
+# a separate copy of the depth-first search, kept as the oracle of
 # _subdivide's outcomes
 
 def _dfs_descend(s, x0, x1, y0, y1, w, depth=0, top=None):
