@@ -706,12 +706,15 @@ def _dfs_centroid(s, rect, top, unknown):
     return locator._cell_point(s.jet, rect, c, rho, unknown)
 
 
-def _search_outcome(e, r, seeds, descend):
+def _search_outcome(e, r, seeds, descend, phases=None):
     """(found, cells, ok, error type and message) of one search of the
-    bounding square, as _locate_entire runs it."""
+    bounding square, as _locate_entire runs it; phases, if given, is the
+    edge memo the search starts with, and is filled in place."""
     de = differentiate(e)
     s = locator._Search(compile_expr(e), compile_expr((e, de, differentiate(de))),
                         locator._rate_of(e), r, list(seeds))
+    if phases is not None:
+        s.phases = phases
     half = r * (1 + 3 * locator.RING_CLEARANCE)
     w = locator._as_int(s.rect_windings([(-half, half, -half, half)])[0],
                         "bounding square")
@@ -746,16 +749,26 @@ _PAIR = "z^3 + (2.001 - 2*i)*z^2 + (-4 - 8.002*i)*z + (-8.004 - 8.004*i)"
 ])
 @pytest.mark.parametrize("max_cells,max_depth", [
     (60000, 40), (3, 40), (9, 40), (25, 40), (60000, 2), (60000, 4)])
+# an empty edge memo; the oracle's edges, as measured; the same edges keyed
+# in reverse, so that every lookup takes the negated phase
+@pytest.mark.parametrize("memo", ["cold", "warm", "reversed"])
 def test_search_outcome_is_the_depth_first_one(monkeypatch, src, r, seeds,
-                                               max_cells, max_depth):
+                                               max_cells, max_depth, memo):
     """The search ends as the recursive depth-first search did: the same
     points in the same order, the same cell count, and the same error,
-    also when the cell budget or the depth cap cuts it short."""
+    also when the cell budget or the depth cap cuts it short, and also
+    when the edge memo already holds the phases of the oracle's edges."""
     monkeypatch.setattr(locator, "MAX_CELLS", max_cells)
     monkeypatch.setattr(locator, "MAX_DEPTH", max_depth)
     e = parse_expr(src) if isinstance(src, str) else src
-    want = _search_outcome(e, r, seeds, _dfs_descend)
-    assert _search_outcome(e, r, seeds, locator._subdivide) == want
+    measured = {}
+    want = _search_outcome(e, r, seeds, _dfs_descend, measured)
+    start = {"cold": {}, "warm": dict(measured),
+             "reversed": {(b, a): -p for (a, b), p in measured.items()}}[memo]
+    assert _search_outcome(e, r, seeds, locator._subdivide, start) == want
+    if memo != "cold":
+        # Only edges whose measurement failed are measured again.
+        assert len(start) == len(measured)
 
 
 # Factors of an entire function drawn from small Gaussian integers: shifted
