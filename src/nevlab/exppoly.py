@@ -35,7 +35,7 @@ __all__ = [
     "ExpPoly", "to_exp_poly", "exp_poly_to_expr",
     "canonical", "canonical_quotient",
     "ZeroVerdict", "Constancy", "is_identically_zero", "is_constant",
-    "derivative_chain", "set_probabilistic_seed",
+    "derivative_chain", "set_probabilistic_seed", "circle_symmetries",
 ]
 
 _DEFAULT_PROB_SEED = 0x5EED
@@ -416,6 +416,61 @@ def is_constant(e: Expr) -> tuple[Constancy, complex | None]:
         # numerically flat, but agreement at 16 points proves nothing
         return Constancy.UNKNOWN, None
     return Constancy.NON_CONSTANT, None
+
+
+# ---------------------------------------------------------------------------
+# symmetries of |f| on circles centred at 0
+#
+# A map M proves |f(M z)| = |f(z)| when it sends each part of f's quotient to
+# u times itself, u one constant.  Each map below is an involution, so
+# |u| = 1 follows.  The image is compared with the part exactly, key by key,
+# so u is a Gaussian rational: exp(z + 0.5*i) is sent to exp(-i) times
+# itself, which this does not prove.
+
+def _conj(f: tuple) -> tuple[int, int, int]:
+    return f[0], -f[1], f[2]
+
+
+def _gmul(x: tuple, y: tuple) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+_MAPS = (
+    # the mirror z -> conj(z), read as conj(p(conj(z))): every coefficient,
+    # frequency and constant conjugated
+    lambda f, c, cs: ((_conj(f), _conj(c)), [(a, -b) for a, b in cs]),
+    # the half-turn z -> -z: the frequency negated, the coefficient of z^j
+    # times (-1)^j
+    lambda f, c, cs: (((-f[0], -f[1], f[2]), c),
+                      [(-a, -b) if j % 2 else (a, b)
+                       for j, (a, b) in enumerate(cs)]),
+)
+
+
+def _sends_to_multiple(ep: ExpPoly, image) -> bool:
+    """The map image sends ep to u*ep for one constant u."""
+    got = dict(image(f, c, cs) for (f, c), cs in ep.terms.items())
+    if got.keys() != ep.terms.keys():
+        return False
+    if not got:
+        return True
+    # u = p0/q0 for a last coefficient q0, which is not zero; then the image
+    # is u*ep iff p*q0 == q*p0 for every pair of coefficients (p, q)
+    k0 = next(iter(got))
+    p0, q0 = got[k0][-1], ep.terms[k0][-1]
+    return all(_gmul(p, q0) == _gmul(q, p0)
+               for k, cs in got.items() for p, q in zip(cs, ep.terms[k]))
+
+
+def circle_symmetries(e: Expr) -> tuple[bool, bool]:
+    """Whether |e(conj(z))| = |e(z)|, and whether |e(-z)| = |e(z)|, are
+    proven from the exact forms of both parts of e's quotient.  A part with
+    no form proves neither."""
+    forms = _forms(e)
+    parts = (forms.num[1], forms.den[1])
+    return tuple(None not in parts and
+                 all(_sends_to_multiple(ep, m) for ep in parts)
+                 for m in _MAPS)
 
 
 def _ratio(nep: ExpPoly, dep: ExpPoly) -> complex | None:

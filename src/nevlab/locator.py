@@ -148,6 +148,11 @@ class Divisor:
     def locations(self) -> tuple[complex, ...]:
         return tuple(p.location for p in self.points)
 
+    @functools.cached_property
+    def moduli(self) -> tuple[tuple[float, int], ...]:
+        """(|a|, multiplicity) of each point a, in the order of points."""
+        return tuple((abs(p.location), p.multiplicity) for p in self.points)
+
     def restrict(self, r: float) -> "Divisor":
         """Exact sub-divisor supported in the smaller closed disk."""
         if r > self.radius * (1 + 1e-12):

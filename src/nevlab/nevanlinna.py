@@ -4,7 +4,10 @@ characteristic.
 Counting functions are exact sums over located divisors.  The proximity mean
 is a Gauss-Legendre quadrature of max(0, log|f|) over a circle, on the pieces
 between its kinks, evaluated through the quotient form so that poles on the
-circle show up as explicit failures instead of silent garbage.  Log
+circle show up as explicit failures instead of silent garbage.  When the
+exact forms of f's quotient prove |f(conj(z))| = |f(z)| or |f(-z)| = |f(z)|
+(exppoly.circle_symmetries), the mean is taken over the half circle, or the
+quarter circle when both hold, sampled at the same 2*pi/256 spacing.  Log
 magnitudes are computed structurally (powers and exponentials contribute
 p*log|base| and Re(arg) directly), which keeps quantities like a 31st power
 of a trigonometric factor at radius 40 inside floating-point range.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exppoly import canonical_quotient
+from .exppoly import canonical_quotient, circle_symmetries
 from .expr import Div, Expr, _evaluator, _lower
 from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
                       divisor_pair_at, negotiate)
@@ -32,7 +35,10 @@ __all__ = [
 
 
 class QuadratureError(Exception):
-    """The proximity integral could not reach the requested tolerance."""
+    """The proximity integral could not reach the requested tolerance.
+
+    achieved, when known, bounds the error of m(r, f) itself: the error
+    bound of the integral over the arc, divided by the arc's length."""
 
     def __init__(self, message: str, achieved: float | None = None):
         super().__init__(message)
@@ -103,11 +109,10 @@ def counting(divisor: Divisor, r: float, mode: CountingMode | None = None) -> fl
         raise ValueError(
             f"counting at r={r} outside divisor radius {divisor.radius}")
     total = 0.0
-    for p in divisor.points:
-        w = mode.weight(p.multiplicity)
+    for a, m in divisor.moduli:
+        w = mode.weight(m)
         if w == 0:
             continue
-        a = abs(p.location)
         if a <= 1e-12 * r:
             total += w * math.log(r)
         elif a <= r:
@@ -134,11 +139,11 @@ def compile_log_abs(e: Expr):
 
 _POLE_MESSAGE = "log|f| not finite on the circle (pole on or near the ring?)"
 
-# Angles sampled to find the kinks.  An arc where log|f| > 0 that fits
-# between two samples with log|f| < 0 is not seen.
+# Angles per whole circle sampled to find the kinks; a half or quarter arc
+# keeps the spacing.  An arc where log|f| > 0 that fits between two samples
+# with log|f| < 0 is not seen.
 _SAMPLES = 256
 _STEP = 2.0 * math.pi / _SAMPLES
-_ANGLES = _STEP * np.arange(_SAMPLES)
 _BATCH_RADII = 32                    # radii integrated together
 # Points per evaluator call, which bounds the memory of the program's
 # intermediates.
@@ -174,13 +179,20 @@ def proximity(f: Expr, r: float | list[float],
               tol: float = 1e-10) -> float | list:
     """m(r, f): mean of max(0, log|f|) over the circle |z| = r.
 
+    The mean is taken over the arc [0, 2*pi/2^k] of each circle, where k
+    counts the maps that exppoly.circle_symmetries proves keep |f|: the
+    mirror z -> conj(z) and the half-turn z -> -z.  Either one halves the
+    arc; both leave a quarter.  The arc is sampled every 2*pi/256 as the
+    whole circle would be.
+
     ``r`` is one radius or a sequence of radii.  One radius returns a float
     and raises QuadratureError on failure; a sequence returns, in order, a
     float or a QuadratureError instance per radius.  Either way every radius
     gets the same bits as if it were integrated alone.  An arc narrower than
-    2*pi/256 where |f| > 1, between two of the 256 sampled angles where
-    |f| < 1, is not seen."""
+    2*pi/256 where |f| > 1, between two sampled angles where |f| < 1, is not
+    seen."""
     q = canonical_quotient(f)
+    last = _SAMPLES >> sum(circle_symmetries(f))     # the arc's last sample
     single = np.ndim(r) == 0
     radii = [float(r)] if single else [float(x) for x in r]
     # The raw Div, not div(): its log form is the one step
@@ -188,7 +200,7 @@ def proximity(f: Expr, r: float | list[float],
     ln_f = compile_log_abs(Div(q.num, q.den))
     out = []
     for s in range(0, len(radii), _BATCH_RADII):
-        out += _gauss_circles(ln_f, radii[s:s + _BATCH_RADII], tol)
+        out += _gauss_circles(ln_f, radii[s:s + _BATCH_RADII], tol, last)
     if not single:
         return out
     if isinstance(out[0], QuadratureError):
@@ -196,16 +208,18 @@ def proximity(f: Expr, r: float | list[float],
     return out[0]
 
 
-def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
-    """m(r, f) or a QuadratureError for each radius r in radii.
+def _gauss_circles(ln_f, radii: list[float], tol: float, last: int) -> list:
+    """m(r, f) or a QuadratureError for each radius r in radii, as the mean
+    over the arc [0, last * _STEP].
 
-    ln|f| is sampled at _SAMPLES angles per circle; each sign change is
-    refined to a kink of max(0, ln|f|) by Illinois regula falsi, and each
-    piece between kinks that starts positive is integrated by Gauss-Legendre
-    rules of doubling order, halved when order 64 does not settle it.  The
-    open brackets, then the open pieces, of all radii share one round of
-    ln_f calls of _CHUNK points.  A radius's pieces are summed on their own
-    by math.fsum, so its result does not depend on its neighbours."""
+    ln|f| is sampled at the last + 1 angles j * _STEP of the arc; each sign
+    change is refined to a kink of max(0, ln|f|) by Illinois regula falsi,
+    and each piece between the arc's ends and kinks that starts positive is
+    integrated by Gauss-Legendre rules of doubling order, halved when order
+    64 does not settle it.  The open brackets, then the open pieces, of all
+    radii share one round of ln_f calls of _CHUNK points.  A radius's pieces
+    are summed on their own by math.fsum, so its result does not depend on
+    its neighbours."""
     rs = np.asarray(radii, dtype=float)
     n = rs.size
     pole = np.zeros(n, dtype=bool)
@@ -219,16 +233,17 @@ def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
         pole[row[~np.isfinite(np.maximum(vals, 0.0))]] = True
         return vals
 
-    gs = g(np.repeat(np.arange(n), _SAMPLES),
-           np.tile(_ANGLES, n)).reshape(n, _SAMPLES)
+    gs = g(np.repeat(np.arange(n), last + 1),
+           np.tile(_STEP * np.arange(last + 1), n)).reshape(n, last + 1)
     gs[pole] = 1.0                     # a failed circle has no kinks
     # a sample at rounding level is a kink at that sample
     floor = 4.0 * _EPS * np.where(np.isfinite(gs), np.abs(gs), 0.0).max(
         axis=1, initial=0.0)
     sign = np.sign(np.where(np.abs(gs) <= floor[:, None], 0.0, gs)).astype(
         np.int8)
-    zrow, zj = np.nonzero(sign == 0)
-    brow, bj = np.nonzero(sign * np.roll(sign, -1, axis=1) < 0)
+    # a kink at the arc's end starts no piece
+    zrow, zj = np.nonzero(sign[:, :last] == 0)
+    brow, bj = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
 
     # Illinois regula falsi on all brackets at once.  A kink placed at x
     # costs about ln|f(x)|^2 / (2 s), s the slope of ln|f| across the first
@@ -237,7 +252,7 @@ def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
     # error, or at rounding level.
     kink = np.empty(bj.size)
     a, fa = bj * _STEP, gs[brow, bj]
-    b, fb = a + _STEP, gs[brow, (bj + 1) % _SAMPLES]
+    b, fb = a + _STEP, gs[brow, bj + 1]
     enough = np.nan_to_num(np.abs(fb - fa), posinf=0.0) * tol
     moved = np.zeros(bj.size)          # +1: a moved last, -1: b moved last
     fx = fa                            # ln|f| at each kink placed so far
@@ -268,29 +283,27 @@ def _gauss_circles(ln_f, radii: list[float], tol: float) -> list:
     stuck = np.zeros(n)
     np.add.at(stuck, brow[live], np.abs(fx) * (b - a))
 
-    # The pieces: from each kink to the next one of its radius, taken when
-    # the first sample past its start is positive.
-    krow = np.concatenate([zrow, brow])
-    order = np.lexsort((np.concatenate([2 * zj, 2 * bj + 1]), krow))
+    # The pieces: from the arc's start and from each kink to the next kink
+    # of its radius or to the arc's end, taken when the first sample past
+    # the start is positive; the arc's start is "past" its own sample 0.
+    krow = np.concatenate([np.arange(n), zrow, brow])
+    order = np.lexsort((np.concatenate([np.full(n, -1), 2 * zj, 2 * bj + 1]),
+                        krow))
     krow = krow[order]
-    start = np.concatenate([zj * _STEP, kink])[order]
-    first = np.diff(krow, prepend=-1) != 0
-    last = np.diff(krow, append=n) != 0
+    start = np.concatenate([np.zeros(n), zj * _STEP, kink])[order]
+    past = np.concatenate([np.zeros(n, dtype=int), zj + 1, bj + 1])[order]
     end = np.empty_like(start)
     end[:-1] = start[1:]
-    end[last] = start[first] + 2.0 * math.pi
-    past = (np.concatenate([zj, bj])[order] + 1) % _SAMPLES
+    end[np.diff(krow, append=n) != 0] = last * _STEP
     take = sign[krow, past] > 0
-    whole = np.flatnonzero((sign > 0).all(axis=1))
-    lo = np.concatenate([start[take], np.zeros(whole.size)])
-    hi = np.concatenate([end[take], np.full(whole.size, 2.0 * math.pi)])
-    row = np.concatenate([krow[take], whole])
-    return _integrate(g, pole, stuck, lo, hi, row, tol)
+    return _integrate(g, pole, stuck, start[take], end[take], krow[take], tol,
+                      last * _STEP)
 
 
-def _integrate(g, pole, stuck, lo, hi, row, tol: float) -> list:
+def _integrate(g, pole, stuck, lo, hi, row, tol: float, span: float) -> list:
     """Gauss-Legendre quadrature of max(0, g) on the pieces [lo, hi] of the
-    circles whose index is row; one g call per round and _CHUNK points.
+    arcs [0, span] whose index is row, divided by span; one g call per round
+    and _CHUNK points.
 
     The first round compares orders 8 and 16 on every piece, each later one
     orders 32 and 64.  A piece stops when they agree to tol times its width:
@@ -338,15 +351,15 @@ def _integrate(g, pole, stuck, lo, hi, row, tol: float) -> list:
                                                     minlength=n) > 0)
         for i in np.flatnonzero(stop & ~over).tolist():
             over[i] = True
-            achieved[i] = math.fsum(errs[i] + err[row == i].tolist())
+            achieved[i] = math.fsum(errs[i] + err[row == i].tolist()) / span
         lo, hi, row = (np.concatenate(v) for v in
                        ((lo, mid), (mid, hi), (row, row)))
     return [QuadratureError(_POLE_MESSAGE) if pole[i] else
             QuadratureError("quadrature refinement did not converge",
-                            achieved=float(stuck[i])) if stuck[i] else
+                            achieved=float(stuck[i]) / span) if stuck[i] else
             QuadratureError("quadrature interval budget exhausted",
                             achieved=achieved[i]) if over[i] else
-            math.fsum(parts[i]) / (2.0 * math.pi) for i in range(n)]
+            math.fsum(parts[i]) / span for i in range(n)]
 
 
 def characteristic(f: Expr, r: float, poles: Divisor,

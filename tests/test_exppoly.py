@@ -15,7 +15,8 @@ from nevlab.expr import (Add, Const, Z, add, compile_expr, differentiate, div,
                          to_grammar)
 from nevlab import exppoly
 from nevlab.exppoly import (Constancy, ZeroVerdict, canonical,
-                            canonical_quotient, derivative_chain,
+                            canonical_quotient, circle_symmetries,
+                            derivative_chain,
                             is_constant, is_identically_zero,
                             set_probabilistic_seed, to_exp_poly)
 from nevlab.expr import InvalidExpressionError
@@ -524,3 +525,69 @@ def test_canonical_quotient_memo_is_bounded():
     for k in range(exppoly._CANONICAL_MEMO + 8):
         canonical_quotient(parse_expr(f"exp({k + 1}*z) + z"))
     assert memo.cache_info().currsize == exppoly._CANONICAL_MEMO
+
+
+# ---------------------------------------------------------------------------
+# symmetries of |f| on circles: (mirror z -> conj(z), half-turn z -> -z)
+
+@pytest.mark.parametrize("src, proven", [
+    # sin -> sin under the mirror and -sin under the half-turn; cos -> cos
+    ("tan(z)", (True, True)),
+    ("sin(z)^3", (True, True)),
+    ("z^2 + 1", (True, True)),
+    # conj(i*sin(conj(z))) = -i*sin(z), and i*sin(-z) = -i*sin(z): u = -1
+    ("(0+1*i)*sin(z)", (True, True)),
+    # exp(-z) is no constant times exp(z)
+    ("exp(z)", (True, False)),
+    # -z - 1 is no constant times z - 1
+    ("tan(z)^3*(z - 1)", (True, False)),
+    ("exp(z)*(z^2 - 1)/(z^2 + 4)", (True, False)),
+    # cos(z)/(-i*exp(i*z)): the mirror and the half-turn give i*exp(-i*z)
+    # and -i*exp(-i*z)
+    ("1/(tan(z) - (i))", (False, False)),
+    ("exp((0+1*i)*z)", (False, False)),
+    # z + i and -z - i
+    ("z - (i)", (False, False)),
+    # no form
+    ("exp(z^2)", (False, False)),
+    # the mirror gives exp(-i)*exp(z + 0.5*i): u = exp(-i) is no Gaussian
+    # rational, so the key (1, 0.5*i) becomes (1, -0.5*i) and nothing is
+    # proven, though |f| is symmetric
+    ("exp(z + 0.5*i)", (False, False)),
+])
+def test_circle_symmetries_by_hand(src, proven):
+    assert circle_symmetries(parse_expr(src)) == proven
+
+
+_UNIT = st.sampled_from([1, 2, -1, 1j, -1j, 1 + 1j])
+_SYMMETRIC_LEAVES = st.one_of(
+    _leaves(_UNIT, _UNIT),
+    st.builds(lambda c, f: exp_e(add(Const(c), mul(Const(f), Z))),
+              _UNIT, _UNIT))
+_SYMMETRIC = st.recursive(
+    _SYMMETRIC_LEAVES,
+    lambda children: st.one_of(_entire_branches(children),
+                               st.builds(div, children, children)),
+    max_leaves=5)
+
+
+@_PROPERTIES
+@given(_SYMMETRIC)
+def test_proven_symmetries_hold_pointwise(e):
+    """Where a map is proven, |e| takes the same value at z and at its
+    image, at points off every pole; the leaves' constants and frequencies
+    are drawn from a few real and imaginary units, so many trees are
+    symmetric."""
+    try:
+        proven = circle_symmetries(e)
+    except InvalidExpressionError:
+        return
+    value = compile_expr(e)
+    with np.errstate(all="ignore"):
+        here = np.abs(np.broadcast_to(value(_POINTS), _POINTS.shape))
+        for ok, image in zip(proven, (np.conj(_POINTS), -_POINTS)):
+            there = np.abs(np.broadcast_to(value(image), _POINTS.shape))
+            seen = np.isfinite(here) & np.isfinite(there)
+            if ok:
+                assert np.allclose(there[seen], here[seen], rtol=1e-9,
+                                   atol=1e-12)

@@ -62,7 +62,9 @@ def _assert_same(got, want):
 
 # tan(z)^3*(z - 1) at r = 29.837..., where a triple pole sits 2.5e-4*r from
 # the ring, by mpmath at 30 digits with breakpoints graded to 1e-8 around
-# theta = 0 and pi; _mp_proximity, which does not grade them, is off here
+# theta = 0 and pi; _mp_proximity, which does not grade them, is off here.
+# |f| is mirror-symmetric, so proximity integrates [0, pi], and the peaks
+# over the poles near 9.5*pi and -9.5*pi sit at both ends of that arc.
 TAN_CUBED_NEAR_POLE = (29.837171008851936, 3.4738658487780737)
 
 
@@ -208,6 +210,31 @@ def _mp_proximity(fn, r, grid=256):
         return float(total / (2 * mp.pi))
 
 
+# the nev_dense functions whose |f| is proven symmetric: both maps, both,
+# the mirror, the mirror
+@pytest.mark.parametrize("src, proven", [
+    ("tan(z)", (True, True)),
+    ("sin(z)^3", (True, True)),
+    ("tan(z)^3*(z - 1)", (True, False)),
+    ("exp(z)", (True, False)),
+])
+def test_rows_on_the_arc_match_the_whole_circle(monkeypatch, src, proven):
+    """Every row integrated over the arc that the symmetries leave agrees
+    within 1e-10 with the row integrated over the whole circle, which the
+    rows get when no symmetry is proven."""
+    f = parse_expr(src)
+    radii = radial_grid(2, 40, 512)
+    assert nevanlinna.circle_symmetries(f) == proven
+    arc = nevanlinna_rows(f, radii)
+    monkeypatch.setattr(nevanlinna, "circle_symmetries",
+                        lambda e: (False, False))
+    whole = nevanlinna_rows(f, radii)
+    for a, w in zip(arc, whole):
+        assert (a.r, a.perturbed_r, a.error) == (w.r, w.perturbed_r, w.error)
+        assert abs(a.m - w.m) <= 1e-10 and abs(a.T - w.T) <= 1e-10
+    assert [a.error for a in arc] == [None] * len(radii)
+
+
 def test_proximity_of_exp_z_squared():
     # log|exp(z^2)| = r^2 cos(2t), whose positive part has mean r^2/pi
     f = parse_expr("exp(z^2)")
@@ -224,6 +251,9 @@ NARROW_POLE = mp.mpc(38.488404519803865, 0.9448372981321231)
 @pytest.mark.parametrize("src, fn, radii", [
     ("tan(z)", mp.tan, (2.5, 4.0, 6.0)),
     ("sin(z)^3", lambda z: mp.sin(z) ** 3, (2.0, 5.0, 10.0)),
+    # a quarter arc, then a half arc
+    ("cos(z)", mp.cos, (1.5, 4.0, 9.0)),
+    ("exp(z)", mp.exp, (0.7, 3.0, 8.0)),
     ("1/(z - 38.488404519803865 - 0.9448372981321231*i)",
      lambda z: 1 / (z - NARROW_POLE), (38.0,)),
 ])

@@ -303,8 +303,9 @@ def test_check_rows_batch_proximity_bit_for_bit(monkeypatch):
     """A tan(z) lem_32 check gets all its proximity values from one batched
     call.  Its rows equal, bit for bit, the rows made from single-radius
     calls, and a radius whose quadrature fails keeps its error text; the
-    piece budget is cut so that some radii fail."""
-    monkeypatch.setattr(nevanlinna, "_MAX_PIECES", 8)
+    piece budget is cut so that some radii fail.  tan(z) is integrated over
+    a quarter of each circle, where no radius fails at 5 pieces or more."""
+    monkeypatch.setattr(nevanlinna, "_MAX_PIECES", 4)
     tan = parse_expr("tan(z)")
     calls = []
     real = nevanlinna.proximity
