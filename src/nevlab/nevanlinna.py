@@ -284,20 +284,21 @@ def _gauss_circles(ln_f, radii: list[float], tol: float, last: int) -> list:
     np.add.at(stuck, brow[live], np.abs(fx) * (b - a))
 
     # The pieces: from the arc's start and from each kink to the next kink
-    # of its radius or to the arc's end, taken when the first sample past
-    # the start is positive; the arc's start is "past" its own sample 0.
+    # of its radius or to the arc's end, taken when the first sample past a
+    # kink, or sample 0 for the arc's start, is positive.
     krow = np.concatenate([np.arange(n), zrow, brow])
     order = np.lexsort((np.concatenate([np.full(n, -1), 2 * zj, 2 * bj + 1]),
                         krow))
     krow = krow[order]
     start = np.concatenate([np.zeros(n), zj * _STEP, kink])[order]
     past = np.concatenate([np.zeros(n, dtype=int), zj + 1, bj + 1])[order]
+    span = last * _STEP
     end = np.empty_like(start)
     end[:-1] = start[1:]
-    end[np.diff(krow, append=n) != 0] = last * _STEP
+    end[np.diff(krow, append=n) != 0] = span
     take = sign[krow, past] > 0
     return _integrate(g, pole, stuck, start[take], end[take], krow[take], tol,
-                      last * _STEP)
+                      span)
 
 
 def _integrate(g, pole, stuck, lo, hi, row, tol: float, span: float) -> list:
