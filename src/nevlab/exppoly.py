@@ -444,6 +444,12 @@ _MAPS = (
     lambda f, c, cs: (((-f[0], -f[1], f[2]), c),
                       [(-a, -b) if j % 2 else (a, b)
                        for j, (a, b) in enumerate(cs)]),
+    # the reflection z -> -conj(z), the two composed: the frequency's real
+    # part negated, the constant conjugated, and the coefficient of z^j
+    # conjugated and times (-1)^j
+    lambda f, c, cs: (((-f[0], f[1], f[2]), _conj(c)),
+                      [(-a, b) if j % 2 else (a, -b)
+                       for j, (a, b) in enumerate(cs)]),
 )
 
 
@@ -462,10 +468,11 @@ def _sends_to_multiple(ep: ExpPoly, image) -> bool:
                for k, cs in got.items() for p, q in zip(cs, ep.terms[k]))
 
 
-def circle_symmetries(e: Expr) -> tuple[bool, bool]:
-    """Whether |e(conj(z))| = |e(z)|, and whether |e(-z)| = |e(z)|, are
-    proven from the exact forms of both parts of e's quotient.  A part with
-    no form proves neither."""
+def circle_symmetries(e: Expr) -> tuple[bool, bool, bool]:
+    """Whether |e(conj(z))| = |e(z)|, whether |e(-z)| = |e(z)| and whether
+    |e(-conj(z))| = |e(z)| are proven from the exact forms of both parts of
+    e's quotient.  Each map composes the other two, so two proven maps prove
+    the third.  A part with no form proves none."""
     forms = _forms(e)
     parts = (forms.num[1], forms.den[1])
     return tuple(None not in parts and

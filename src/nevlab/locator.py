@@ -49,6 +49,7 @@ located once and its multiplicity doubled exactly.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -149,9 +150,19 @@ class Divisor:
         return tuple(p.location for p in self.points)
 
     @functools.cached_property
-    def moduli(self) -> tuple[tuple[float, int], ...]:
-        """(|a|, multiplicity) of each point a, in the order of points."""
-        return tuple((abs(p.location), p.multiplicity) for p in self.points)
+    def _weighted(self) -> dict:
+        return {}
+
+    def weighted(self, mode) -> tuple[tuple[float, int], ...]:
+        """(|a|, mode.weight(multiplicity)) of each point a whose weight is
+        not 0, in the order of points; kept per mode, which must be
+        hashable."""
+        got = self._weighted.get(mode)
+        if got is None:
+            got = self._weighted[mode] = tuple(
+                (abs(p.location), w) for p in self.points
+                if (w := mode.weight(p.multiplicity)))
+        return got
 
     def restrict(self, r: float) -> "Divisor":
         """Exact sub-divisor supported in the smaller closed disk."""
@@ -739,17 +750,21 @@ _OFFSETS = (0.0, 2.5e-4, -2.5e-4, 5e-4, -5e-4, 7.5e-4, -7.5e-4, 1e-3, -1e-3)
 
 def clear_radius(r: float, known: list[float],
                  rmax: float | None = None) -> tuple[float, bool]:
-    """Nudge r away from the known point moduli.
+    """Nudge r away from the known point moduli, which must be sorted.
 
     Returns (usable radius, whether it was perturbed); prefers outward moves,
-    never exceeds rmax, and gives up after +-1e-3 relative."""
+    never exceeds rmax, and gives up after +-1e-3 relative.  Only the two
+    moduli next to a candidate are checked: |rt - a| grows with a above rt
+    and falls with it below."""
     for off in _OFFSETS:
         rt = r * (1 + off)
         if rmax is not None and rt > rmax * (1 + 1e-12):
             continue
         if rt <= 0:
             continue
-        if all(abs(rt - a) >= RING_CLEARANCE * rt for a in known):
+        i = bisect.bisect_left(known, rt)
+        if all(abs(rt - a) >= RING_CLEARANCE * rt
+               for a in known[max(i - 1, 0):i + 1]):
             return rt, off != 0.0
     raise RingTooCloseError(
         f"no usable radius near {r}: points crowd every candidate ring")

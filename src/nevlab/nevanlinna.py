@@ -2,12 +2,13 @@
 characteristic.
 
 Counting functions are exact sums over located divisors.  The proximity mean
-is a Gauss-Legendre quadrature of max(0, log|f|) over a circle, on the pieces
+is a Gauss-Kronrod quadrature of max(0, log|f|) over a circle, on the pieces
 between its kinks, evaluated through the quotient form so that poles on the
 circle show up as explicit failures instead of silent garbage.  When the
-exact forms of f's quotient prove |f(conj(z))| = |f(z)| or |f(-z)| = |f(z)|
-(exppoly.circle_symmetries), the mean is taken over the half circle, or the
-quarter circle when both hold, sampled at the same 2*pi/256 spacing.  Log
+exact forms of f's quotient prove that the mirror z -> conj(z), the
+half-turn z -> -z or the reflection z -> -conj(z) keeps |f|
+(exppoly.circle_symmetries), the mean is taken over a half circle, or over
+a quarter circle when all three do, sampled on the same 2*pi/256 lattice.  Log
 magnitudes are computed structurally (powers and exponentials contribute
 p*log|base| and Re(arg) directly), which keeps quantities like a 31st power
 of a trigonometric factor at radius 40 inside floating-point range.
@@ -109,10 +110,7 @@ def counting(divisor: Divisor, r: float, mode: CountingMode | None = None) -> fl
         raise ValueError(
             f"counting at r={r} outside divisor radius {divisor.radius}")
     total = 0.0
-    for a, m in divisor.moduli:
-        w = mode.weight(m)
-        if w == 0:
-            continue
+    for a, w in divisor.weighted(mode):
         if a <= 1e-12 * r:
             total += w * math.log(r)
         elif a <= r:
@@ -135,16 +133,16 @@ def compile_log_abs(e: Expr):
 
 
 # ---------------------------------------------------------------------------
-# proximity by Gauss-Legendre quadrature between the kinks of log+|f|
+# proximity by Gauss-Kronrod quadrature between the kinks of log+|f|
 
 _POLE_MESSAGE = "log|f| not finite on the circle (pole on or near the ring?)"
 
 # Angles per whole circle sampled to find the kinks; a half or quarter arc
-# keeps the spacing.  An arc where log|f| > 0 that fits between two samples
+# keeps the lattice.  An arc where log|f| > 0 that fits between two samples
 # with log|f| < 0 is not seen.
 _SAMPLES = 256
 _STEP = 2.0 * math.pi / _SAMPLES
-_BATCH_RADII = 32                    # radii integrated together
+_BATCH_RADII = 128                   # radii integrated together
 # Points per evaluator call, which bounds the memory of the program's
 # intermediates.
 _CHUNK = 4096
@@ -153,37 +151,82 @@ _MAX_PIECES = 2048                   # pieces a radius may be cut into
 _EPS = float(np.finfo(float).eps)
 
 
-def _gauss_legendre(n: int):
-    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by
-    Newton's method on the Legendre recurrence.  numpy.polynomial's
-    leggauss would do, but importing it and running its eigensolver raised
-    a process's resident high-water mark by 2 MB."""
-    x = np.cos(math.pi * (np.arange(n) + 0.75) / (n + 0.5))
-    for _ in range(6):
-        p0, p1 = np.ones(n), x
-        for k in range(2, n + 1):
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        dp = n * (x * p1 - p0) / (x * x - 1.0)
-        w = 2.0 / ((1.0 - x * x) * dp * dp)
-        x = x - p1 / dp
-    return x, w
+# Gauss-Kronrod pairs on [-1, 1]: the Kronrod rule of 2n + 1 points extends
+# the n-point Gauss-Legendre rule, whose nodes are every other one of its
+# own.  As in QUADPACK, only the nonnegative half is stored, largest node
+# first: _XKm are the Kronrod rule's nodes, the Gauss nodes at the odd
+# indices, and _WKm and _WGn the two rules' weights.  Computed with mpmath
+# at 80 digits and rounded once.
+_XK17 = (
+    0.9933798758817162, 0.9602898564975363, 0.8941209068474564,
+    0.7966664774136267, 0.6723540709451586, 0.525532409916329,
+    0.36070109792813193, 0.1834346424956498, 0.0)
+_WK17 = (
+    0.017822383320710355, 0.04943939500213931, 0.08248229893135833,
+    0.11164637082683962, 0.1362631092551722, 0.1566526061681884,
+    0.1720706085552113, 0.18140002506803465, 0.18444640574469165)
+_WG8 = (
+    0.10122853629037626, 0.22238103445337448, 0.31370664587788727,
+    0.362683783378362)
+_XK65 = (
+    0.9995459021243644, 0.9972638618494816, 0.9926280352629719,
+    0.9856115115452684, 0.9763102836146638, 0.9647622555875064,
+    0.9509546848486612, 0.9349060759377397, 0.9166772666513643,
+    0.8963211557660521, 0.8738697689453107, 0.84936761373257,
+    0.8228829501360513, 0.7944837959679424, 0.7642282519978038,
+    0.7321821187402897, 0.6984265577952105, 0.6630442669302152,
+    0.626112937701824, 0.5877157572407623, 0.5479463141991525,
+    0.5068999089322294, 0.4646693084819922, 0.42135127613063533,
+    0.3770494211541211, 0.33186860228212767, 0.28591245858945974,
+    0.23928736225213706, 0.1921036089831425, 0.1444719615827965,
+    0.09650269687689436, 0.04830766568773832, 0.0)
+_WK65 = (
+    0.001223360817951472, 0.003426818775772371, 0.005841737079166694,
+    0.008172504038531668, 0.010423987398806818, 0.012676054806654402,
+    0.014936103606086028, 0.017149805209784253, 0.01929877143032681,
+    0.021408913184821916, 0.023486659672163325, 0.025505695480894652,
+    0.027452098422210403, 0.02933695668962066, 0.031163325561973737,
+    0.0329150776439036, 0.03458212274473303, 0.0361697694756423,
+    0.0376791306456134, 0.03909942013330661, 0.0404234923703731,
+    0.041654019985643054, 0.042791115596446744, 0.04382754403013975,
+    0.04475863874976694, 0.04558582656454707, 0.046308756738025716,
+    0.046922968281703614, 0.04742606187388238, 0.04781890873698847,
+    0.04810096918545775, 0.04827019307577739, 0.04832638398656776)
+_WG32 = (
+    0.007018610009470096, 0.01627439473090567, 0.02539206530926206,
+    0.03427386291302143, 0.04283589802222668, 0.050998059262376175,
+    0.058684093478535544, 0.06582222277636185, 0.0723457941088485,
+    0.07819389578707031, 0.08331192422694675, 0.08765209300440381,
+    0.09117387869576389, 0.09384439908080457, 0.09563872007927486,
+    0.0965400885147278)
 
 
-# Gauss-Legendre nodes and weights of orders 8 with 16, and 32 with 64.
-_RULES = [tuple(np.concatenate(p) for p in
-                zip(_gauss_legendre(n), _gauss_legendre(2 * n)))
-          for n in (8, 32)]
+def _pair(xk, wk, wg):
+    """Nodes, Kronrod weights and Gauss weights of a whole pair, the n Gauss
+    nodes first, from the stored halves."""
+    xk, wk, wg = (np.array(v) for v in (xk, wk, wg))
+    xg, xo, wo = xk[1::2], xk[0::2], wk[0::2]
+    return (np.concatenate([xg, -xg, xo, -xo[:-1]]),
+            np.concatenate([wk[1::2], wk[1::2], wo, wo[:-1]]),
+            np.concatenate([wg, wg]))
+
+
+# G8 within K17 for the first round, G32 within K65 for every later one
+_RULES = (_pair(_XK17, _WK17, _WG8), _pair(_XK65, _WK65, _WG32))
 
 
 def proximity(f: Expr, r: float | list[float],
               tol: float = 1e-10) -> float | list:
     """m(r, f): mean of max(0, log|f|) over the circle |z| = r.
 
-    The mean is taken over the arc [0, 2*pi/2^k] of each circle, where k
-    counts the maps that exppoly.circle_symmetries proves keep |f|: the
-    mirror z -> conj(z) and the half-turn z -> -z.  Either one halves the
-    arc; both leave a quarter.  The arc is sampled every 2*pi/256 as the
-    whole circle would be.
+    The mean is taken over an arc of each circle of length 2*pi/2^k, where
+    2^k is the order of the group that the identity and the maps
+    exppoly.circle_symmetries proves keep |f| form: the mirror
+    z -> conj(z), the half-turn z -> -z and the reflection z -> -conj(z).
+    Any one of them halves the circle, and two prove the third and leave a
+    quarter, [0, pi/2].  The half circle is [0, pi], or [-pi/2, pi/2] when
+    the reflection alone is proven.  The arc is sampled on the whole
+    circle's lattice of angles j*2*pi/256.
 
     ``r`` is one radius or a sequence of radii.  One radius returns a float
     and raises QuadratureError on failure; a sequence returns, in order, a
@@ -192,7 +235,14 @@ def proximity(f: Expr, r: float | list[float],
     2*pi/256 where |f| > 1, between two sampled angles where |f| < 1, is not
     seen."""
     q = canonical_quotient(f)
-    last = _SAMPLES >> sum(circle_symmetries(f))     # the arc's last sample
+    mirror, half_turn, reflection = circle_symmetries(f)
+    # the arc's first and last samples
+    if mirror and half_turn:
+        first, last = 0, _SAMPLES // 4
+    elif reflection and not mirror:
+        first, last = -_SAMPLES // 4, _SAMPLES // 4
+    else:
+        first, last = 0, _SAMPLES >> (mirror or half_turn)
     single = np.ndim(r) == 0
     radii = [float(r)] if single else [float(x) for x in r]
     # The raw Div, not div(): its log form is the one step
@@ -200,7 +250,8 @@ def proximity(f: Expr, r: float | list[float],
     ln_f = compile_log_abs(Div(q.num, q.den))
     out = []
     for s in range(0, len(radii), _BATCH_RADII):
-        out += _gauss_circles(ln_f, radii[s:s + _BATCH_RADII], tol, last)
+        out += _gauss_circles(ln_f, radii[s:s + _BATCH_RADII], tol, first,
+                              last)
     if not single:
         return out
     if isinstance(out[0], QuadratureError):
@@ -208,15 +259,16 @@ def proximity(f: Expr, r: float | list[float],
     return out[0]
 
 
-def _gauss_circles(ln_f, radii: list[float], tol: float, last: int) -> list:
+def _gauss_circles(ln_f, radii: list[float], tol: float, first: int,
+                   last: int) -> list:
     """m(r, f) or a QuadratureError for each radius r in radii, as the mean
-    over the arc [0, last * _STEP].
+    over the arc [first * _STEP, last * _STEP].
 
-    ln|f| is sampled at the last + 1 angles j * _STEP of the arc; each sign
+    ln|f| is sampled at the angles j * _STEP, first <= j <= last; each sign
     change is refined to a kink of max(0, ln|f|) by Illinois regula falsi,
     and each piece between the arc's ends and kinks that starts positive is
-    integrated by Gauss-Legendre rules of doubling order, halved when order
-    64 does not settle it.  The open brackets, then the open pieces, of all
+    integrated by Gauss-Kronrod pairs, halved when G32 within K65 does not
+    settle it.  The open brackets, then the open pieces, of all
     radii share one round of ln_f calls of _CHUNK points.  A radius's pieces
     are summed on their own by math.fsum, so its result does not depend on
     its neighbours."""
@@ -233,8 +285,9 @@ def _gauss_circles(ln_f, radii: list[float], tol: float, last: int) -> list:
         pole[row[~np.isfinite(np.maximum(vals, 0.0))]] = True
         return vals
 
-    gs = g(np.repeat(np.arange(n), last + 1),
-           np.tile(_STEP * np.arange(last + 1), n)).reshape(n, last + 1)
+    cols = last - first + 1
+    gs = g(np.repeat(np.arange(n), cols),
+           np.tile(_STEP * np.arange(first, last + 1), n)).reshape(n, cols)
     gs[pole] = 1.0                     # a failed circle has no kinks
     # a sample at rounding level is a kink at that sample
     floor = 4.0 * _EPS * np.where(np.isfinite(gs), np.abs(gs), 0.0).max(
@@ -242,7 +295,7 @@ def _gauss_circles(ln_f, radii: list[float], tol: float, last: int) -> list:
     sign = np.sign(np.where(np.abs(gs) <= floor[:, None], 0.0, gs)).astype(
         np.int8)
     # a kink at the arc's end starts no piece
-    zrow, zj = np.nonzero(sign[:, :last] == 0)
+    zrow, zj = np.nonzero(sign[:, :-1] == 0)
     brow, bj = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
 
     # Illinois regula falsi on all brackets at once.  A kink placed at x
@@ -251,7 +304,7 @@ def _gauss_circles(ln_f, radii: list[float], tol: float, last: int) -> list:
     # bracket stops once either is within its share tol * _STEP / 2 of the
     # error, or at rounding level.
     kink = np.empty(bj.size)
-    a, fa = bj * _STEP, gs[brow, bj]
+    a, fa = (bj + first) * _STEP, gs[brow, bj]
     b, fb = a + _STEP, gs[brow, bj + 1]
     enough = np.nan_to_num(np.abs(fb - fa), posinf=0.0) * tol
     moved = np.zeros(bj.size)          # +1: a moved last, -1: b moved last
@@ -290,29 +343,30 @@ def _gauss_circles(ln_f, radii: list[float], tol: float, last: int) -> list:
     order = np.lexsort((np.concatenate([np.full(n, -1), 2 * zj, 2 * bj + 1]),
                         krow))
     krow = krow[order]
-    start = np.concatenate([np.zeros(n), zj * _STEP, kink])[order]
+    start = np.concatenate([np.full(n, first * _STEP), (zj + first) * _STEP,
+                            kink])[order]
     past = np.concatenate([np.zeros(n, dtype=int), zj + 1, bj + 1])[order]
-    span = last * _STEP
     end = np.empty_like(start)
     end[:-1] = start[1:]
-    end[np.diff(krow, append=n) != 0] = span
+    end[np.diff(krow, append=n) != 0] = last * _STEP
     take = sign[krow, past] > 0
     return _integrate(g, pole, stuck, start[take], end[take], krow[take], tol,
-                      span)
+                      (last - first) * _STEP)
 
 
 def _integrate(g, pole, stuck, lo, hi, row, tol: float, span: float) -> list:
-    """Gauss-Legendre quadrature of max(0, g) on the pieces [lo, hi] of the
-    arcs [0, span] whose index is row, divided by span; one g call per round
-    and _CHUNK points.
+    """Gauss-Kronrod quadrature of max(0, g) on the pieces [lo, hi] of the
+    arcs of length span whose index is row, divided by span; one g call per
+    round and _CHUNK points.
 
-    The first round compares orders 8 and 16 on every piece, each later one
-    orders 32 and 64.  A piece stops when they agree to tol times its width:
-    their difference plus a rounding floor, eps times the integral, is its
-    error, so a tol below rounding is never met.  A piece that fails at
-    orders 32 and 64 is halved, and its radius fails at once if the floor
-    alone exceeds the piece's share of tol, since one of its halves then
-    does too.  A radius with a stuck kink is not integrated."""
+    The first round applies G8 within K17 to every piece, each later one G32
+    within K65.  A piece's estimate is the Kronrod sum, and it stops when
+    the two sums agree to tol times its width: their difference plus a
+    rounding floor, eps times the integral, is its error, so a tol below
+    rounding is never met.  A piece that fails at G32 within K65 is halved,
+    and its radius fails at once if the floor alone exceeds the piece's
+    share of tol, since one of its halves then does too.  A radius with a
+    stuck kink is not integrated."""
     n = pole.size
     parts: list = [[] for _ in range(n)]
     errs: list = [[] for _ in range(n)]
@@ -324,18 +378,18 @@ def _integrate(g, pole, stuck, lo, hi, row, tol: float, span: float) -> list:
         lo, hi, row = lo[live], hi[live], row[live]
         if not lo.size:
             break
-        nodes, w = _RULES[min(rnd, 1)]
-        low = w.size // 3                       # the lower order's nodes
+        nodes, wk, wg = _RULES[min(rnd, 1)]
+        gauss = wg.size                         # the Gauss nodes come first
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         est, err = np.empty(lo.size), np.empty(lo.size)
-        step = _CHUNK // w.size
+        step = _CHUNK // nodes.size
         for s in range(0, lo.size, step):
             i = slice(s, s + step)
-            v = np.maximum(g(np.repeat(row[i], w.size),
+            v = np.maximum(g(np.repeat(row[i], nodes.size),
                              (mid[i, None] + half[i, None] * nodes).ravel()),
-                           0.0).reshape(-1, w.size) * w
-            est[i] = v[:, low:].sum(axis=1) * half[i]
-            err[i] = np.abs(est[i] - v[:, :low].sum(axis=1) * half[i])
+                           0.0).reshape(-1, nodes.size)
+            est[i] = (v * wk).sum(axis=1) * half[i]
+            err[i] = np.abs(est[i] - (v[:, :gauss] * wg).sum(axis=1) * half[i])
         err += _EPS * est
         done = err <= tol * (hi - lo)
         for i, e, d in zip(row[done].tolist(), est[done].tolist(),

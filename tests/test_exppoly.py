@@ -528,32 +528,43 @@ def test_canonical_quotient_memo_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# symmetries of |f| on circles: (mirror z -> conj(z), half-turn z -> -z)
+# symmetries of |f| on circles: (mirror z -> conj(z), half-turn z -> -z,
+# reflection z -> -conj(z)); a map M is proven when conj(p(M z)), or p(-z)
+# for the half-turn, is u*p(z) for each part p and one constant u
 
 @pytest.mark.parametrize("src, proven", [
-    # sin -> sin under the mirror and -sin under the half-turn; cos -> cos
-    ("tan(z)", (True, True)),
-    ("sin(z)^3", (True, True)),
-    ("z^2 + 1", (True, True)),
-    # conj(i*sin(conj(z))) = -i*sin(z), and i*sin(-z) = -i*sin(z): u = -1
-    ("(0+1*i)*sin(z)", (True, True)),
-    # exp(-z) is no constant times exp(z)
-    ("exp(z)", (True, False)),
-    # -z - 1 is no constant times z - 1
-    ("tan(z)^3*(z - 1)", (True, False)),
-    ("exp(z)*(z^2 - 1)/(z^2 + 4)", (True, False)),
-    # cos(z)/(-i*exp(i*z)): the mirror and the half-turn give i*exp(-i*z)
-    # and -i*exp(-i*z)
-    ("1/(tan(z) - (i))", (False, False)),
-    ("exp((0+1*i)*z)", (False, False)),
-    # z + i and -z - i
-    ("z - (i)", (False, False)),
+    # sin goes to sin, -sin and -sin, and cos to cos under all three
+    ("tan(z)", (True, True, True)),
+    ("sin(z)^3", (True, True, True)),
+    # real coefficients and even powers only
+    ("z^2 + 1", (True, True, True)),
+    # conj(i*sin(conj(z))) = -i*sin(z), i*sin(-z) = -i*sin(z) and
+    # conj(i*sin(-conj(z))) = i*sin(z): u = -1, -1 and 1
+    ("(0+1*i)*sin(z)", (True, True, True)),
+    # the mirror fixes exp(z); the other two give exp(-z), no constant
+    # times exp(z)
+    ("exp(z)", (True, False, False)),
+    # the other two send z - 1 to -z - 1, no constant times z - 1
+    ("tan(z)^3*(z - 1)", (True, False, False)),
+    ("exp(z)*(z^2 - 1)/(z^2 + 4)", (True, False, False)),
+    # the quotient is cos(z)/(-i*exp(i*z)); the mirror and the half-turn
+    # send -i*exp(i*z) to i*exp(-i*z) and -i*exp(-i*z), while the
+    # reflection keeps the frequency i, since -conj(i) = i, and gives
+    # i*exp(i*z): u = -1, and cos(z) goes to cos(z)
+    ("1/(tan(z) - (i))", (False, False, True)),
+    # the frequency i goes to -i, -i and i
+    ("exp((0+1*i)*z)", (False, False, True)),
+    # z + i, -z - i and -z + i = -(z - i)
+    ("z - (i)", (False, False, True)),
+    # cos(z) - i*z, cos(z) - i*z and cos(z) + conj(-i*conj(z)) = cos(z) + i*z
+    ("cos(z) + (i)*z", (False, False, True)),
     # no form
-    ("exp(z^2)", (False, False)),
+    ("exp(z^2)", (False, False, False)),
     # the mirror gives exp(-i)*exp(z + 0.5*i): u = exp(-i) is no Gaussian
-    # rational, so the key (1, 0.5*i) becomes (1, -0.5*i) and nothing is
-    # proven, though |f| is symmetric
-    ("exp(z + 0.5*i)", (False, False)),
+    # rational, so the key (1, 0.5*i) becomes (1, -0.5*i) and the mirror is
+    # not proven, though |f| is symmetric under it; the other two give
+    # exp(-z + 0.5*i) and exp(-z - 0.5*i)
+    ("exp(z + 0.5*i)", (False, False, False)),
 ])
 def test_circle_symmetries_by_hand(src, proven):
     assert circle_symmetries(parse_expr(src)) == proven
@@ -585,7 +596,8 @@ def test_proven_symmetries_hold_pointwise(e):
     value = compile_expr(e)
     with np.errstate(all="ignore"):
         here = np.abs(np.broadcast_to(value(_POINTS), _POINTS.shape))
-        for ok, image in zip(proven, (np.conj(_POINTS), -_POINTS)):
+        for ok, image in zip(proven, (np.conj(_POINTS), -_POINTS,
+                                      -np.conj(_POINTS)), strict=True):
             there = np.abs(np.broadcast_to(value(image), _POINTS.shape))
             seen = np.isfinite(here) & np.isfinite(there)
             if ok:

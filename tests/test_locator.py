@@ -127,6 +127,42 @@ def test_clear_radius():
     assert (rt, perturbed) == (5.0, False)
 
 
+def _clear_by_scan(r, known, rmax=None):
+    """clear_radius checking every modulus, as it did before it bisected."""
+    for off in locator._OFFSETS:
+        rt = r * (1 + off)
+        if rmax is not None and rt > rmax * (1 + 1e-12) or rt <= 0:
+            continue
+        if all(abs(rt - a) >= locator.RING_CLEARANCE * rt for a in known):
+            return rt, off != 0.0
+    raise RingTooCloseError("scan")
+
+
+def test_clear_radius_equals_a_scan_of_every_modulus():
+    """Checking the two moduli beside each candidate radius in the sorted
+    list gives the verdict of checking them all: a radius, or the error."""
+    rng = random.Random(20260823)
+    for _ in range(2000):
+        r = rng.uniform(0.5, 20.0)
+        # moduli near the candidate radii, so that some r clear none,
+        # crowding r, scattered over the disk, or on the ring itself
+        known = sorted(
+            [r * (1 + off + rng.uniform(-1.2e-4, 1.2e-4))
+             for off in locator._OFFSETS if rng.random() < 0.9]
+            + [r * (1 + rng.uniform(-2e-3, 2e-3))
+               for _ in range(rng.randint(0, 12))]
+            + [rng.uniform(0.0, 25.0) for _ in range(rng.randint(0, 6))]
+            + [r] * rng.randint(0, 1))
+        rmax = rng.choice([None, r, r * (1 + 5e-4), 2 * r])
+        try:
+            want = _clear_by_scan(r, known, rmax)
+        except RingTooCloseError:
+            with pytest.raises(RingTooCloseError):
+                clear_radius(r, known, rmax)
+        else:
+            assert clear_radius(r, known, rmax) == want
+
+
 def test_restrict_and_algebra():
     d = Divisor(10.0, (DivisorPoint(1.0, 0.0, 2), DivisorPoint(8.0, 0.0, 1)))
     inner = d.restrict(5.0)
