@@ -239,10 +239,10 @@ def proximity(f: Expr, r: float | list[float],
     # the arc's first and last samples
     if mirror and half_turn:
         first, last = 0, _SAMPLES // 4
-    elif reflection and not mirror:
+    elif reflection:
         first, last = -_SAMPLES // 4, _SAMPLES // 4
     else:
-        first, last = 0, _SAMPLES >> (mirror or half_turn)
+        first, last = 0, _SAMPLES // 2 if mirror or half_turn else _SAMPLES
     single = np.ndim(r) == 0
     radii = [float(r)] if single else [float(x) for x in r]
     # The raw Div, not div(): its log form is the one step
@@ -268,10 +268,10 @@ def _gauss_circles(ln_f, radii: list[float], tol: float, first: int,
     change is refined to a kink of max(0, ln|f|) by Illinois regula falsi,
     and each piece between the arc's ends and kinks that starts positive is
     integrated by Gauss-Kronrod pairs, halved when G32 within K65 does not
-    settle it.  The open brackets, then the open pieces, of all
-    radii share one round of ln_f calls of _CHUNK points.  A radius's pieces
-    are summed on their own by math.fsum, so its result does not depend on
-    its neighbours."""
+    settle it.  The open brackets, then the open pieces, of all radii share
+    one round of ln_f calls of _CHUNK points.  A radius's pieces are summed
+    on their own by math.fsum, so its result does not depend on its
+    neighbours."""
     rs = np.asarray(radii, dtype=float)
     n = rs.size
     pole = np.zeros(n, dtype=bool)
