@@ -1,13 +1,17 @@
 """nevlab: differential polynomials and Nevanlinna functionals, numerically.
 
-The package is organised as a pipeline.  ``expr`` holds the expression trees
-and the grammar; ``exppoly`` reduces entire expressions to an exact
-exponential-polynomial form for identity and constancy decisions; ``diffpoly``
-models differential polynomials and their combinatorial statistics;
-``locator`` finds zeros and poles in closed disks by the argument principle;
-``nevanlinna`` integrates proximity and counting functions over located
-divisors; ``theorems`` assembles those pieces into named inequality and
-identity checks with a uniform verdict model; ``cli`` drives everything from
+The package is organised as a pipeline.  ``gaussian`` holds the exact
+arithmetic of Gaussian integers, Gaussian rationals and polynomials over
+Z[i]; ``expr`` holds the expression trees and the grammar; ``exppoly``
+reduces entire expressions to an exact exponential-polynomial form for
+identity and constancy decisions; ``diffpoly`` models differential
+polynomials and their combinatorial statistics; ``moments`` reads a disk's
+zeros from the moments of f'/f on its circle; ``lattice`` reads the zeros of
+one-frequency exponential atoms from their exact form; ``locator`` finds
+zeros and poles in closed disks by the argument principle; ``nevanlinna``
+integrates proximity and counting functions over located divisors;
+``theorems`` assembles those pieces into named inequality and identity
+checks with a uniform verdict model; ``cli`` drives everything from
 declarative JSON run specifications.
 """
 

@@ -30,9 +30,10 @@ from .expr import (
     add, differentiate, div, evaluate, exp_e, intpow, mul, neg, sub,
     to_quotient,
 )
+from .gaussian import _ZERO_F, _conj, _fadd, _gmul
 
 __all__ = [
-    "ExpPoly", "to_exp_poly", "exp_poly_to_expr",
+    "ExpPoly", "to_exp_poly", "exp_poly_to_expr", "one_frequency",
     "canonical", "canonical_quotient",
     "ZeroVerdict", "Constancy", "is_identically_zero", "is_constant",
     "derivative_chain", "set_probabilistic_seed", "circle_symmetries",
@@ -48,25 +49,21 @@ def set_probabilistic_seed(seed: int | None):
     _prob_seed = _DEFAULT_PROB_SEED if seed is None else int(seed)
 
 
-# A Gaussian rational (re + im*i)/den is the triple (re, im, den): ints,
-# den > 0, no common factor.  A term's key is the pair (lambda, c) of triples
-# for exp(c)*exp(lambda*z).  A coefficient is a Gaussian integer (a, b).
-_ZERO_F = (0, 0, 1)
+# A term's key is the pair (lambda, c) of Gaussian-rational triples for
+# exp(c)*exp(lambda*z).  A coefficient is a Gaussian integer (a, b).
 _ZERO_K = (_ZERO_F, _ZERO_F)
-
-
-def _fadd(f: tuple, g: tuple, n: int = 1) -> tuple[int, int, int]:
-    """The key of f + n*g; g need not be reduced."""
-    if f[2] == g[2] == 1:
-        return f[0] + n * g[0], f[1] + n * g[1], 1
-    re, im = f[0] * g[2] + n * g[0] * f[2], f[1] * g[2] + n * g[1] * f[2]
-    k = math.gcd(re, im, f[2] * g[2])
-    return re // k, im // k, f[2] * g[2] // k
 
 
 def _kadd(k: tuple, g: tuple, n: int = 1) -> tuple:
     """The key of the product of terms keyed k and g (quotient for n = -1)."""
     return _fadd(k[0], g[0], n), _fadd(k[1], g[1], n)
+
+
+# The most coefficient pairs that one product in ExpPoly.pow may multiply.
+# Unbounded, is_identically_zero((z + 1)^4000 - 1) spent 11 s (2 vCPU,
+# CPython 3.11) expanding the power.  The benchmark's largest power has
+# degree 8; (z + 1)^511 is the largest power of z + 1 kept.
+_MAX_PAIRS = 2 ** 16
 
 
 class ExpPoly:
@@ -141,22 +138,23 @@ class ExpPoly:
                          in enumerate(zip(cs, cs[1:] + [(0, 0)]), 1)]
         return ExpPoly(out, self.den * s)
 
-    def pow(self, n: int) -> "ExpPoly":
+    def pow(self, n: int) -> "ExpPoly | None":
+        """self^n, or None (it leaves the class) when one squaring or
+        product would multiply more than _MAX_PAIRS coefficient pairs."""
         acc = _constant(1)
         for bit in bin(n)[2:]:
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
+            for y in (acc, self) if bit == "1" else (acc,):
+                if _size(acc) * _size(y) > _MAX_PAIRS:
+                    return None
+                acc = acc * y
         return acc
 
     def over(self, g: "ExpPoly") -> "ExpPoly":
         """self / g for a single term g = c*exp(lambda*z), c != 0, exactly:
         1/c = den*conj(c)/|c|^2 for c = (a + b*i)/den."""
         (key, ((a, b),)), = g.terms.items()
-        s = g.den
-        return ExpPoly({_kadd(f, key, -1): [((p * a + q * b) * s,
-                                              (q * a - p * b) * s)
-                                             for p, q in cs]
+        inv = a * g.den, -b * g.den
+        return ExpPoly({_kadd(f, key, -1): [_gmul(c, inv) for c in cs]
                         for f, cs in self.terms.items()},
                        self.den * (a * a + b * b))
 
@@ -185,6 +183,32 @@ def _single(ep: ExpPoly, degree: int = 0) -> bool:
     """ep is p(z)*exp(lambda*z) with p != 0 of at most this degree."""
     return len(ep.terms) == 1 and \
         len(next(iter(ep.terms.values()))) <= degree + 1
+
+
+def _size(ep: ExpPoly) -> int:
+    """The number of coefficients that ep holds."""
+    return sum(map(len, ep.terms.values()))
+
+
+def one_frequency(ep: ExpPoly) -> tuple[tuple, dict] | None:
+    """(lambda, {n_k: a_k}) when ep is sum a_k exp(n_k lambda z) over ep.den,
+    a_k Gaussian integers, n_k ints, lambda a nonzero triple; else None."""
+    # Each frequency as t * lambda_1 with t = num/den rational, lambda_1 the
+    # first nonzero frequency; lambda = lambda_1 * gcd(nums) / lcm(dens).
+    f1 = next((f for f, _ in ep.terms if f != _ZERO_F), None)
+    if f1 is None or any(c != _ZERO_F or len(cs) > 1
+                         for (_, c), cs in ep.terms.items()):
+        return None
+    a, b, d = f1
+    ts = []
+    for (p, q, k), _ in ep.terms:
+        if a * q != b * p:
+            return None
+        num, den = (p * d, k * a) if a else (q * d, k * b)
+        ts.append((-num, -den) if den < 0 else (num, den))
+    g, m = math.gcd(*(n for n, _ in ts)), math.lcm(*(k for _, k in ts))
+    return _fadd(_ZERO_F, (a * g, b * g, d * m)), {
+        n * (m // k) // g: cs[0] for (n, k), cs in zip(ts, ep.terms.values())}
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +451,6 @@ def is_constant(e: Expr) -> tuple[Constancy, complex | None]:
 # so u is a Gaussian rational: exp(z + 0.5*i) is sent to exp(-i) times
 # itself, which this does not prove.
 
-def _conj(f: tuple) -> tuple[int, int, int]:
-    return f[0], -f[1], f[2]
-
-
-def _gmul(x: tuple, y: tuple) -> tuple[int, int]:
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
 _MAPS = (
     # the mirror z -> conj(z), read as conj(p(conj(z))): every coefficient,
     # frequency and constant conjugated
@@ -486,11 +502,11 @@ def _ratio(nep: ExpPoly, dep: ExpPoly) -> complex | None:
     if any(c != _ZERO_F for _, c in (*nep.terms, *dep.terms)):
         return None
     f, cs = next(iter(dep.terms.items()))
-    (a, b), (p, q) = cs[-1], nep.terms[f][len(cs) - 1]
+    (a, b), p = cs[-1], nep.terms[f][len(cs) - 1]
     d = (a * a + b * b) * nep.den
+    x, y = _gmul(p, (a * dep.den, -b * dep.den))
     try:
-        return complex((p * a + q * b) * dep.den / d,
-                       (q * a - p * b) * dep.den / d)
+        return complex(x / d, y / d)
     except OverflowError:
         return None
 

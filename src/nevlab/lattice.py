@@ -10,9 +10,6 @@ decomposition (SYMSAC 1976) gives those multiplicities exactly: it runs on
 Gaussian integers, with a primitive pseudo-remainder gcd.  Each square-free
 factor's roots come from moments._aberth, then Newton on that factor, whose
 roots are simple; f itself is never evaluated.
-
-A Gaussian integer is a pair (re, im) of ints; a polynomial is a list of
-them, highest degree first, with no leading zero, and [] is zero.
 """
 
 from __future__ import annotations
@@ -23,7 +20,8 @@ import math
 
 from .diffpoly import contains_exponential
 from .expr import Expr
-from .exppoly import _ZERO_F, to_exp_poly
+from .exppoly import one_frequency, to_exp_poly
+from .gaussian import _square_free
 from .moments import _aberth
 
 __all__ = ["lattice_zeros"]
@@ -34,99 +32,6 @@ __all__ = ["lattice_zeros"]
 MAX_DEGREE = 64
 # Roots of P closer than this (relative) are refused as one root.
 _ROOT_TOL = 1e-7
-
-
-def _gmul(x: tuple, y: tuple) -> tuple[int, int]:
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _gdiv(x: tuple, y: tuple) -> tuple[int, int]:
-    """x/y rounded to a nearest Gaussian integer: exact when y divides x."""
-    n = y[0] * y[0] + y[1] * y[1]
-    re, im = x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
-    return (2 * re + n) // (2 * n), (2 * im + n) // (2 * n)
-
-
-def _ggcd(x: tuple, y: tuple) -> tuple:
-    while y != (0, 0):
-        q = _gmul(_gdiv(x, y), y)
-        x, y = y, (x[0] - q[0], x[1] - q[1])
-    return x
-
-
-def _trim(p: list) -> list:
-    k = 0
-    while k < len(p) and p[k] == (0, 0):
-        k += 1
-    return p[k:]
-
-
-def _sub(p: list, q: list) -> list:
-    n = max(len(p), len(q))
-    p, q = [(0, 0)] * (n - len(p)) + p, [(0, 0)] * (n - len(q)) + q
-    return _trim([(a - c, b - d) for (a, b), (c, d) in zip(p, q)])
-
-
-def _deriv(p: list) -> list:
-    n = len(p) - 1
-    return _trim([(a * (n - i), b * (n - i)) for i, (a, b) in enumerate(p[:-1])])
-
-
-def _primitive(*ps: list) -> list[list]:
-    """Each of ps divided by the Gaussian gcd of all their coefficients."""
-    g = (0, 0)
-    for p in ps:
-        for c in p:
-            g = _ggcd(c, g)
-    return [[_gdiv(c, g) for c in p] for p in ps] if g != (0, 0) else list(ps)
-
-
-def _reduce(p: list, a: list, scale: tuple) -> tuple[list, list]:
-    """(quotient, remainder) of scale*p by a; scale is a power of lc(a)
-    large enough that every quotient coefficient is a Gaussian integer."""
-    r, q = [_gmul(scale, c) for c in p], []
-    while len(r) >= len(a):
-        c = _gdiv(r[0], a[0])
-        q.append(c)
-        r = [(x - u, y - v) for (x, y), (u, v) in
-             zip(r[1:], (_gmul(c, t) for t in a[1:] + [(0, 0)] * len(r)))]
-    return q, _trim(r)
-
-
-def _power(x: tuple, k: int) -> tuple:
-    out = (1, 0)
-    for _ in range(k):
-        out = _gmul(out, x)
-    return out
-
-
-def _gcd(p: list, q: list) -> list:
-    """A gcd of p and q over Q(i), by the primitive remainder sequence."""
-    p, q = _primitive(p)[0], _primitive(q)[0]
-    if len(p) < len(q):
-        p, q = q, p
-    while q:
-        _, r = _reduce(p, q, _power(q[0], len(p) - len(q) + 1))
-        p, q = q, _primitive(r)[0]
-    return p
-
-
-def _square_free(f: list) -> list[tuple[list, int]]:
-    """Yun: (factor, multiplicity) pairs, f = unit * prod factor^multiplicity
-    with each factor square-free and of degree at least 1, pairwise
-    coprime.  b and c are divided by the same a, with the same power of
-    its leading coefficient, so that d = c - b' stays exact."""
-    out, b, c = [], f, _deriv(f)
-    a, i = _gcd(b, c), 0
-    while True:
-        scale = _power(a[0], len(b) - len(a) + 1)
-        b, c = _primitive(_reduce(b, a, scale)[0], _reduce(c, a, scale)[0])
-        if len(b) < 2:
-            return out
-        c = _sub(c, _deriv(b))
-        a, i = _gcd(b, c), i + 1
-        if len(a) > 1:
-            out.append((a, i))
 
 
 def _roots(p: list) -> list[complex] | None:
@@ -160,29 +65,14 @@ def _reading(e: Expr) -> tuple[complex, list] | None:
     """(lambda, [(Log w_j, multiplicity)]) of a one-frequency atom, or None
     when e's form is not one or a root of P is not read cleanly."""
     ep = to_exp_poly(e)
-    if ep is None or not ep.terms or any(
-            c != _ZERO_F or len(cs) > 1 for (_, c), cs in ep.terms.items()):
+    read = None if ep is None else one_frequency(ep)
+    if read is None:
         return None
-    # Each frequency as t * lambda_1 with t = num/den rational, lambda_1 the
-    # first nonzero frequency; lambda = lambda_1 * gcd(nums) / lcm(dens).
-    f1 = next((f for f, _ in ep.terms if f != _ZERO_F), None)
-    if f1 is None:
+    (a, b, d), coef = read
+    lo, hi = min(coef), max(coef)
+    if hi - lo > MAX_DEGREE:
         return None
-    a, b, d = f1
-    ts = []
-    for (p, q, k), _ in ep.terms:
-        if a * q != b * p:
-            return None
-        num, den = (p * d, k * a) if a else (q * d, k * b)
-        ts.append((-num, -den) if den < 0 else (num, den))
-    g, m = math.gcd(*(n for n, _ in ts)), math.lcm(*(k for _, k in ts))
-    ns = [n * (m // k) // g for n, k in ts]
-    lo = min(ns)
-    if max(ns) - lo > MAX_DEGREE:
-        return None
-    poly = [(0, 0)] * (max(ns) - lo + 1)
-    for n, cs in zip(ns, ep.terms.values()):
-        poly[max(ns) - n] = cs[0]
+    poly = [coef.get(n, (0, 0)) for n in range(hi, lo - 1, -1)]
     roots = []
     for factor, mult in _square_free(poly):
         ws = _roots(factor)
@@ -192,7 +82,7 @@ def _reading(e: Expr) -> tuple[complex, list] | None:
     if any(abs(w - v) <= _ROOT_TOL * max(abs(w), abs(v))
            for j, (w, _) in enumerate(roots) for v, _ in roots[:j]):
         return None
-    return (complex(a * g / (d * m), b * g / (d * m)),
+    return (complex(a / d, b / d),
             [(cmath.log(w), mult) for w, mult in roots])
 
 

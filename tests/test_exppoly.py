@@ -2,6 +2,7 @@
 
 import cmath
 import collections
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -146,6 +147,24 @@ def test_constant_too_large_for_a_float_has_no_value():
     # the ratio 1e400 is constant, but it has no float
     assert is_constant(parse_expr("(10*z)^200/(0.1*z)^200")) == \
         (Constancy.CONSTANT, None)
+
+
+@pytest.mark.parametrize("src", ["(z + 1)^4000", "(exp(z) + z)^200",
+                                 "(z + 1)^512"])
+def test_a_power_past_the_pair_bound_leaves_the_class(src):
+    """ExpPoly.pow declines a squaring or product of more than _MAX_PAIRS
+    coefficient pairs, rather than expanding it: (z + 1)^512 squares 257
+    coefficients by 257."""
+    assert to_exp_poly(parse_expr(src)) is None
+
+
+@pytest.mark.parametrize("n", [200, 511])
+def test_a_power_within_the_pair_bound_keeps_its_exact_form(n):
+    """(z + 1)^n expands to the binomial coefficients; at n = 511 the last
+    squaring multiplies 256 coefficients by 256, exactly _MAX_PAIRS."""
+    p = to_exp_poly(parse_expr(f"(z + 1)^{n}"))
+    assert p.den == 1 and p.terms == {
+        exppoly._ZERO_K: [(math.comb(n, k), 0) for k in range(n + 1)]}
 
 
 @pytest.mark.parametrize("e", [

@@ -1,6 +1,7 @@
 """The zeros of one-frequency exponential atoms, read from their exact form,
 against closed-form lattices and against the search."""
 
+import cmath
 import json
 import math
 
@@ -11,7 +12,8 @@ import nevlab.locator as locator
 from nevlab.cli import main
 from nevlab.diffpoly import contains_exponential
 from nevlab.expr import parse_expr
-from nevlab.lattice import _square_free, lattice_zeros
+from nevlab.gaussian import _square_free
+from nevlab.lattice import lattice_zeros
 from nevlab.locator import find_zeros
 from test_acceptance import _suite_specs
 
@@ -30,6 +32,11 @@ _CLOSED = {
     "exp(3*z) - 3*exp(z) + 2": lambda r: (
         _line(0j, 2j * math.pi, 2, r)
         + _line(math.log(2) + 1j * math.pi, 2j * math.pi, 1, r)),
+    # (w - 1)(w^2 + 2w + 2) in w = exp(z/4): lambda = 1/4 comes from the
+    # frequencies 1/2 and 3/4 by gcd and lcm
+    "exp(z/2) + exp(0.75*z) - 2": lambda r: [
+        p for base in (0j, 4 * cmath.log(-1 + 1j), 4 * cmath.log(-1 - 1j))
+        for p in _line(base, 8j * math.pi, 1, r)],
 }
 
 

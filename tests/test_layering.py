@@ -6,13 +6,14 @@ it in LAYERS: a function-level import hides a cycle that the module order
 would otherwise show."""
 
 import ast
+import collections
 import tokenize
 from pathlib import Path
 
 import pytest
 
-LAYERS = ("expr", "exppoly", "diffpoly", "moments", "lattice", "locator", "nevanlinna",
-          "theorems", "cli")
+LAYERS = ("gaussian", "expr", "exppoly", "diffpoly", "moments", "lattice",
+          "locator", "nevanlinna", "theorems", "cli")
 _PACKAGE = Path(__file__).parents[1] / "src" / "nevlab"
 
 
@@ -64,6 +65,11 @@ def test_every_module_has_a_layer():
     assert modules == set(LAYERS)
 
 
+def test_the_package_docstring_names_every_layer():
+    doc = ast.get_docstring(ast.parse((_PACKAGE / "__init__.py").read_text()))
+    assert [m for m in LAYERS if f"``{m}``" not in doc] == []
+
+
 @pytest.mark.parametrize("name", LAYERS)
 def test_module_imports_only_lower_layers(name):
     source = (_PACKAGE / f"{name}.py").read_text()
@@ -111,6 +117,37 @@ def test_the_unused_import_check_sees_every_form():
 def test_module_imports_nothing_it_does_not_use(name):
     """An import no code reads only costs import time."""
     assert _unused_imports((_PACKAGE / f"{name}.py").read_text()) == []
+
+
+def _duplicate_defs(sources: dict) -> list[list[str]]:
+    """Each group of two or more defs, as 'module.name', whose bodies are the
+    same AST once a leading docstring is dropped; sources maps module names
+    to their source."""
+    bodies = collections.defaultdict(list)
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = node.body[ast.get_docstring(node) is not None:]
+                bodies[tuple(map(ast.dump, body))].append(
+                    f"{module}.{node.name}")
+    return [names for names in bodies.values() if len(names) > 1]
+
+
+def test_the_duplicate_check_ignores_docstrings_and_names():
+    one = ("def f(x):\n"
+           "    \"\"\"Add one.\"\"\"\n"
+           "    return x + 1\n"
+           "class C:\n"
+           "    def g(self, x):\n"
+           "        return x * 2\n")
+    two = "def h(x):\n    return x + 1\ndef k(y):\n    return y * 2\n"
+    assert _duplicate_defs({"one": one, "two": two}) == [["one.f", "two.h"]]
+
+
+def test_no_function_is_written_twice():
+    """Two copies of one function are kept in step only by hand."""
+    assert _duplicate_defs({p.stem: p.read_text()
+                            for p in sorted(_PACKAGE.glob("*.py"))}) == []
 
 
 # CPython 3.11's parser doubles its token array at 8,192 tokens.  Compiling
