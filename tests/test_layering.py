@@ -127,7 +127,9 @@ def _duplicate_defs(sources: dict) -> list[list[str]]:
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                body = node.body[ast.get_docstring(node) is not None:]
+                body = node.body
+                if ast.get_docstring(node) is not None:
+                    body = body[1:]
                 bodies[tuple(map(ast.dump, body))].append(
                     f"{module}.{node.name}")
     return [names for names in bodies.values() if len(names) > 1]
