@@ -29,10 +29,10 @@ from .diffpoly import HYPOTHESIS_CHECKS, DiffPolynomial, poly_stats
 from .expr import Expr, InvalidExpressionError, ParseError, parse_expr
 from .exppoly import set_probabilistic_seed
 from .locator import PARTIAL_RESULT, LocatorError, divisor_pair_at, negotiate
-from .nevanlinna import (QuadratureError, RadialSample, nevanlinna_rows,
-                         radial_grid)
+from .nevanlinna import (DEFAULT_QUAD_TOL, QuadratureError, RadialSample,
+                         nevanlinna_rows, radial_grid)
 from .theorems import (CHECKS, DEFAULT_EPSILON, DEFAULT_EQ_TOLERANCE,
-                       CheckReport, EvalContext, run_check)
+                       MIN_ROWS, CheckReport, EvalContext, run_check)
 
 __all__ = ["main", "load_spec", "SpecError", "RunSpec"]
 
@@ -193,7 +193,7 @@ def load_spec(path: str, command: str) -> RunSpec:
         _positive(tol.get(name, default), f"tolerances.{name}")
         for name, default in (("epsilon", DEFAULT_EPSILON),
                               ("eq_tolerance", DEFAULT_EQ_TOLERANCE),
-                              ("quadrature_tol", 1e-10)))
+                              ("quadrature_tol", DEFAULT_QUAD_TOL)))
 
     seed = raw.get("seed", DEFAULT_SEED)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -230,7 +230,7 @@ def load_spec(path: str, command: str) -> RunSpec:
     radii = radii_src = None
     if "radii" in raw:
         radii, radii_src = _parse_radii(raw["radii"],
-                                        8 if command == "check" else 1)
+                                        MIN_ROWS if command == "check" else 1)
     elif command in ("zeros", "nev", "check"):
         raise SpecError(f"'{command}' needs radii")
 

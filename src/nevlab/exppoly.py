@@ -59,9 +59,10 @@ def _kadd(k: tuple, g: tuple, n: int = 1) -> tuple:
     return _fadd(k[0], g[0], n), _fadd(k[1], g[1], n)
 
 
-# The most coefficient pairs that one product in ExpPoly.pow may multiply.
-# Unbounded, is_identically_zero((z + 1)^4000 - 1) spent 11 s (2 vCPU,
-# CPython 3.11) expanding the power.  The benchmark's largest power has
+# The most coefficient pairs that one product in ExpPoly.pow or in the form
+# of a Mul may multiply.  Unbounded, is_identically_zero((z + 1)^4000 - 1)
+# spent 11 s (2 vCPU, CPython 3.11) expanding the power, and eight factors
+# (z + 1)^500 multiplied out took 6 s.  The benchmark's largest power has
 # degree 8; (z + 1)^511 is the largest power of z + 1 kept.
 _MAX_PAIRS = 2 ** 16
 
@@ -221,7 +222,12 @@ def _combine(e: Expr, forms: list) -> ExpPoly | None:
     if t is Mul or t is Add:
         acc = forms[0]
         for p in forms[1:]:
-            acc = acc * p if t is Mul else acc + p
+            if t is Add:
+                acc = acc + p
+            elif _size(acc) * _size(p) > _MAX_PAIRS:
+                return None
+            else:
+                acc = acc * p
         return acc
     if t is Const:
         return _constant(e.value)

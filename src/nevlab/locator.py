@@ -6,19 +6,20 @@ between neighbours, insert midpoints until every step is tame.  Each entire
 atom takes the first of these routes that holds.  Its disk winding is
 measured first.  Then an atom that is a polynomial in one exponential
 exp(lambda z) is read from its exact form (module lattice), when the
-multiplicities read add up to the winding; that needs no seed windings.
-Then a seed-free disk of winding 1 to W_MAX is read from its circle's
-moments (module moments).  Else zeros are isolated by a depth-first
-rectangle subdivision driven by boundary windings, one split measured at a
-time and the first error ending the search, and polished with a Newton
-iteration on f/f', one call to a joint program for f, f' and f''
-(compile_expr of the tuple) per step.
+multiplicities read add up to the winding.  Then a disk of winding 1 to
+W_MAX is read from its circle's moments (module moments).  Each reading
+certifies its own points, so neither looks at the seeds (points known in
+advance).  Else the seeds' small circles are measured in one batch, and the
+other zeros are isolated by a depth-first rectangle subdivision driven by
+boundary windings, one split measured at a time and the first error ending
+the search, and polished with a Newton iteration on f/f', one call to a
+joint program for f, f' and f'' (compile_expr of the tuple) per step.
 The search accepts a Newton point only in a seed-free cell of winding 1, so
 it is that cell's one simple zero and takes multiplicity 1 from the cell
-accounting; seeds (points known in advance) still get theirs from
-small-circle windings.  The counts are cross-checked:
-the multiplicities found inside the disk must add up to the winding of the
-full circle, which also catches two cells whose Newton points coincide.
+accounting; seeds get theirs from their small-circle windings.  The counts
+are cross-checked: the multiplicities found inside the disk must add up to
+the winding of the full circle, which also catches two cells whose Newton
+points coincide.
 
 One search completes the measurement of each rectangle edge at most once.
 Edge phases are memoised by their endpoints, and a neighbour walking an edge
@@ -628,37 +629,30 @@ def _locate_entire(e: Expr, r: float,
     plus the disk winding of the factor.
 
     seeds are externally known candidate locations (typically the zeros of a
-    denominator that may be cancelled); unless the lattice reading is
-    accepted, their multiplicities are measured by small-circle windings and
-    only the remainder is searched for."""
+    denominator that may be cancelled).  They are read only when both the
+    lattice and the moment reading decline: then their multiplicities are
+    measured by small-circle windings and only the remainder is searched
+    for."""
     fn = compile_expr(e)
     rate = _rate_of(e)
+    w_disk = _circle_winding(fn, 0j, r, rate)
+    lattice = lattice_zeros(e, r)
+    if lattice is not None and sum(m for _, m in lattice) == w_disk:
+        return lattice, w_disk, True
+    de = differentiate(e)
+    jet = compile_expr((e, de, differentiate(de)))
+    if 1 <= w_disk <= W_MAX:
+        found = _disk_zeros(jet, r, w_disk, MERGE_TOL * max(r, 1.0))
+        if found is not None:
+            return found, w_disk, True
+
     inside = [z for z in seeds if abs(z) <= r * (1 + 10 * RING_CLEARANCE)]
     circles = []
     for z in inside:
         others = [abs(z - w) for w in inside if w is not z] + [abs(r - abs(z))]
         circles.append((z, max(1e-3 * min(others, default=1.0), 1e-9)))
-    # A lattice reading needs no seed windings, so the seed circles join the
-    # disk's batch only when there is none.  Failures are raised in the
-    # order of the circles.
-    lattice = lattice_zeros(e, r)
-    w_disk, *ms = _circle_windings(
-        fn, [(0j, r)] + (circles if lattice is None else []), rate)
-    if isinstance(w_disk, LocatorError):
-        raise w_disk
-    if lattice is not None:
-        if sum(m for _, m in lattice) == w_disk:
-            return lattice, w_disk, True
-        ms = _circle_windings(fn, circles, rate)
-    de = differentiate(e)
-    jet = compile_expr((e, de, differentiate(de)))
-    if not inside and 1 <= w_disk <= W_MAX:
-        found = _disk_zeros(jet, r, w_disk, MERGE_TOL * max(r, 1.0))
-        if found is not None:
-            return found, w_disk, True
-
     seed_list: list[tuple[complex, int]] = []
-    for z, m in zip(inside, ms):
+    for z, m in zip(inside, _circle_windings(fn, circles, rate)):
         if isinstance(m, LocatorError):
             raise m
         if m < 0:

@@ -32,6 +32,7 @@ __all__ = [
     "CountingMode", "QuadratureError", "counting", "proximity",
     "characteristic", "RadialSample", "radial_grid", "nevanlinna_rows",
     "row_error", "compile_log_abs", "default_radii", "EvalContext",
+    "DEFAULT_QUAD_TOL",
 ]
 
 
@@ -136,6 +137,9 @@ def compile_log_abs(e: Expr):
 # proximity by Gauss-Kronrod quadrature between the kinks of log+|f|
 
 _POLE_MESSAGE = "log|f| not finite on the circle (pole on or near the ring?)"
+# The default tolerance of a proximity mean, and of a spec's
+# tolerances.quadrature_tol.
+DEFAULT_QUAD_TOL = 1e-10
 
 # Angles per whole circle sampled to find the kinks; a half or quarter arc
 # keeps the lattice.  An arc where log|f| > 0 that fits between two samples
@@ -216,7 +220,7 @@ _RULES = (_pair(_XK17, _WK17, _WG8), _pair(_XK65, _WK65, _WG32))
 
 
 def proximity(f: Expr, r: float | list[float],
-              tol: float = 1e-10) -> float | list:
+              tol: float = DEFAULT_QUAD_TOL) -> float | list:
     """m(r, f): mean of max(0, log|f|) over the circle |z| = r.
 
     The mean is taken over an arc of each circle of length 2*pi/2^k, where
@@ -418,7 +422,7 @@ def _integrate(g, pole, stuck, lo, hi, row, tol: float, span: float) -> list:
 
 
 def characteristic(f: Expr, r: float, poles: Divisor,
-                   tol: float = 1e-10) -> float:
+                   tol: float = DEFAULT_QUAD_TOL) -> float:
     """T(r, f) = m(r, f) + N(r, poles of f)."""
     return proximity(f, r, tol) + counting(poles, r, CountingMode.full())
 
@@ -472,7 +476,7 @@ class EvalContext:
     call.  Keyed by expression, a lookup hashes the expression once."""
 
     def __init__(self, f: Expr, radii: list[float] | None = None,
-                 quad_tol: float = 1e-10):
+                 quad_tol: float = DEFAULT_QUAD_TOL):
         self.f = f
         self.radii = default_radii() if radii is None else sorted(
             float(r) for r in radii)
@@ -549,7 +553,7 @@ class EvalContext:
 
 
 def nevanlinna_rows(f: Expr, radii: list[float],
-                    tol: float = 1e-10) -> list[RadialSample]:
+                    tol: float = DEFAULT_QUAD_TOL) -> list[RadialSample]:
     """m, N, T of f at each requested radius, in the order given.
 
     f's divisors are located once just beyond the largest radius; each row

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -24,6 +25,14 @@ CHECK_SPEC = {
     "checks": ["thm_1", {"id": "thm_b", "params": {"k": 2}}],
     "seed": 7,
 }
+
+
+@dataclass
+class _Instead:
+    """What a mutation of a spec returns when it replaces the whole document
+    or sets environment variables rather than edit the spec in place."""
+    doc: object
+    env: dict = field(default_factory=dict)
 
 
 def write_spec(tmp_path, spec, name="spec.json"):
@@ -322,13 +331,55 @@ def test_partial_pole_divisor_fails_every_nev_row(tmp_path, monkeypatch):
     (lambda s: s["radii"].update(stop=math.inf), "infinite radius"),
     (lambda s: s.update(tolerances={"eq_tolerance": math.inf}),
      "infinite identity tolerance"),
+    (lambda s: s.update(radii=[2, 20, 8]), "radii not an object"),
+    (lambda s: s["radii"].pop("start"), "radii without start"),
+    (lambda s: s["radii"].update(count=8.5), "non-integer radii count"),
+    (lambda s: s["radii"].update(start=20), "start not below stop"),
+    (lambda s: s.update(polynomial=[[2, 0, 2]]), "polynomial not an object"),
+    (lambda s: s["polynomial"].update(monomials=[]), "no monomials"),
+    (lambda s: s["polynomial"].update(monomials=[[2, 0, 2]]),
+     "monomial not an object"),
+    (lambda s: s["polynomial"].update(monomials=[{"coeff": 1}]),
+     "monomial without exponents"),
+    (lambda s: s["polynomial"].update(monomials=[{"exponents": [2, 0.5]}]),
+     "non-integer exponent"),
+    (lambda s: s.update(checks=[]), "empty checks list"),
+    (lambda s: s.update(checks=[{"id": 7}]), "check id not a string"),
+    (lambda s: s.update(checks=[{"id": "thm_b", "params": [2]}]),
+     "check params not an object"),
+    (lambda s: s.update(checks=[7]), "check neither string nor object"),
+    (lambda s: _Instead([s]), "spec not an object"),
+    (lambda s: s.update(tolerances=[1e-3]), "tolerances not an object"),
+    (lambda s: s.update(function=7), "function not a string"),
+    (lambda s: _Instead(s, {"NEVLAB_SEED": "abc"}), "non-integer NEVLAB_SEED"),
+    (lambda s: s.pop("radii"), "radii missing"),
+    (lambda s: s.pop("checks"), "checks missing"),
+    (lambda s: s.pop("polynomial"), "polynomial missing for thm_1"),
 ])
-def test_spec_validation_failures(tmp_path, mutate, reason):
+def test_spec_validation_failures(tmp_path, monkeypatch, mutate, reason):
     spec = json.loads(json.dumps(CHECK_SPEC))
-    mutate(spec)
+    instead = mutate(spec)
+    if isinstance(instead, _Instead):
+        spec = instead.doc
+        for name, value in instead.env.items():
+            monkeypatch.setenv(name, value)
     code = run(["check", "--spec", write_spec(tmp_path, spec),
                 "--out", tmp_path / "out.json"])
     assert code == 3, reason
+
+
+@pytest.mark.parametrize("command,mutate,message", [
+    ("stats", lambda s: s.pop("polynomial"), "'stats' needs a polynomial"),
+    ("zeros", lambda s: None, "'zeros' does not take checks"),
+    ("nev", lambda s: s.pop("radii"), "'nev' needs radii"),
+])
+def test_spec_validation_depends_on_the_command(tmp_path, capsys, command,
+                                                mutate, message):
+    spec = json.loads(json.dumps(CHECK_SPEC))
+    mutate(spec)
+    code = run([command, "--spec", write_spec(tmp_path, spec),
+                "--out", tmp_path / "out.json"])
+    assert code == 3 and message in capsys.readouterr().err
 
 
 def test_malformed_json_and_missing_file(tmp_path):

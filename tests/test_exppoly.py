@@ -167,6 +167,25 @@ def test_a_power_within_the_pair_bound_keeps_its_exact_form(n):
         exppoly._ZERO_K: [(math.comb(n, k), 0) for k in range(n + 1)]}
 
 
+def test_a_product_within_the_pair_bound_keeps_its_exact_form():
+    """(z + 1)^255*(z + 1)^255 multiplies 256 coefficients by 256, exactly
+    _MAX_PAIRS, and keeps the binomial coefficients of (z + 1)^510."""
+    p = to_exp_poly(parse_expr("(z + 1)^255*(z + 1)^255"))
+    assert p.den == 1 and p.terms == {
+        exppoly._ZERO_K: [(math.comb(510, k), 0) for k in range(511)]}
+
+
+@pytest.mark.parametrize("n,power", [(2, 256), (8, 500)])
+def test_a_product_past_the_pair_bound_leaves_the_class(n, power):
+    """A Mul's form declines each product of more than _MAX_PAIRS
+    coefficient pairs, as ExpPoly.pow does: 257 by 257 for two factors
+    (z + 1)^256, and 501 by 501 already at the first of eight factors
+    (z + 1)^500, rather than expanding all eight to degree 4000."""
+    src = "*".join([f"(z + 1)^{power}"] * n)
+    assert to_exp_poly(parse_expr(src)) is None
+    assert is_identically_zero(parse_expr(src + " - 1")) != ZeroVerdict.ZERO
+
+
 @pytest.mark.parametrize("e", [
     intpow(mul(Const(1e200), Z), 3),                 # f' = 3e600*z^2
     parse_expr("exp(z + 700)*exp(z + 700)"),         # exp(1400)

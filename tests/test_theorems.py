@@ -11,7 +11,7 @@ from nevlab.diffpoly import DiffPolynomial
 from nevlab.exppoly import canonical_quotient
 from nevlab.expr import parse_expr
 from nevlab.locator import divisor_pair_at
-from nevlab.nevanlinna import nevanlinna_rows, radial_grid
+from nevlab.nevanlinna import DEFAULT_QUAD_TOL, nevanlinna_rows, radial_grid
 from nevlab.theorems import (CheckRow, EvalContext, TooFewRowsError,
                              default_radii, run_check, verdict)
 
@@ -255,6 +255,48 @@ def test_threshold_bound_fails_on_slowly_converging_instance():
     rep = run_check("lem_35", EZ, poly, radii=radial_grid(2, 40, 8))
     assert rep.verdict == "fail"
     assert rep.worst_residual > 0
+
+
+# f = exp(z) and P = f^2 (f'')^2, so P[f] = exp(4z) and the growth constant
+# is 8; b = z makes b P[f] = z exp(4z).
+_P4 = DiffPolynomial.from_exponents((1, (2, 0, 2)))
+
+
+def test_lem_33_with_a_polynomial_b_meets_its_closed_form():
+    """lhs = m(r, z exp(4z)) = (alpha ln r + 4r sin alpha)/pi, where
+    ln r + 4r cos(theta) > 0 for |theta| < alpha = arccos(-ln r/(4r)); rhs
+    = 8 T(r, f) + T(r, z) = 8r/pi + ln r.  Each proximity mean is within the
+    quadrature tol, and rhs takes nine of them."""
+    rep = run_check("lem_33", EZ, _P4, {"b": "z"}, radii=GRID)
+    assert rep.stats["growth_constant"] == 8
+    for w in rep.rows:
+        r = w.r
+        alpha = math.acos(-math.log(r) / (4 * r))
+        lhs = (alpha * math.log(r) + 4 * r * math.sin(alpha)) / math.pi
+        assert w.error is None
+        assert abs(w.lhs - lhs) <= DEFAULT_QUAD_TOL
+        assert abs(w.rhs - (8 * r / math.pi + math.log(r))) \
+            <= 9 * DEFAULT_QUAD_TOL
+
+
+def test_lem_35_with_a_polynomial_b_meets_its_closed_form():
+    """z exp(4z) = 1 at z = W_k(4)/4 over the branches k of Lambert's W,
+    (z exp(4z))' = (1 + 4z) exp(4z) vanishes at -1/4 and f has no zeros or
+    poles, so rhs = sum of ln(r/|W_k(4)/4|) - ln(4r); lhs = 4 T(r, f) =
+    4r/pi, four proximity means.  rhs, read from located points alone, is
+    held to the same bound."""
+    lambertw = pytest.importorskip("scipy.special").lambertw
+    rep = run_check("lem_35", EZ, _P4, {"b": "z"}, radii=GRID)
+    # |W_k(4)| grows with |k|, past 4 * max(GRID) by k = 41
+    roots = [abs(complex(lambertw(4, k))) / 4 for k in range(-40, 41)]
+    assert min(abs(complex(lambertw(4, k))) / 4 for k in (-41, 41)) \
+        > max(GRID)
+    for w in rep.rows:
+        r = w.r
+        rhs = sum(math.log(r / a) for a in roots if a <= r) - math.log(4 * r)
+        assert w.error is None
+        assert abs(w.lhs - 4 * r / math.pi) <= 4 * DEFAULT_QUAD_TOL
+        assert abs(w.rhs - rhs) <= 4 * DEFAULT_QUAD_TOL
 
 
 def test_reports_summarise():
