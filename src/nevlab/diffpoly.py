@@ -186,10 +186,10 @@ def _constant_coeffs(p: DiffPolynomial, out: list[str]):
             return
 
 
-def _common(p: DiffPolynomial, s: PolyStats, *, min_k: int, min_q0: int,
-            min_qk: int, homogeneous: bool = True) -> list[str]:
+def _common(s: PolyStats, *, min_k: int, min_q0: int,
+            min_qk: int) -> list[str]:
     out = []
-    if homogeneous and not s.homogeneous:
+    if not s.homogeneous:
         out.append("polynomial is not homogeneous")
     if s.order < min_k:
         out.append(f"order k={s.order} but k >= {min_k} is required")
@@ -201,18 +201,18 @@ def _common(p: DiffPolynomial, s: PolyStats, *, min_k: int, min_q0: int,
 
 
 def _check_thm_1(p, s):
-    return _common(p, s, min_k=2, min_q0=2, min_qk=2)
+    return _common(s, min_k=2, min_q0=2, min_qk=2)
 
 
 def _check_thm_2(p, s):
-    out = _common(p, s, min_k=1, min_q0=1, min_qk=1)
+    out = _common(s, min_k=1, min_q0=1, min_qk=1)
     if s.max_degree - s.weight_excess <= 2:
         out.append(f"needs d - nu > 2 (got {s.max_degree - s.weight_excess})")
     return out
 
 
 def _check_thm_3(p, s):
-    out = _common(p, s, min_k=1, min_q0=1, min_qk=1)
+    out = _common(s, min_k=1, min_q0=1, min_qk=1)
     lhs = s.max_degree + s.order * s.min_base_power
     rhs = 2 * (s.order + 1) + s.weight_excess
     if lhs <= rhs:
@@ -220,7 +220,7 @@ def _check_thm_3(p, s):
     return out
 
 
-def _single(p, s, out):
+def _single(p, out):
     if len(p.monomials) != 1:
         out.append("check applies to a single monomial")
         return False
@@ -229,16 +229,16 @@ def _single(p, s, out):
 
 def _check_thm_e(p, s):
     out = []
-    if _single(p, s, out):
-        out += _common(p, s, min_k=2, min_q0=2, min_qk=2)
+    if _single(p, out):
+        out += _common(s, min_k=2, min_q0=2, min_qk=2)
         _constant_coeffs(p, out)
     return out
 
 
 def _check_thm_f(p, s):
     out = []
-    if _single(p, s, out):
-        out += _common(p, s, min_k=1, min_q0=1, min_qk=1)
+    if _single(p, out):
+        out += _common(s, min_k=1, min_q0=1, min_qk=1)
         _constant_coeffs(p, out)
         if s.max_degree - s.weight_excess < 3:
             out.append("needs degree minus weight excess >= 3")
@@ -247,8 +247,8 @@ def _check_thm_f(p, s):
 
 def _check_thm_g(p, s):
     out = []
-    if _single(p, s, out):
-        out += _common(p, s, min_k=1, min_q0=1, min_qk=1)
+    if _single(p, out):
+        out += _common(s, min_k=1, min_q0=1, min_qk=1)
         _constant_coeffs(p, out)
         q0 = p.monomials[0].exponent(0)
         if s.max_degree - s.weight_excess < 5 - q0:
@@ -261,11 +261,11 @@ def _check_lem_33(p, s):
 
 
 def _check_lem_35(p, s):
-    return _common(p, s, min_k=0, min_q0=1, min_qk=0)
+    return _common(s, min_k=0, min_q0=1, min_qk=0)
 
 
 def _check_lem_36(p, s):
-    return _common(p, s, min_k=0, min_q0=1, min_qk=1)
+    return _common(s, min_k=0, min_q0=1, min_qk=1)
 
 
 HYPOTHESIS_CHECKS = {

@@ -695,9 +695,7 @@ def _run(prog: _Program, z: np.ndarray) -> tuple:
 def _evaluator(prog: _Program, joint: bool):
     """Evaluator of prog: _run on arrays, generated code on one point, as
     np.complex128 with np.exp.  Returns the tuple of outputs when joint,
-    otherwise the one output.  It carries prog as .program, so a caller that
-    already holds an np.complex128 under errstate can run the generated code
-    itself."""
+    otherwise the one output."""
     def run(z):
         with np.errstate(all="ignore"):
             if np.ndim(z):
@@ -705,7 +703,6 @@ def _evaluator(prog: _Program, joint: bool):
             else:
                 out = prog.straight(np.complex128(z), np.exp)
         return out if joint else out[0]
-    run.program = prog
     return run
 
 

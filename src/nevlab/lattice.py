@@ -15,7 +15,6 @@ roots are simple; f itself is never evaluated.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 from .diffpoly import contains_exponential
@@ -60,19 +59,20 @@ def _roots(p: list) -> list[complex] | None:
     return out
 
 
-@functools.cache
-def _reading(e: Expr) -> tuple[complex, list] | None:
-    """(lambda, [(Log w_j, multiplicity)]) of a one-frequency atom, or None
-    when e's form is not one or a root of P is not read cleanly."""
-    ep = to_exp_poly(e)
+def lattice_zeros(e: Expr, r: float) -> list[tuple[complex, int]] | None:
+    """(location, multiplicity) of the zeros of the entire atom e in |z| <=
+    r, when e has an Exp node and is a one-frequency polynomial in
+    exp(lambda z) with constant coefficients, of degree at most MAX_DEGREE,
+    whose roots are read cleanly; else None.  An atom with no Exp node is
+    refused before its form is built."""
+    ep = to_exp_poly(e) if contains_exponential(e) else None
     read = None if ep is None else one_frequency(ep)
     if read is None:
         return None
     (a, b, d), coef = read
-    lo, hi = min(coef), max(coef)
-    if hi - lo > MAX_DEGREE:
+    if max(coef) - min(coef) > MAX_DEGREE:
         return None
-    poly = [coef.get(n, (0, 0)) for n in range(hi, lo - 1, -1)]
+    poly = [coef.get(n, (0, 0)) for n in range(max(coef), min(coef) - 1, -1)]
     roots = []
     for factor, mult in _square_free(poly):
         ws = _roots(factor)
@@ -82,22 +82,11 @@ def _reading(e: Expr) -> tuple[complex, list] | None:
     if any(abs(w - v) <= _ROOT_TOL * max(abs(w), abs(v))
            for j, (w, _) in enumerate(roots) for v, _ in roots[:j]):
         return None
-    return (complex(a / d, b / d),
-            [(cmath.log(w), mult) for w, mult in roots])
-
-
-def lattice_zeros(e: Expr, r: float) -> list[tuple[complex, int]] | None:
-    """(location, multiplicity) of the zeros of the entire atom e in |z| <=
-    r, when e has an Exp node and is a one-frequency polynomial in
-    exp(lambda z) with constant coefficients; else None.  An atom with no
-    Exp node is refused before its form is built."""
-    read = _reading(e) if contains_exponential(e) else None
-    if read is None:
-        return None
-    lam, logs = read
+    lam = complex(a / d, b / d)
     big = r * abs(lam)
     out = []
-    for log, mult in logs:
+    for w, mult in roots:
+        log = cmath.log(w)
         # |Log w + 2 pi i n| <= r |lambda|; the range keeps one n to spare at
         # each end and |z| <= r decides.
         s = math.sqrt(max(big * big - log.real ** 2, 0.0))

@@ -62,7 +62,7 @@ from .expr import (Add, Const, Div, Exp, Expr, IntPow, Mul, Neg, compile_expr,
                    differentiate, sub)
 from .exppoly import canonical_quotient
 from .lattice import lattice_zeros
-from .moments import _cell_point, _disk_zeros, _polish
+from .moments import _cell_point, _disk_zeros, _moments, _polish
 
 __all__ = [
     "Divisor", "DivisorPoint", "LocatorError", "RingTooCloseError",
@@ -263,7 +263,6 @@ def _freq_collect(e: Expr) -> dict:
     return {}
 
 
-@functools.cache
 def _rate_of(e: Expr):
     """Estimator of the maximal phase rotation rate per unit arclength."""
     terms = tuple(sorted(_freq_collect(e).items(), key=lambda kv: str(kv[0])))
@@ -632,7 +631,9 @@ def _locate_entire(e: Expr, r: float,
     denominator that may be cancelled).  They are read only when both the
     lattice and the moment reading decline: then their multiplicities are
     measured by small-circle windings and only the remainder is searched
-    for."""
+    for.  A seed keeps its circle's winding m only when the moments put
+    those zeros on it (s0 rounds to m, s1/s0 within Divisor.subtract's
+    MERGE_TOL); else they are searched for too."""
     fn = compile_expr(e)
     rate = _rate_of(e)
     w_disk = _circle_winding(fn, 0j, r, rate)
@@ -651,20 +652,22 @@ def _locate_entire(e: Expr, r: float,
     for z in inside:
         others = [abs(z - w) for w in inside if w is not z] + [abs(r - abs(z))]
         circles.append((z, max(1e-3 * min(others, default=1.0), 1e-9)))
-    seed_list: list[tuple[complex, int]] = []
-    for z, m in zip(inside, _circle_windings(fn, circles, rate)):
+    tol = MERGE_TOL * max(r, 1.0)
+    points: list[tuple[complex, int]] = []      # the seeds kept, first
+    for (z, rho), m in zip(circles, _circle_windings(fn, circles, rate)):
         if isinstance(m, LocatorError):
             raise m
         if m < 0:
             raise ConservationError("negative multiplicity at seeded point")
         if m:
-            seed_list.append((z, m))
+            (s0, s1), _ = _moments(jet, z, rho, 2)
+            if abs(s0 - m) < 0.5 and abs(rho * s1 / s0) <= tol:
+                points.append((z, m))
 
-    known = sum(m for z, m in seed_list if abs(z) <= r)
-    points = [(z, m) for z, m in seed_list]
+    known = sum(m for z, m in points if abs(z) <= r)
     ok = True
     if w_disk != known:
-        s = _Search(fn, jet, rate, r, seed_list)
+        s = _Search(fn, jet, rate, r, list(points))
         half = r * (1 + 3 * RING_CLEARANCE)
         try:
             w_sq = _as_int(s.rect_windings([(-half, half, -half, half)])[0],
@@ -675,7 +678,7 @@ def _locate_entire(e: Expr, r: float,
         # Newton points found twice merge into one of multiplicity 1, and
         # the shortfall then fails find_zeros' conservation check.
         points += [(z, 1 if m is None else m)
-                   for z, m in _merge_raw(s.found, MERGE_TOL * max(r, 1.0))]
+                   for z, m in _merge_raw(s.found, tol)]
     return points, w_disk, ok
 
 

@@ -5,7 +5,6 @@ inside (Delves and Lyness, 1967); Newton on f/f'; jet: z -> (f, f', f'')."""
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 
 import numpy as np
@@ -14,15 +13,12 @@ MOMENT_TOL = 1e-14     # the largest moment error a disk reading admits
 
 
 def _polish(jet, z0: complex, scale: float) -> complex | None:
-    """Newton on f/f' from z0, quadratic near zeros of any multiplicity; z
-    stays an np.complex128, so a compiled jet's generated code runs."""
-    prog = getattr(jet, "program", None)
-    point = jet if prog is None else functools.partial(prog.straight,
-                                                       exp=np.exp)
+    """Newton on f/f' from z0, quadratic near zeros of any multiplicity,
+    one call of the jet per step."""
     z = np.complex128(z0)
     with np.errstate(all="ignore"):
         for _ in range(60):
-            f0, f1, f2 = point(z)
+            f0, f1, f2 = jet(z)
             if not (cmath.isfinite(f0) and cmath.isfinite(f1)
                     and cmath.isfinite(f2)):
                 return None

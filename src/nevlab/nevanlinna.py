@@ -16,7 +16,6 @@ of a trigonometric factor at radius 40 inside floating-point range.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -122,7 +121,6 @@ def counting(divisor: Divisor, r: float, mode: CountingMode | None = None) -> fl
 # ---------------------------------------------------------------------------
 # structural log magnitude
 
-@functools.cache
 def compile_log_abs(e: Expr):
     """Vectorised ln|e(z)|, exploiting structure to dodge overflow.
 

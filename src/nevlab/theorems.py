@@ -406,12 +406,21 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
               context: EvalContext | None = None) -> CheckReport:
     """Run one named check and return its report.
 
-    Unknown ids and malformed parameters raise ValueError; failed hypotheses
-    and vacuous instances come back as verdicts, with no rows."""
+    Unknown ids and parameter names, malformed parameters, and a context
+    built for another f or passed with radii raise ValueError; failed
+    hypotheses and vacuous instances come back as verdicts, with no rows."""
     try:
         spec = CHECKS[check_id]
     except KeyError:
         raise ValueError(f"unknown check id '{check_id}'") from None
+    extra = sorted(map(str, set(params or {}) - {p.name for p in spec.params}))
+    if extra:
+        raise ValueError(f"check '{check_id}' has no parameter(s) "
+                         f"{', '.join(extra)}")
+    if context is not None and context.f != f:
+        raise ValueError("the context was built for another function")
+    if context is not None and radii is not None:
+        raise ValueError("radii come from the context; pass one, not both")
     needs_poly = check_id in HYPOTHESIS_CHECKS
     if needs_poly and polynomial is None:
         raise ValueError(f"check '{check_id}' needs a differential polynomial")

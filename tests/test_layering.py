@@ -1,5 +1,6 @@
-"""The package's modules import one another in one direction only, and each
-stays small enough to compile cheaply.
+"""The package's modules import one another in one direction only, each
+stays small enough to compile cheaply, and its memo tables are the declared
+ones.
 
 Each module imports nevlab modules at module level, and only modules before
 it in LAYERS: a function-level import hides a cycle that the module order
@@ -168,3 +169,83 @@ def test_module_stays_under_the_token_array_step(path):
                     if t.type not in (tokenize.COMMENT, tokenize.NL,
                                       tokenize.ENCODING))
     assert count < MAX_TOKENS
+
+
+# Every process-wide memo table and cached property in the package.  Each
+# must pay for itself in hits on the benchmark's workloads, so a new one
+# comes with a test edit here and its measured hits in CHANGES.md.
+MEMO_TABLES = (
+    "expr.differentiate", "expr._Program.straight", "expr._lower",
+    "expr.compile_expr",
+    "exppoly._canonical", "exppoly.canonical_quotient", "exppoly._Forms.den",
+    "exppoly._forms",
+    "locator.Divisor._weighted",
+)
+_MEMO_FUNCTIONS = {"cache", "lru_cache", "cached_property"}
+
+
+def _is_memo(node) -> bool:
+    """node is functools.cache, lru_cache or cached_property, by attribute
+    or bare name, or a call of one (lru_cache(maxsize=...))."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Attribute):
+        return isinstance(node.value, ast.Name) and \
+            node.value.id == "functools" and node.attr in _MEMO_FUNCTIONS
+    return isinstance(node, ast.Name) and node.id in _MEMO_FUNCTIONS
+
+
+def _memo_tables(module: str, source: str) -> list[str]:
+    """Each memo of source, as 'module.qualified name': a def or class whose
+    decorator is one, or a name assigned a call of one."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                if any(map(_is_memo, node.decorator_list)):
+                    found.append(prefix + node.name)
+                visit(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                    isinstance(node.value, ast.Call) and \
+                    _is_memo(node.value.func):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                found.extend(prefix + t.id for t in targets
+                             if isinstance(t, ast.Name))
+            else:
+                visit([n for n in ast.iter_child_nodes(node)
+                       if isinstance(n, ast.stmt)], prefix)
+    visit(ast.parse(source).body, f"{module}.")
+    return found
+
+
+def test_the_memo_check_sees_every_form():
+    src = ("import functools\n"
+           "from functools import cache\n"
+           "@functools.cache\n"
+           "def a(x): return x\n"
+           "@functools.lru_cache(maxsize=8)\n"
+           "def b(x): return x\n"
+           "@cache\n"
+           "def c(x): return x\n"
+           "class K:\n"
+           "    @functools.cached_property\n"
+           "    def d(self): return 1\n"
+           "    def e(self): return 2\n"
+           "f = functools.lru_cache(maxsize=16)(K)\n"
+           "g = functools.cache(a)\n"
+           "if True:\n"
+           "    h: object = functools.cache(b)\n"
+           "k = sorted([3, 1])\n")
+    assert _memo_tables("m", src) == ["m.a", "m.b", "m.c", "m.K.d", "m.f",
+                                      "m.g", "m.h"]
+
+
+def test_memo_tables_are_the_declared_ones():
+    """A memo holds its entries for the life of the process; one that no
+    workload hits is memory and code with nothing in return."""
+    found = [t for p in sorted(_PACKAGE.glob("*.py"))
+             for t in _memo_tables(p.stem, p.read_text())]
+    assert sorted(found) == sorted(MEMO_TABLES)

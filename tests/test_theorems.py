@@ -181,6 +181,26 @@ def test_dispatch_validation():
     assert rep.violations == ("function must be non-constant",)
 
 
+def test_an_undeclared_parameter_is_refused():
+    """A misspelt name would otherwise run the check at its default."""
+    with pytest.raises(ValueError, match="'lem_32' has no parameter.* kk"):
+        run_check("lem_32", EZ, params={"kk": 3}, radii=GRID)
+
+
+def test_a_context_of_another_function_is_refused():
+    """Constancy would be judged on f and the rows computed on ctx.f."""
+    tan = parse_expr("tan(z)")
+    with pytest.raises(ValueError, match="built for another function"):
+        run_check("lem_32", tan, context=EvalContext(EZ, GRID))
+
+
+def test_radii_beside_a_context_are_refused():
+    """The context's radii are the rows'; others would be ignored."""
+    with pytest.raises(ValueError, match="radii come from the context"):
+        run_check("lem_32", EZ, radii=radial_grid(2, 40, 8),
+                  context=EvalContext(EZ, GRID))
+
+
 def test_row_floor_propagates():
     with pytest.raises(TooFewRowsError):
         run_check("thm_a", EZ, radii=radial_grid(2, 10, 4))
