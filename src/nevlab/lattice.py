@@ -70,9 +70,10 @@ def lattice_zeros(e: Expr, r: float) -> list[tuple[complex, int]] | None:
     if read is None:
         return None
     (a, b, d), coef = read
-    if max(coef) - min(coef) > MAX_DEGREE:
+    lo, hi = min(coef), max(coef)
+    if hi - lo > MAX_DEGREE:
         return None
-    poly = [coef.get(n, (0, 0)) for n in range(max(coef), min(coef) - 1, -1)]
+    poly = [coef.get(n, (0, 0)) for n in range(hi, lo - 1, -1)]
     roots = []
     for factor, mult in _square_free(poly):
         ws = _roots(factor)
@@ -90,8 +91,8 @@ def lattice_zeros(e: Expr, r: float) -> list[tuple[complex, int]] | None:
         # |Log w + 2 pi i n| <= r |lambda|; the range keeps one n to spare at
         # each end and |z| <= r decides.
         s = math.sqrt(max(big * big - log.real ** 2, 0.0))
-        lo = math.floor((-s - log.imag) / (2 * math.pi))
-        for n in range(lo, math.ceil((s - log.imag) / (2 * math.pi)) + 1):
+        first = math.floor((-s - log.imag) / (2 * math.pi))
+        for n in range(first, math.ceil((s - log.imag) / (2 * math.pi)) + 1):
             z = complex(log.real, log.imag + 2 * math.pi * n) / lam
             if abs(z) <= r:
                 out.append((z, mult))

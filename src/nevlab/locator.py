@@ -16,8 +16,9 @@ the search, and polished with a Newton iteration on f/f', one call to a
 joint program for f, f' and f'' (compile_expr of the tuple) per step.
 The search accepts a Newton point only in a seed-free cell of winding 1, so
 it is that cell's one simple zero and takes multiplicity 1 from the cell
-accounting; seeds get theirs from their small-circle windings.  The counts
-are cross-checked: the multiplicities found inside the disk must add up to
+accounting; a seed gets its circle's winding when the circle's moments
+put those zeros on it, and is dropped otherwise.  The counts are
+cross-checked: the multiplicities found inside the disk must add up to
 the winding of the full circle, which also catches two cells whose Newton
 points coincide.
 
