@@ -31,8 +31,8 @@ from .exppoly import set_probabilistic_seed
 from .locator import PARTIAL_RESULT, LocatorError, divisor_pair_at, negotiate
 from .nevanlinna import (DEFAULT_QUAD_TOL, QuadratureError, RadialSample,
                          nevanlinna_rows, radial_grid)
-from .theorems import (CHECKS, DEFAULT_EPSILON, DEFAULT_EQ_TOLERANCE,
-                       MIN_ROWS, CheckReport, EvalContext, run_check)
+from .theorems import (DEFAULT_EPSILON, DEFAULT_EQ_TOLERANCE, MIN_ROWS,
+                       CheckReport, EvalContext, resolve_check, run_check)
 
 __all__ = ["main", "load_spec", "SpecError", "RunSpec"]
 
@@ -154,10 +154,10 @@ def _parse_checks(raw) -> list[tuple[str, dict]]:
                 raise SpecError(f"check #{i} params must be an object")
         else:
             raise SpecError(f"check #{i} must be a string or an object")
-        if cid not in CHECKS:
-            raise SpecError(f"unknown check id '{cid}'")
-        _reject_unknown(params, {p.name for p in CHECKS[cid].params},
-                        f"params of '{cid}'")
+        try:
+            resolve_check(cid, params)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from None
         out.append((cid, dict(params)))
     return out
 

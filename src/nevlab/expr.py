@@ -21,7 +21,6 @@ import cmath
 import functools
 import math
 import operator
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -491,38 +490,25 @@ def differentiate(e: Expr) -> Expr:
 # order (sums and products as chains of binary steps), with one output slot
 # per tree; the nodes' structural equality and stored hash do the
 # deduplication, so f, f' and f'' lowered together share their common
-# subtrees.  Operands keep
-# their order in the tree, so every value comes from the same float
-# operations that a walk of the tree would make, whichever program it is
-# lowered into.
+# subtrees.  Operands keep their order in the tree, so every value comes
+# from the same float operations that a walk of the tree would make,
+# whichever program it is lowered into.
 #
-# A program runs two ways.  On arrays, _run steps through it.  Constants
-# stay scalars, and a wholly constant output is broadcast to the shape of z
-# at the end.  Each intermediate is released after its last use, and on
-# complex arrays a dying intermediate takes the result of the elementwise
-# step that reads it, so peak memory follows the number of values live at
-# once, not the length of the program; an output slot is never released and
-# never taken.  On one point, where _run's per-step dispatch would cost more
-# than the arithmetic, the program runs as generated straight-line Python
-# (_Program.straight) with the same operators in the same order.  Its
-# source holds only slot numbers and operators; constants and powers are
-# bound as parameter defaults, so every value reaches it bit for bit.  A
-# generated function keeps no namespace of its own: one per program raised
-# the peak memory of the locate benchmark (103 programs) by about 0.2 MB.
+# _run is the one executor.  It steps through a program on an array, on
+# one np.complex128 point or on one Python complex point, with the
+# exponential it is given (cmath.exp on complex, which raises where numpy
+# gives inf or nan).  Constants stay scalars, and a wholly constant output
+# is broadcast to the shape of z at the end (a 0-d array for a point).
+# Each intermediate is released after its last use, and on complex arrays
+# a dying intermediate takes the result of the elementwise step that reads
+# it, so peak memory follows the number of values live at once, not the
+# length of the program; an output slot is never released and never
+# taken.
 
 _Z, _CONST, _ADD, _SUB, _MUL, _NEG, _DIV, _POW, _EXP = range(9)
 _SCALE, _REAL, _LOG_ABS = range(9, 12)     # log-magnitude steps only
 _UFUNCS = {_ADD: np.add, _SUB: np.subtract, _MUL: np.multiply,
            _DIV: np.divide, _NEG: np.negative, _EXP: np.exp}
-
-
-# The right-hand side of instruction i in generated code, by op, and the
-# one globals dict that all generated functions share.
-_SOURCE = {_Z: "z", _CONST: "k{i}", _ADD: "v{a} + v{b}", _SUB: "v{a} - v{b}",
-           _MUL: "v{a} * v{b}", _NEG: "-v{a}", _DIV: "v{a} / v{b}",
-           _POW: "v{a} ** k{i}", _EXP: "exp(v{a})", _SCALE: "k{i} * v{a}",
-           _REAL: "real(v{a})", _LOG_ABS: "log(absolute(v{a}))"}
-_GENERATED_GLOBALS = {"real": np.real, "log": np.log, "absolute": np.abs}
 
 
 @dataclass(frozen=True)
@@ -534,24 +520,6 @@ class _Program:
     code: tuple[tuple, ...]
     outputs: tuple[int, ...]               # the slot of each root
     constant: tuple[bool, ...]             # per output: it never reads z
-
-    @functools.cached_property
-    def straight(self):
-        """run(z, exp) -> tuple of the outputs, as generated Python.
-
-        The constant or power of instruction i is the default value of a
-        parameter k<i>."""
-        args = {f"k{i}": arg for i, (op, _, _, arg, *_) in enumerate(self.code)
-                if op in (_CONST, _POW, _SCALE)}
-        lines = ["def run(z, exp, " + "".join(f"{k}=None, " for k in args)
-                 + "):"]
-        lines += [f"    v{i} = " + _SOURCE[op].format(i=i, a=a, b=b)
-                  for i, (op, a, b, *_) in enumerate(self.code)]
-        lines.append("    return " + "".join(f"v{s}, " for s in self.outputs))
-        module = compile("\n".join(lines), "<lowered program>", "exec")
-        code, = (c for c in module.co_consts if isinstance(c, types.CodeType))
-        return types.FunctionType(code, _GENERATED_GLOBALS, "run",
-                                  tuple(args.values()))
 
 
 @functools.cache
@@ -649,7 +617,7 @@ def _lower(roots: tuple[Expr, ...], log_abs: bool = False) -> _Program:
                     tuple(not varies[s] for s in outputs))
 
 
-def _run(prog: _Program, z: np.ndarray) -> tuple:
+def _run(prog: _Program, z, exp=np.exp) -> tuple:
     # Overwriting is safe only when every array is complex and of z's shape.
     inplace = isinstance(z, np.ndarray) and z.dtype == complex
     vals: list = [None] * len(prog.code)
@@ -670,7 +638,7 @@ def _run(prog: _Program, z: np.ndarray) -> tuple:
         elif op == _DIV:
             v = vals[a] / vals[b]
         elif op == _EXP:
-            v = np.exp(vals[a])
+            v = exp(vals[a])
         elif op == _CONST:
             v = arg
         elif op == _Z:
@@ -693,15 +661,12 @@ def _run(prog: _Program, z: np.ndarray) -> tuple:
 
 
 def _evaluator(prog: _Program, joint: bool):
-    """Evaluator of prog: _run on arrays, generated code on one point, as
-    np.complex128 with np.exp.  Returns the tuple of outputs when joint,
-    otherwise the one output."""
+    """Evaluator of prog through _run, on an array or on one point as
+    np.complex128.  Returns the tuple of outputs when joint, otherwise the
+    one output."""
     def run(z):
         with np.errstate(all="ignore"):
-            if np.ndim(z):
-                out = _run(prog, z)
-            else:
-                out = prog.straight(np.complex128(z), np.exp)
+            out = _run(prog, z if np.ndim(z) else np.complex128(z))
         return out if joint else out[0]
     return run
 
@@ -712,23 +677,22 @@ def compile_expr(e: Expr | tuple[Expr, ...]):
 
     Given a tuple of expressions, the evaluator returns the tuple of their
     values from one program that computes each shared subtree once, bit for
-    bit as the separate evaluators would.  Arrays run through _run; a single
-    point (a 0-d input) runs the program's generated straight-line code on
-    np.complex128."""
+    bit as the separate evaluators would."""
     joint = isinstance(e, tuple)
     return _evaluator(_lower(e if joint else (e,)), joint)
 
 
 def evaluate(e: Expr, z: complex):
-    """Evaluate at a point.  Returns a complex value, or a PoleSignal when a
-    denominator vanishes (overflow is reported as a PoleSignal with the
-    magnitude flag set)."""
+    """Evaluate at a point, through _run on complex with cmath.exp.
+    Returns a complex value, or a PoleSignal when a denominator vanishes
+    (overflow is reported as a PoleSignal with the magnitude flag set)."""
     try:
-        v, = _lower((e,)).straight(complex(z), cmath.exp)
+        v, = _run(_lower((e,)), complex(z), cmath.exp)
     except ZeroDivisionError:
         return PoleSignal()
     except OverflowError:
         return PoleSignal(overflow=True)
+    v = complex(v)                  # a constant output is a 0-d array
     if not cmath.isfinite(v):
         return PoleSignal(overflow=True)
     return v

@@ -399,6 +399,20 @@ def _run_rows(ctx: EvalContext, plan: _Plan) -> list[CheckRow]:
                     lambda work: map_radii(work, ctx.radii))
 
 
+def resolve_check(check_id: str, params: dict | None = None) -> _CheckSpec:
+    """The declaration of check_id.  An unknown id, or a parameter name in
+    params that the check does not declare, raises ValueError."""
+    try:
+        spec = CHECKS[check_id]
+    except KeyError:
+        raise ValueError(f"unknown check id '{check_id}'") from None
+    extra = sorted(map(str, set(params or {}) - {p.name for p in spec.params}))
+    if extra:
+        raise ValueError(f"check '{check_id}' has no parameter(s) "
+                         f"{', '.join(extra)}")
+    return spec
+
+
 def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
               params: dict | None = None, radii: list[float] | None = None,
               epsilon: float = DEFAULT_EPSILON,
@@ -409,14 +423,7 @@ def run_check(check_id: str, f: Expr, polynomial: DiffPolynomial | None = None,
     Unknown ids and parameter names, malformed parameters, and a context
     built for another f or passed with radii raise ValueError; failed
     hypotheses and vacuous instances come back as verdicts, with no rows."""
-    try:
-        spec = CHECKS[check_id]
-    except KeyError:
-        raise ValueError(f"unknown check id '{check_id}'") from None
-    extra = sorted(map(str, set(params or {}) - {p.name for p in spec.params}))
-    if extra:
-        raise ValueError(f"check '{check_id}' has no parameter(s) "
-                         f"{', '.join(extra)}")
+    spec = resolve_check(check_id, params)
     if context is not None and context.f != f:
         raise ValueError("the context was built for another function")
     if context is not None and radii is not None:

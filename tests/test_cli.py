@@ -368,6 +368,14 @@ def test_spec_validation_failures(tmp_path, monkeypatch, mutate, reason):
     assert code == 3, reason
 
 
+def test_threads_below_one_exit_3(tmp_path, capsys):
+    out = tmp_path / "out.json"
+    code = run(["check", "--spec", write_spec(tmp_path, CHECK_SPEC),
+                "--out", out, "--threads", 0])
+    assert code == 3 and not out.exists()
+    assert "--threads must be at least 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command,mutate,message", [
     ("stats", lambda s: s.pop("polynomial"), "'stats' needs a polynomial"),
     ("zeros", lambda s: None, "'zeros' does not take checks"),

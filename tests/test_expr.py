@@ -13,7 +13,7 @@ from nevlab.diffpoly import DiffPolynomial
 from nevlab.exppoly import canonical_quotient
 from nevlab.expr import (ONE, Z, Add, Const, Div, Exp, IntPow,
                          InvalidExpressionError, Mul, Neg, ParseError,
-                         PoleSignal, Var, _lower, add, compile_expr,
+                         PoleSignal, Var, _lower, _run, add, compile_expr,
                          differentiate, div, evaluate, exp_e, intpow, mul, neg,
                          parse_expr, sub, to_grammar, to_quotient)
 
@@ -259,14 +259,14 @@ def test_outputs_are_not_clobbered_on_arrays():
 
 @pytest.mark.parametrize("c", [complex(-0.0, -1.0), complex(1 / 3, -2 / 7),
                                complex(5e-324, -0.0)])
-def test_constants_reach_the_generated_code_bit_for_bit(c):
-    """A constant enters as a parameter default, not as program text, so
-    its sign bits and last digits survive.  The program is lowered afresh,
-    past the cache, so this lowering is tested, not one an earlier call
-    left behind."""
-    run = _lower.__wrapped__((Const(c), mul(Const(c), Z))).straight
+def test_constants_reach_the_executor_bit_for_bit(c):
+    """A constant keeps its sign bits and last digits through _run, on an
+    np.complex128 point with np.exp and on a complex point with cmath.exp.
+    The program is lowered afresh, past the cache, so this lowering is
+    tested, not one an earlier call left behind."""
+    prog = _lower.__wrapped__((Const(c), mul(Const(c), Z)))
     for z, exp in ((np.complex128(0.5), np.exp), (0.5 + 0j, cmath.exp)):
-        value, product = run(z, exp)
+        value, product = _run(prog, z, exp)
         assert _bits([value]) == _bits([c])
         assert _bits([product]) == _bits([c * z])
 

@@ -74,6 +74,38 @@ def test_closed_form_lattice_with_its_multiplicities(monkeypatch, src, r):
                  1e-13 * r)
 
 
+def test_a_degree_past_the_bound_is_declined(monkeypatch):
+    """exp(65z) + exp(z) - 1 is of degree 65 in exp(z), one past
+    MAX_DEGREE: it is declined before its polynomial is split, and degree
+    64 is read."""
+    assert lattice.MAX_DEGREE == 64
+    real = lattice._square_free
+    split = []
+    monkeypatch.setattr(lattice, "_square_free",
+                        lambda p: split.append(len(p) - 1) or real(p))
+    assert lattice_zeros(parse_expr("exp(65*z) + exp(z) - 1"), 2.0) is None
+    assert split == []
+    assert lattice_zeros(parse_expr("exp(64*z) + exp(z) - 1"), 0.5) \
+        is not None
+    assert split == [64]
+
+
+def test_roots_closer_than_the_root_tolerance_are_declined(monkeypatch):
+    """(w - 1)(w - 1.00000001) in w = exp(z) is square-free and its roots
+    are read, but they lie within _ROOT_TOL of each other, so their
+    lattices could not be told apart: declined.  1 and 1.001 are read."""
+    real = lattice._roots
+    read = []
+    monkeypatch.setattr(lattice, "_roots",
+                        lambda p: read.append(real(p)) or read[-1])
+    e = parse_expr("exp(2*z) - 2.00000001*exp(z) + 1.00000001")
+    assert lattice_zeros(e, 2.0) is None
+    (w, v), = read
+    assert 0 < abs(w - v) <= lattice._ROOT_TOL * max(abs(w), abs(v))
+    e = parse_expr("exp(2*z) - 2.001*exp(z) + 1.001")
+    assert len(lattice_zeros(e, 2.0)) == 2
+
+
 def test_yun_splits_by_multiplicity():
     """(w - 1)^2 (w + 2) = w^3 - 3w + 2 and (w - i)^3 (w + 1), expanded,
     come back as their square-free factors up to a unit."""

@@ -1,6 +1,6 @@
 """The package's modules import one another in one direction only, each
-stays small enough to compile cheaply, and its memo tables are the declared
-ones.
+stays small enough to compile cheaply, its memo tables are the declared
+ones, and it generates no code at run time.
 
 Each module imports nevlab modules at module level, and only modules before
 it in LAYERS: a function-level import hides a cycle that the module order
@@ -175,8 +175,7 @@ def test_module_stays_under_the_token_array_step(path):
 # must pay for itself in hits on the benchmark's workloads, so a new one
 # comes with a test edit here and its measured hits in CHANGES.md.
 MEMO_TABLES = (
-    "expr.differentiate", "expr._Program.straight", "expr._lower",
-    "expr.compile_expr",
+    "expr.differentiate", "expr._lower", "expr.compile_expr",
     "exppoly._canonical", "exppoly.canonical_quotient", "exppoly._Forms.den",
     "exppoly._forms",
     "locator.Divisor._weighted",
@@ -249,3 +248,44 @@ def test_memo_tables_are_the_declared_ones():
     found = [t for p in sorted(_PACKAGE.glob("*.py"))
              for t in _memo_tables(p.stem, p.read_text())]
     assert sorted(found) == sorted(MEMO_TABLES)
+
+
+def _generated_code(source: str) -> list[str]:
+    """Each call of the builtins compile, exec or eval and each use of
+    types.FunctionType in source, as 'line: name'."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("compile", "exec", "eval"):
+            found.append(f"{node.lineno}: {node.func.id}")
+        elif isinstance(node, ast.Attribute) and \
+                node.attr == "FunctionType":
+            found.append(f"{node.lineno}: FunctionType")
+        elif isinstance(node, ast.ImportFrom) and node.module == "types":
+            found += [f"{node.lineno}: FunctionType" for a in node.names
+                      if a.name == "FunctionType"]
+    return found
+
+
+def test_the_generated_code_check_sees_every_form():
+    src = ("import types\n"
+           "from types import FunctionType\n"
+           "code = compile('x = 1', '<s>', 'exec')\n"
+           "exec(code)\n"
+           "y = eval('1 + 1')\n"
+           "f = types.FunctionType(code, {})\n"
+           "re.compile('a')\n"
+           "np.exp(y)\n")
+    assert _generated_code(src) == [
+        "2: FunctionType", "3: compile", "4: exec", "5: eval",
+        "6: FunctionType"]
+
+
+@pytest.mark.parametrize("path", sorted(_PACKAGE.glob("*.py")),
+                         ids=lambda p: p.stem)
+def test_no_code_is_generated_at_run_time(path):
+    """Lowered programs run through one executor.  Source built and
+    compiled at run time costs a compile() per program and memory per
+    function, so bringing it back comes with a test edit here and its
+    measurement in CHANGES.md."""
+    assert _generated_code(path.read_text()) == []

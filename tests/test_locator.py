@@ -233,6 +233,17 @@ def test_conservation_against_winding():
         assert d.degree == winding_number(e, r)
 
 
+@pytest.mark.parametrize("src,message", [
+    ("0*z", "identically zero"),
+    ("z^-1*exp(z)", "negative power"),
+])
+def test_a_factor_with_no_divisor_is_refused(src, message):
+    """0 has no divisor, and z^-1 inside a product is not an entire
+    factor."""
+    with pytest.raises(locator.LocatorError, match=message):
+        find_zeros(parse_expr(src), 2.0)
+
+
 @pytest.mark.parametrize("valid", [True, False])
 def test_a_shortfall_fails_conservation_unless_partial(monkeypatch, valid):
     """Multiplicities that do not add up to the disk winding raise, unless

@@ -45,6 +45,12 @@ def test_verdict_error_rows():
     assert verdict(bad_head) == "pass"
 
 
+def test_verdict_fails_nan_residuals():
+    """Residuals that came out NaN without an error fail, whatever epsilon."""
+    assert verdict(rows_with([math.nan] * 8)) == "fail"
+    assert verdict(rows_with([math.nan] * 8), epsilon=math.inf) == "fail"
+
+
 def test_verdict_equality_mode():
     exact = [CheckRow(float(i + 2), 1.0, 1.0 + 1e-4, 0.0) for i in range(8)]
     assert verdict(exact, equality=True) == "pass"
