@@ -485,7 +485,7 @@ def differentiate(e: Expr) -> Expr:
 #
 # Derivative trees repeat their subtrees many times over: the Newton second
 # derivative in lem_35 on tan(z) has 3819 nodes but only 84 distinct
-# subtrees.  _lower turns a tuple of trees into one straight-line program
+# subtrees.  _lower turns a tuple of trees into one branch-free program
 # that computes each structurally distinct subtree once, in topological
 # order (sums and products as chains of binary steps), with one output slot
 # per tree; the nodes' structural equality and stored hash do the
@@ -524,7 +524,7 @@ class _Program:
 
 @functools.cache
 def _lower(roots: tuple[Expr, ...], log_abs: bool = False) -> _Program:
-    """Straight-line program computing each root, or ln|root| when log_abs
+    """Branch-free program computing each root, or ln|root| when log_abs
     is set, in one output slot per root.
 
     The log-magnitude form is structural, which keeps it inside floating
