@@ -8,6 +8,7 @@ exponents) are exactly the quantities the inequality checks are phrased in.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from .expr import (_CHILDREN, Const, Exp, Expr, add, intpow, mul,
@@ -22,18 +23,19 @@ __all__ = [
 
 
 def as_expr(v, what: str) -> Expr:
-    """v as an expression: a grammar string is parsed and a number is a
-    constant; a boolean, another type or an integer beyond the float range
-    raises ValueError naming `what`."""
+    """v as an expression: a grammar string is parsed and a finite number is
+    a constant; a boolean, another type, NaN, an infinity or an integer
+    beyond the float range raises ValueError naming `what`."""
     if isinstance(v, (str, Expr)):
         return parse_expr(v) if isinstance(v, str) else v
     try:
-        if not isinstance(v, bool) and isinstance(v, (int, float, complex)):
+        if not isinstance(v, bool) and isinstance(v, (int, float, complex)) \
+                and cmath.isfinite(v):
             return Const(v)
     except OverflowError:
         pass
     raise ValueError(
-        f"{what} must be a number, a grammar string or an expression")
+        f"{what} must be a finite number, a grammar string or an expression")
 
 
 def as_int(v, what: str) -> int:
@@ -178,106 +180,71 @@ def poly_stats(p: DiffPolynomial) -> PolyStats:
 # ---------------------------------------------------------------------------
 # hypothesis validation for the named checks
 
-def _constant_coeffs(p: DiffPolynomial, out: list[str]):
-    for m in p.monomials:
-        kind, value = is_constant(m.coeff)
-        if kind is not Constancy.CONSTANT or (value is not None and value == 0):
-            out.append("monomial coefficient must be a nonzero constant")
-            return
+def _rule(min_k: int, min_q0: int, min_qk: int, single: bool = False,
+          extra=None):
+    """The hypotheses of one check, as check(p, s) on a polynomial p with
+    statistics s: p homogeneous with k >= min_k, q_0 >= min_q0 and
+    q_k >= min_qk in every monomial; if single, p one monomial with a nonzero
+    constant coefficient; then extra(s), the check's own bound, as a list of
+    violations."""
+    def check(p: DiffPolynomial, s: PolyStats) -> list[str]:
+        if single and len(p.monomials) != 1:
+            return ["check applies to a single monomial"]
+        out = []
+        if not s.homogeneous:
+            out.append("polynomial is not homogeneous")
+        if s.order < min_k:
+            out.append(f"order k={s.order} but k >= {min_k} is required")
+        if s.min_base_power < min_q0:
+            out.append(f"some monomial has q_0={s.min_base_power} < {min_q0}")
+        if s.min_top_power < min_qk:
+            out.append(f"some monomial has q_k={s.min_top_power} < {min_qk}")
+        if single:
+            kind, value = is_constant(p.monomials[0].coeff)
+            if kind is not Constancy.CONSTANT or value == 0:
+                out.append("monomial coefficient must be a nonzero constant")
+        return out + (extra(s) if extra else [])
+    return check
 
 
-def _common(s: PolyStats, *, min_k: int, min_q0: int,
-            min_qk: int) -> list[str]:
-    out = []
-    if not s.homogeneous:
-        out.append("polynomial is not homogeneous")
-    if s.order < min_k:
-        out.append(f"order k={s.order} but k >= {min_k} is required")
-    if s.min_base_power < min_q0:
-        out.append(f"some monomial has q_0={s.min_base_power} < {min_q0}")
-    if min_qk > 0 and s.min_top_power < min_qk:
-        out.append(f"some monomial has q_k={s.min_top_power} < {min_qk}")
-    return out
+def _bound_thm_2(s: PolyStats) -> list[str]:
+    dn = s.max_degree - s.weight_excess
+    return [f"needs d - nu > 2 (got {dn})"] if dn <= 2 else []
 
 
-def _check_thm_1(p, s):
-    return _common(s, min_k=2, min_q0=2, min_qk=2)
-
-
-def _check_thm_2(p, s):
-    out = _common(s, min_k=1, min_q0=1, min_qk=1)
-    if s.max_degree - s.weight_excess <= 2:
-        out.append(f"needs d - nu > 2 (got {s.max_degree - s.weight_excess})")
-    return out
-
-
-def _check_thm_3(p, s):
-    out = _common(s, min_k=1, min_q0=1, min_qk=1)
+def _bound_thm_3(s: PolyStats) -> list[str]:
     lhs = s.max_degree + s.order * s.min_base_power
     rhs = 2 * (s.order + 1) + s.weight_excess
     if lhs <= rhs:
-        out.append(f"needs d + k*qstar > 2(k+1) + nu (got {lhs} <= {rhs})")
-    return out
-
-
-def _single(p, out):
-    if len(p.monomials) != 1:
-        out.append("check applies to a single monomial")
-        return False
-    return True
-
-
-def _check_thm_e(p, s):
-    out = []
-    if _single(p, out):
-        out += _common(s, min_k=2, min_q0=2, min_qk=2)
-        _constant_coeffs(p, out)
-    return out
-
-
-def _check_thm_f(p, s):
-    out = []
-    if _single(p, out):
-        out += _common(s, min_k=1, min_q0=1, min_qk=1)
-        _constant_coeffs(p, out)
-        if s.max_degree - s.weight_excess < 3:
-            out.append("needs degree minus weight excess >= 3")
-    return out
-
-
-def _check_thm_g(p, s):
-    out = []
-    if _single(p, out):
-        out += _common(s, min_k=1, min_q0=1, min_qk=1)
-        _constant_coeffs(p, out)
-        q0 = p.monomials[0].exponent(0)
-        if s.max_degree - s.weight_excess < 5 - q0:
-            out.append("needs degree minus weight excess >= 5 - q_0")
-    return out
-
-
-def _check_lem_33(p, s):
+        return [f"needs d + k*qstar > 2(k+1) + nu (got {lhs} <= {rhs})"]
     return []
 
 
-def _check_lem_35(p, s):
-    return _common(s, min_k=0, min_q0=1, min_qk=0)
+def _bound_thm_f(s: PolyStats) -> list[str]:
+    if s.max_degree - s.weight_excess < 3:
+        return ["needs degree minus weight excess >= 3"]
+    return []
 
 
-def _check_lem_36(p, s):
-    return _common(s, min_k=0, min_q0=1, min_qk=1)
+def _bound_thm_g(s: PolyStats) -> list[str]:
+    # on one monomial q_0 is q*
+    if s.max_degree - s.weight_excess < 5 - s.min_base_power:
+        return ["needs degree minus weight excess >= 5 - q_0"]
+    return []
 
 
+# thm_e, thm_f and thm_g are thm_1 and thm_2-type rules on one monomial with
+# a nonzero constant coefficient; lem_33 has no hypotheses on P.
 HYPOTHESIS_CHECKS = {
-    "thm_1": _check_thm_1,
-    "thm_2": _check_thm_2,
-    "thm_3": _check_thm_3,
-    "thm_e": _check_thm_e,
-    "thm_f": _check_thm_f,
-    "thm_g": _check_thm_g,
-    "lem_33": _check_lem_33,
-    "lem_35": _check_lem_35,
-    "lem_36": _check_lem_36,
+    "thm_1": _rule(2, 2, 2),
+    "thm_2": _rule(1, 1, 1, extra=_bound_thm_2),
+    "thm_3": _rule(1, 1, 1, extra=_bound_thm_3),
+    "thm_e": _rule(2, 2, 2, single=True),
+    "thm_f": _rule(1, 1, 1, single=True, extra=_bound_thm_f),
+    "thm_g": _rule(1, 1, 1, single=True, extra=_bound_thm_g),
+    "lem_33": lambda p, s: [],
+    "lem_35": _rule(0, 1, 0),
+    "lem_36": _rule(0, 1, 1),
 }
 
 

@@ -430,8 +430,8 @@ def characteristic(f: Expr, r: float, poles: Divisor,
 
 def radial_grid(start: float, stop: float, count: int,
                 spacing: str = "log") -> list[float]:
-    if not (0 < start < stop):
-        raise ValueError("need 0 < start < stop")
+    if not (0 < start < stop < math.inf):
+        raise ValueError("need 0 < start < stop, both finite")
     if count < 1:
         raise ValueError("need at least one radius")
     if spacing == "log":

@@ -1,10 +1,13 @@
 """Differential polynomials: construction, statistics, hypothesis checks."""
 
 import cmath
+import math
 
 import pytest
 
-from nevlab.diffpoly import (DiffPolynomial, contains_exponential, poly_stats,
+from nevlab import theorems
+from nevlab.diffpoly import (HYPOTHESIS_CHECKS, DiffPolynomial,
+                             contains_exponential, poly_stats,
                              validate_hypotheses)
 from nevlab.expr import evaluate, parse_expr
 
@@ -76,6 +79,14 @@ def test_invalid_monomials_rejected(bad):
         DiffPolynomial.from_exponents(bad)
 
 
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, -math.inf,
+                                   complex(1, math.inf)])
+def test_non_finite_coefficient_rejected(coeff):
+    """A non-finite coefficient once built and failed only in apply."""
+    with pytest.raises(ValueError, match="monomial #0 coeff must be a finite"):
+        DiffPolynomial.from_exponents((coeff, (2, 0, 2)))
+
+
 def test_rational_coefficients_allowed():
     poly = DiffPolynomial.from_exponents(("z^2 - 1", (1, 1)))
     assert not contains_exponential(poly.monomials[0].coeff)
@@ -106,6 +117,115 @@ def test_hypothesis_violations_are_reported():
 
     no_top = DiffPolynomial.from_exponents((1, (2, 0, 2)), (1, (2, 2, 0)))
     assert validate_hypotheses(no_top, "lem_36")
+
+
+# Each polynomial, as (coeff, exponents) pairs, with the violations of every
+# HYPOTHESIS_CHECKS id in order; an id left out has none.  The inputs trip
+# each condition once or more: two monomials, a coefficient that is not a
+# nonzero constant, an inhomogeneous sum, k, q_0 or q_k below its bound,
+# d - nu <= 2, thm_3's inequality and thm_g's bound with q_0 in it.
+_SINGLE = ["check applies to a single monomial"]
+_COEFF = "monomial coefficient must be a nonzero constant"
+_THM_3 = "needs d + k*qstar > 2(k+1) + nu (got {} <= {})"
+HYPOTHESIS_TABLE = [
+    # two homogeneous monomials, f^2 (f'')^2 + f^2 (f')^2
+    (((1, (2, 0, 2)), (1, (2, 2, 0))), {
+        "thm_1": ["some monomial has q_k=0 < 2"],
+        "thm_2": ["some monomial has q_k=0 < 1", "needs d - nu > 2 (got 0)"],
+        "thm_3": ["some monomial has q_k=0 < 1", _THM_3.format(8, 10)],
+        "thm_e": _SINGLE, "thm_f": _SINGLE, "thm_g": _SINGLE,
+        "lem_36": ["some monomial has q_k=0 < 1"],
+    }),
+    # coefficient z
+    ((("z", (2, 0, 2)),), {
+        "thm_2": ["needs d - nu > 2 (got 0)"],
+        "thm_3": [_THM_3.format(8, 10)],
+        "thm_e": [_COEFF],
+        "thm_f": [_COEFF, "needs degree minus weight excess >= 3"],
+        "thm_g": [_COEFF, "needs degree minus weight excess >= 5 - q_0"],
+    }),
+    # coefficient 0
+    (((0, (3, 1)),), {
+        "thm_1": ["order k=1 but k >= 2 is required",
+                  "some monomial has q_k=1 < 2"],
+        "thm_e": ["order k=1 but k >= 2 is required",
+                  "some monomial has q_k=1 < 2", _COEFF],
+        "thm_f": [_COEFF], "thm_g": [_COEFF],
+    }),
+    # f f'
+    (((1, (1, 1)),), {
+        "thm_1": ["order k=1 but k >= 2 is required",
+                  "some monomial has q_0=1 < 2", "some monomial has q_k=1 < 2"],
+        "thm_2": ["needs d - nu > 2 (got 1)"],
+        "thm_3": [_THM_3.format(3, 5)],
+        "thm_e": ["order k=1 but k >= 2 is required",
+                  "some monomial has q_0=1 < 2", "some monomial has q_k=1 < 2"],
+        "thm_f": ["needs degree minus weight excess >= 3"],
+        "thm_g": ["needs degree minus weight excess >= 5 - q_0"],
+    }),
+    # the inhomogeneous sum f^2 f' + f f''
+    (((1, (2, 1)), (1, (1, 0, 1))), {
+        "thm_1": ["polynomial is not homogeneous",
+                  "some monomial has q_0=1 < 2", "some monomial has q_k=0 < 2"],
+        "thm_2": ["polynomial is not homogeneous",
+                  "some monomial has q_k=0 < 1", "needs d - nu > 2 (got 1)"],
+        "thm_3": ["polynomial is not homogeneous",
+                  "some monomial has q_k=0 < 1", _THM_3.format(5, 8)],
+        "thm_e": _SINGLE, "thm_f": _SINGLE, "thm_g": _SINGLE,
+        "lem_35": ["polynomial is not homogeneous"],
+        "lem_36": ["polynomial is not homogeneous",
+                   "some monomial has q_k=0 < 1"],
+    }),
+    # f^2 f'': q_k below thm_1's bound
+    (((1, (2, 0, 1)),), {
+        "thm_1": ["some monomial has q_k=1 < 2"],
+        "thm_2": ["needs d - nu > 2 (got 1)"],
+        "thm_3": [_THM_3.format(7, 8)],
+        "thm_e": ["some monomial has q_k=1 < 2"],
+        "thm_f": ["needs degree minus weight excess >= 3"],
+        "thm_g": ["needs degree minus weight excess >= 5 - q_0"],
+    }),
+    # f^2, of order 0
+    (((1, (2,)),), {
+        "thm_1": ["order k=0 but k >= 2 is required"],
+        "thm_2": ["order k=0 but k >= 1 is required",
+                  "needs d - nu > 2 (got 2)"],
+        "thm_3": ["order k=0 but k >= 1 is required", _THM_3.format(2, 2)],
+        "thm_e": ["order k=0 but k >= 2 is required"],
+        "thm_f": ["order k=0 but k >= 1 is required",
+                  "needs degree minus weight excess >= 3"],
+        "thm_g": ["order k=0 but k >= 1 is required",
+                  "needs degree minus weight excess >= 5 - q_0"],
+    }),
+    # f^3 f'': d - nu = 2 fails thm_2 and thm_f; thm_3 and thm_g admit it
+    (((1, (3, 0, 1)),), {
+        "thm_1": ["some monomial has q_k=1 < 2"],
+        "thm_2": ["needs d - nu > 2 (got 2)"],
+        "thm_e": ["some monomial has q_k=1 < 2"],
+        "thm_f": ["needs degree minus weight excess >= 3"],
+    }),
+    # 2.5 f^5 (f'')^2: every check admits it
+    (((2.5, (5, 0, 2)),), {}),
+]
+
+
+@pytest.mark.parametrize("monos,expected", HYPOTHESIS_TABLE)
+def test_hypothesis_violations_table(monos, expected):
+    p = DiffPolynomial.from_exponents(*monos)
+    assert set(expected) <= set(HYPOTHESIS_CHECKS)
+    got = {c: validate_hypotheses(p, c) for c in HYPOTHESIS_CHECKS}
+    assert got == {c: expected.get(c, []) for c in HYPOTHESIS_CHECKS}
+
+
+def test_hypothesis_table_reaches_every_check():
+    """Every id with hypotheses reports a violation somewhere in the table,
+    lem_33 excepted: it has none."""
+    tripped = {c for _, expected in HYPOTHESIS_TABLE for c in expected}
+    assert tripped == set(HYPOTHESIS_CHECKS) - {"lem_33"}
+
+
+def test_hypothesis_checks_are_checks():
+    assert set(HYPOTHESIS_CHECKS) <= set(theorems.CHECKS)
 
 
 def test_unknown_hypothesis_set():

@@ -469,6 +469,15 @@ def test_radial_grid():
         radial_grid(1.0, 2.0, 8, "cubic")
 
 
+@pytest.mark.parametrize("start,stop", [
+    (2.0, math.inf), (math.inf, math.inf), (2.0, math.nan), (math.nan, 4.0),
+])
+def test_radial_grid_needs_finite_ends(start, stop):
+    """An infinite stop once gave [2.0, inf, inf, inf] and a RuntimeWarning."""
+    with pytest.raises(ValueError, match="both finite"):
+        radial_grid(start, stop, 4)
+
+
 def test_rows_for_entire_function():
     rows = nevanlinna_rows(parse_expr("exp(z)"), radial_grid(2, 20, 8))
     for w in rows:
