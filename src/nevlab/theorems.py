@@ -150,7 +150,7 @@ def _top(q0: int, k: int, qk: int) -> tuple[int, ...]:
 
 
 def _threshold(mode: CountingMode, constant_of, exponents=None):
-    """T(r, f) <= c N(r, 1; P(f)), c = constant_of(stats of P).  A check on
+    """T(r, f) <= c N(r, 1; P(f)), c = constant_of(P.stats()).  A check on
     a fixed monomial passes `exponents(params)` and reports its parameters;
     one on the spec's polynomial reports the polynomial's statistics."""
     def build(ctx, poly, params):
