@@ -27,7 +27,7 @@ import random
 from .expr import (
     _CHILDREN, Add, Const, Div, Expr, IntPow, InvalidExpressionError, Mul,
     Neg, PoleSignal, QuotientForm, Var, Z,
-    add, differentiate, div, evaluate, exp_e, intpow, mul, neg, sub,
+    _pointwise, add, differentiate, div, exp_e, intpow, mul, neg, sub,
     to_quotient,
 )
 from .gaussian import _ZERO_F, _conj, _fadd, _gmul
@@ -342,32 +342,23 @@ def _canonical(e: Expr) -> tuple[Expr, ExpPoly | None]:
 def canonical_quotient(e: Expr) -> QuotientForm:
     """to_quotient with both parts passed through canonical(); memoised,
     bounded like _canonical, since a process may make many quotients."""
-    forms = _forms(e)
-    den = forms.q.den
-    if not isinstance(den, Const) and _verdict(forms.den[1], den) in (
+    q, (num, _), (den, dep) = _forms(e)
+    if not isinstance(q.den, Const) and _verdict(dep, q.den) in (
             ZeroVerdict.ZERO, ZeroVerdict.PROBABLY_ZERO):
         raise InvalidExpressionError("denominator vanishes identically")
-    return QuotientForm(forms.num[0], forms.den[0])
-
-
-class _Forms:
-    """The quotient of an expression and (canonical rewrite, form) of each
-    part, converted once; the denominator's only when asked for."""
-
-    def __init__(self, e: Expr):
-        self.q = to_quotient(e)
-        self.num = _canonical(self.q.num)
-
-    @functools.cached_property
-    def den(self) -> tuple[Expr, ExpPoly | None]:
-        return _canonical(self.q.den)
+    return QuotientForm(num, den)
 
 
 # Small and bounded: the verdicts and canonical quotient of one expression
 # come back to back.  A cache for the life of the process would keep every
 # form it made; the subtrees they share are held by _canonical's own
 # bounded memo.
-_forms = functools.lru_cache(maxsize=16)(_Forms)
+@functools.lru_cache(maxsize=16)
+def _forms(e: Expr) -> tuple[QuotientForm, tuple, tuple]:
+    """The quotient of e and (canonical rewrite, form) of its numerator and
+    of its denominator, each converted once."""
+    q = to_quotient(e)
+    return q, _canonical(q.num), _canonical(q.den)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +380,8 @@ class Constancy(enum.Enum):
 def _samples(e: Expr) -> list[complex]:
     """The values of e at 16 seeded points, |z| in {0.7, 1.3}, less poles."""
     rng = random.Random(_prob_seed)
-    vals = (evaluate(e, r * cmath.exp(1j * rng.uniform(0.0, 2.0 * cmath.pi)))
+    at = _pointwise(e)
+    vals = (at(r * cmath.exp(1j * rng.uniform(0.0, 2.0 * cmath.pi)))
             for r in (0.7, 1.3) for _ in range(8))
     return [v for v in vals if not isinstance(v, PoleSignal)]
 
@@ -418,7 +410,8 @@ def is_identically_zero(e: Expr) -> ZeroVerdict:
     """Exact Zero/NonZero when the numerator's form decides it; otherwise a
     probabilistic verdict from 16 seeded sample points (|z| in {0.7, 1.3},
     threshold 1e-9)."""
-    return _verdict(_forms(e).num[1], e)
+    _, (_, ep), _ = _forms(e)
+    return _verdict(ep, e)
 
 
 def is_constant(e: Expr) -> tuple[Constancy, complex | None]:
@@ -426,10 +419,8 @@ def is_constant(e: Expr) -> tuple[Constancy, complex | None]:
     den have forms, num/den is constant iff num'*den - num*den' vanishes
     identically, and that is decided as is_identically_zero decides.
     Otherwise 16 seeded samples can only show that e is not constant."""
-    forms = _forms(e)
-    nep = forms.num[1]
-    dep = forms.den[1] if nep is not None else None
-    if dep is not None and dep.terms:
+    _, (_, nep), (_, dep) = _forms(e)
+    if nep is not None and dep is not None and dep.terms:
         if not nep.terms:
             return Constancy.CONSTANT, 0j
         flat = _decided(nep.diff() * dep - nep * dep.diff())
@@ -495,8 +486,8 @@ def circle_symmetries(e: Expr) -> tuple[bool, bool, bool]:
     |e(-conj(z))| = |e(z)| are proven from the exact forms of both parts of
     e's quotient.  Each map composes the other two, so two proven maps prove
     the third.  A part with no form proves none."""
-    forms = _forms(e)
-    parts = (forms.num[1], forms.den[1])
+    _, (_, nep), (_, dep) = _forms(e)
+    parts = (nep, dep)
     return tuple(None not in parts and
                  all(_sends_to_multiple(ep, m) for ep in parts)
                  for m in _MAPS)
@@ -535,9 +526,8 @@ def derivative_chain(f: Expr, k: int) -> list[Expr]:
     coefficient of N_j overflows a float, N_j is that recurrence's tree."""
     if k < 0:
         raise ValueError("negative derivative order")
-    forms = _forms(f)
-    num, den = forms.q.num, forms.q.den
-    ep, dep = forms.num[1], forms.den[1]
+    q, (_, ep), (_, dep) = _forms(f)
+    num, den = q.num, q.den
     entire = isinstance(den, Const)
     if not entire:
         ddep = None if dep is None else dep.diff()

@@ -499,30 +499,24 @@ def differentiate(e: Expr) -> Expr:
 # exponential it is given (cmath.exp on complex, which raises where numpy
 # gives inf or nan).  Constants stay scalars, and a wholly constant output
 # is broadcast to the shape of z at the end (a 0-d array for a point).
-# Each intermediate is released after its last use, and on complex arrays
-# a dying intermediate takes the result of the elementwise step that reads
-# it, so peak memory follows the number of values live at once, not the
-# length of the program; an output slot is never released and never
-# taken.
+# Each intermediate is released after its last use, so peak memory follows
+# the number of values live at once, not the length of the program; an
+# output slot is never released.
 
 _Z, _CONST, _ADD, _SUB, _MUL, _NEG, _DIV, _POW, _EXP = range(9)
 _SCALE, _REAL, _LOG_ABS = range(9, 12)     # log-magnitude steps only
-_UFUNCS = {_ADD: np.add, _SUB: np.subtract, _MUL: np.multiply,
-           _DIV: np.divide, _NEG: np.negative, _EXP: np.exp}
 
 
 @dataclass(frozen=True)
 class _Program:
-    # Instruction i is (op, a, b, arg, reuse, last_a, last_b): a and b are
-    # operand slots (b is None for one operand), reuse is an operand slot
-    # whose array may hold the result, and last_a, last_b flag the operands
-    # that i reads for the last time.  Slot i holds the result of i.
+    # Instruction i is (op, a, b, arg, last_a, last_b): a and b are operand
+    # slots (b is None for one operand), and last_a, last_b flag the
+    # operands that i reads for the last time.  Slot i holds the result of i.
     code: tuple[tuple, ...]
     outputs: tuple[int, ...]               # the slot of each root
     constant: tuple[bool, ...]             # per output: it never reads z
 
 
-@functools.cache
 def _lower(roots: tuple[Expr, ...], log_abs: bool = False) -> _Program:
     """Branch-free program computing each root, or ln|root| when log_abs
     is set, in one output slot per root.
@@ -597,37 +591,21 @@ def _lower(roots: tuple[Expr, ...], log_abs: bool = False) -> _Program:
     outputs = tuple((log if log_abs else value)(e) for e in roots)
     last = {s: i for i, (_, a, b, _) in enumerate(code) for s in (a, b)}
     last.update(dict.fromkeys(outputs, len(code)))   # outputs live to the end
-    # At its last read, an array this program made may take the result of
-    # an elementwise step, unless it is z or a real-part view shares it.
-    varies: list[bool] = []
+    varies: list[bool] = []                # the step reads z
     for op, a, b, _ in code:
         varies.append(op == _Z or any(varies[s] for s in (a, b)
                                       if s is not None))
-    pinned = {a for op, a, _, _ in code if op == _REAL}
-    lowered = []
-    for i, (op, a, b, arg) in enumerate(code):
-        reuse = None
-        if op in _UFUNCS:
-            reuse = next((s for s in (a, b) if s is not None and last[s] == i
-                          and varies[s] and s not in pinned
-                          and code[s][0] not in (_Z, _REAL)), None)
-        lowered.append((op, a, b, arg, reuse, a is not None and last[a] == i,
-                        b is not None and last[b] == i))
-    return _Program(tuple(lowered), outputs,
-                    tuple(not varies[s] for s in outputs))
+    return _Program(
+        tuple((op, a, b, arg, a is not None and last[a] == i,
+               b is not None and last[b] == i)
+              for i, (op, a, b, arg) in enumerate(code)),
+        outputs, tuple(not varies[s] for s in outputs))
 
 
 def _run(prog: _Program, z, exp=np.exp) -> tuple:
-    # Overwriting is safe only when every array is complex and of z's shape.
-    inplace = isinstance(z, np.ndarray) and z.dtype == complex
     vals: list = [None] * len(prog.code)
-    for i, (op, a, b, arg, reuse, last_a, last_b) in enumerate(prog.code):
-        if inplace and reuse is not None:
-            if b is None:
-                v = _UFUNCS[op](vals[a], out=vals[reuse])
-            else:
-                v = _UFUNCS[op](vals[a], vals[b], out=vals[reuse])
-        elif op == _MUL:
+    for i, (op, a, b, arg, last_a, last_b) in enumerate(prog.code):
+        if op == _MUL:
             v = vals[a] * vals[b]
         elif op == _ADD:
             v = vals[a] + vals[b]
@@ -682,20 +660,30 @@ def compile_expr(e: Expr | tuple[Expr, ...]):
     return _evaluator(_lower(e if joint else (e,)), joint)
 
 
+def _pointwise(e: Expr):
+    """evaluate(e, .) from one lowering of e, for a caller with many
+    points."""
+    prog = _lower((e,))
+
+    def at(z):
+        try:
+            v, = _run(prog, complex(z), cmath.exp)
+        except ZeroDivisionError:
+            return PoleSignal()
+        except OverflowError:
+            return PoleSignal(overflow=True)
+        v = complex(v)              # a constant output is a 0-d array
+        if not cmath.isfinite(v):
+            return PoleSignal(overflow=True)
+        return v
+    return at
+
+
 def evaluate(e: Expr, z: complex):
     """Evaluate at a point, through _run on complex with cmath.exp.
     Returns a complex value, or a PoleSignal when a denominator vanishes
     (overflow is reported as a PoleSignal with the magnitude flag set)."""
-    try:
-        v, = _run(_lower((e,)), complex(z), cmath.exp)
-    except ZeroDivisionError:
-        return PoleSignal()
-    except OverflowError:
-        return PoleSignal(overflow=True)
-    v = complex(v)                  # a constant output is a 0-d array
-    if not cmath.isfinite(v):
-        return PoleSignal(overflow=True)
-    return v
+    return _pointwise(e)(z)
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exppoly import canonical_quotient, circle_symmetries
 from .expr import Div, Expr, _evaluator, _lower
-from .locator import (PARTIAL_RESULT, Divisor, LocatorError, clear_radius,
-                      divisor_pair_at, negotiate)
+from .locator import (ORIGIN_TOL, PARTIAL_RESULT, Divisor, LocatorError,
+                      clear_radius, divisor_pair_at, negotiate)
 
 __all__ = [
     "CountingMode", "QuadratureError", "counting", "proximity",
@@ -111,7 +112,7 @@ def counting(divisor: Divisor, r: float, mode: CountingMode | None = None) -> fl
             f"counting at r={r} outside divisor radius {divisor.radius}")
     total = 0.0
     for a, w in divisor.weighted(mode):
-        if a <= 1e-12 * r:
+        if a <= ORIGIN_TOL * r:
             total += w * math.log(r)
         elif a <= r:
             total += w * math.log(r / a)
@@ -144,7 +145,10 @@ DEFAULT_QUAD_TOL = 1e-10
 # with log|f| < 0 is not seen.
 _SAMPLES = 256
 _STEP = 2.0 * math.pi / _SAMPLES
-_BATCH_RADII = 128                   # radii integrated together
+# Radii integrated together.  It bounds _gauss_circles' arrays: a call
+# holds its radii's samples and their z on the 257-angle lattice, so one
+# call on 100,000 radii (cli._COUNT_MOST) would hold about 25.7 M points.
+_BATCH_RADII = 128
 # Points per evaluator call, which bounds the memory of the program's
 # intermediates.
 _CHUNK = 4096
@@ -430,10 +434,13 @@ def characteristic(f: Expr, r: float, poles: Divisor,
 
 def radial_grid(start: float, stop: float, count: int,
                 spacing: str = "log") -> list[float]:
-    if not (0 < start < stop < math.inf):
+    # An int is compared exactly, so one past the largest float is refused
+    # here, not by float() or numpy.
+    if not (0 < start < stop <= sys.float_info.max):
         raise ValueError("need 0 < start < stop, both finite")
     if count < 1:
         raise ValueError("need at least one radius")
+    start, stop = float(start), float(stop)
     if spacing == "log":
         return [float(x) for x in np.geomspace(start, stop, count)]
     if spacing == "linear":

@@ -261,10 +261,8 @@ def test_outputs_are_not_clobbered_on_arrays():
                                complex(5e-324, -0.0)])
 def test_constants_reach_the_executor_bit_for_bit(c):
     """A constant keeps its sign bits and last digits through _run, on an
-    np.complex128 point with np.exp and on a complex point with cmath.exp.
-    The program is lowered afresh, past the cache, so this lowering is
-    tested, not one an earlier call left behind."""
-    prog = _lower.__wrapped__((Const(c), mul(Const(c), Z)))
+    np.complex128 point with np.exp and on a complex point with cmath.exp."""
+    prog = _lower((Const(c), mul(Const(c), Z)))
     for z, exp in ((np.complex128(0.5), np.exp), (0.5 + 0j, cmath.exp)):
         value, product = _run(prog, z, exp)
         assert _bits([value]) == _bits([c])

@@ -100,6 +100,22 @@ def test_batched_proximity_matches_each_radius_alone(src, extra):
         assert got[-1] == pytest.approx(TAN_CUBED_NEAR_POLE[1], abs=1e-10)
 
 
+def test_no_quadrature_call_takes_more_than_one_batch(monkeypatch):
+    """_BATCH_RADII bounds the radii, and so the arrays, of each
+    _gauss_circles call, however many radii proximity is given."""
+    sizes = []
+    gauss_circles = nevanlinna._gauss_circles
+
+    def recorded(ln_f, radii, *args):
+        sizes.append(len(radii))
+        return gauss_circles(ln_f, radii, *args)
+
+    monkeypatch.setattr(nevanlinna, "_gauss_circles", recorded)
+    radii = radial_grid(2.0, 6.0, 2 * _BATCH_RADII + 3)
+    assert len(proximity(parse_expr("exp(z)"), radii)) == len(radii)
+    assert sizes == [_BATCH_RADII, _BATCH_RADII, 3]
+
+
 def test_batched_proximity_keeps_failures_in_their_rows():
     f = parse_expr("1/(z - 2)")
     radii = [1.5, 2.0, 2.5] * 4
@@ -324,6 +340,8 @@ def test_proximity_matches_reference_values(src, r, want):
     "exp(2*z)*(2*z + 1)",
 ])
 def test_log_abs_matches_log_of_the_value(src):
+    """The structural ln|e| agrees with the log of e's value wherever that
+    is finite."""
     e = parse_expr(src)
     rng = np.random.default_rng(11)
     zs = rng.uniform(-8, 8, 400) + 1j * rng.uniform(-8, 8, 400)
@@ -471,11 +489,15 @@ def test_radial_grid():
 
 @pytest.mark.parametrize("start,stop", [
     (2.0, math.inf), (math.inf, math.inf), (2.0, math.nan), (math.nan, 4.0),
+    (2, 10**400),
 ])
 def test_radial_grid_needs_finite_ends(start, stop):
-    """An infinite stop once gave [2.0, inf, inf, inf] and a RuntimeWarning."""
-    with pytest.raises(ValueError, match="both finite"):
-        radial_grid(start, stop, 4)
+    """An infinite stop once gave [2.0, inf, inf, inf] and a RuntimeWarning,
+    and an int stop past the largest float an OverflowError (log) or a
+    numpy type error (linear)."""
+    for spacing in ("log", "linear"):
+        with pytest.raises(ValueError, match="both finite"):
+            radial_grid(start, stop, 4, spacing)
 
 
 def test_rows_for_entire_function():
