@@ -591,7 +591,7 @@ def _lower(roots: tuple[Expr, ...], log_abs: bool = False) -> _Program:
     outputs = tuple((log if log_abs else value)(e) for e in roots)
     last = {s: i for i, (_, a, b, _) in enumerate(code) for s in (a, b)}
     last.update(dict.fromkeys(outputs, len(code)))   # outputs live to the end
-    varies: list[bool] = []                # the step reads z
+    varies: list[bool] = []                # the step's value depends on z
     for op, a, b, _ in code:
         varies.append(op == _Z or any(varies[s] for s in (a, b)
                                       if s is not None))
